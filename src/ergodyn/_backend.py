@@ -1,21 +1,16 @@
-"""Hot inner loops: numba-compiled kernels with a pure-NumPy fallback.
+"""Hot inner loops of the compute path, in NumPy and SciPy.
 
-Backend selection is driven by the ``ERGODYN_BACKEND`` environment variable:
-
-* ``auto`` (default): use numba when it imports, NumPy otherwise.
-* ``numpy``: force the pure-NumPy path.
-* ``numba``: require the compiled path; raise if numba is unavailable.
-
-Both paths implement the same algorithms. Sampled trajectories are
-bit-identical across backends (integer states, shared splitmix64 streams);
-float kernels agree to rounding. ``benchmarks/bench_backends.py`` times the
-two paths side by side.
+This is the only implementation of CSR products, trajectory and endpoint
+sampling, and Ulam row assembly. Randomness comes from splitmix64 streams:
+a trajectory with seed s is fully determined by s, and batch samplers give
+trajectory i the stream seeded by ``master_seed xor i``, so sampled states
+are reproducible bit for bit regardless of batching. ``perfbench/`` times
+these loops inside the four CLI commands.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -28,20 +23,8 @@ _INV53 = 1.0 / 9007199254740992.0  # 2^-53
 #: Name of the pseudo-random stream algorithm, recorded in report metadata.
 GENERATOR_NAME = "splitmix64"
 
-_choice = os.environ.get("ERGODYN_BACKEND", "auto").lower()
-try:
-    import numba
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via ERGODYN_BACKEND=numpy
-    _HAVE_NUMBA = False
-
-if _choice == "numba" and not _HAVE_NUMBA:
-    raise ImportError("ERGODYN_BACKEND=numba but numba is not importable")
-
-USE_NUMBA = _HAVE_NUMBA and _choice != "numpy"
-BACKEND = "numba" if USE_NUMBA else "numpy"
+#: Compute path, recorded in report metadata.
+BACKEND = "numpy"
 
 
 def mix64(z: int) -> int:
@@ -57,21 +40,17 @@ def trajectory_seed(master_seed: int, index: int) -> int:
     return (int(master_seed) ^ int(index)) & _MASK64
 
 
-# ---------------------------------------------------------------------------
-# Pure-NumPy implementations
-# ---------------------------------------------------------------------------
-
-def _np_matvec(indptr, indices, data, x):
+def matvec(indptr, indices, data, x):
     # rows are guaranteed nonempty (row sums are 1), so reduceat is safe
     return np.add.reduceat(data * x[indices], indptr[:-1])
 
 
-def _np_rmatvec(indptr, indices, data, x, k):
+def rmatvec(indptr, indices, data, x, k):
     counts = np.diff(indptr)
     return np.bincount(indices, weights=data * np.repeat(x, counts), minlength=k)
 
 
-def _np_sample_path(indptr, indices, cumdata, start, n, seed):
+def sample_path(indptr, indices, cumdata, start, n, seed):
     states = np.empty(n + 1, dtype=np.int64)
     states[0] = start
     state = mix64(seed)
@@ -88,32 +67,42 @@ def _np_sample_path(indptr, indices, cumdata, start, n, seed):
     return states
 
 
-def _np_sample_endpoints(dense_cum, last_col, start, j, master_seed, n_samples):
-    # vectorised across trajectories; uint64 array arithmetic wraps silently
-    idx = np.arange(n_samples, dtype=np.uint64)
-    st = np.uint64(master_seed) ^ idx
-    st = (st ^ (st >> np.uint64(30))) * np.uint64(_MIX1)
-    st = (st ^ (st >> np.uint64(27))) * np.uint64(_MIX2)
-    st = st ^ (st >> np.uint64(31))
+def _mix64_array(z):
+    """splitmix64 finalizer on a uint64 array (array arithmetic wraps silently)."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
+
+
+def sample_endpoints(kernel_arrays, start, j, master_seed, n_samples):
+    """States after j steps of n_samples trajectories from one start state.
+
+    Trajectory i draws from the stream seeded by master_seed xor i, exactly
+    as ``sample_path`` would. All trajectories advance together: each step
+    is one inverse-CDF bisection over the rows' CSR running sums.
+    """
+    indptr, indices, cumdata = kernel_arrays.csr_with_cum()
+    st = _mix64_array(np.uint64(master_seed) ^ np.arange(n_samples, dtype=np.uint64))
     states = np.full(n_samples, start, dtype=np.int64)
-    gold = np.uint64(_GOLD)
+    rounds = int(np.diff(indptr).max()).bit_length()
     for _ in range(j):
-        st = st + gold
-        z = st
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
-        u = (z >> np.uint64(11)).astype(np.float64) * _INV53
-        rows = dense_cum[states]
-        pos = (rows <= u[:, None]).sum(axis=1)
-        over = pos >= dense_cum.shape[1]
-        if over.any():
-            pos[over] = last_col[states[over]]
-        states = pos.astype(np.int64)
+        st = st + np.uint64(_GOLD)
+        u = (_mix64_array(st) >> np.uint64(11)).astype(np.float64) * _INV53
+        # first position in the row whose running sum exceeds u; a row of
+        # length m settles within m.bit_length() halvings
+        a, hi = indptr[states], indptr[states + 1]
+        b = hi.copy()
+        for _ in range(rounds):
+            mid = (a + b) >> 1
+            go = cumdata[np.minimum(mid, cumdata.size - 1)] <= u
+            live = a < b
+            a = np.where(live & go, mid + 1, a)
+            b = np.where(live & ~go, mid, b)
+        states = indices[np.minimum(a, hi - 1)]
     return states
 
 
-def _np_ulam_rows(boundaries, samples, noise_code, param, wrap):
+def ulam_rows(boundaries, samples, noise_code, param, wrap):
     """Accumulate transition rows by averaging noise-CDF differences.
 
     samples: (K, q) array of base-map images, one row of sample images per
@@ -122,200 +111,49 @@ def _np_ulam_rows(boundaries, samples, noise_code, param, wrap):
     k = boundaries.shape[0] - 1
     q = samples.shape[1]
     out = np.zeros((k, k))
-    if noise_code == 1:
-        radius = param
-    elif noise_code == 2:
-        radius = 6.0 * param
-    else:
-        radius = 0.0
+    radius = {1: param, 2: 6.0 * param}.get(noise_code, 0.0)
     n_shift = int(math.ceil(radius)) + 1 if wrap else 0
+    # scratch allocated once: the row loop's cost is independent of heap state
+    u, cdf = np.empty((2, q, k + 1))
+    mask = np.empty((q, k + 1), dtype=bool)
+    diff, acc = np.empty((2, q, k))
     for i in range(k):
         y = samples[i][:, None]
-        acc = np.zeros((q, k))
+        acc.fill(0.0)
         for w in range(-n_shift, n_shift + 1):
-            u = boundaries[None, :] - y + w
-            cdf = _np_noise_cdf(u, noise_code, param)
+            np.subtract(boundaries[None, :], y, out=u)
+            u += w
+            _noise_cdf(u, noise_code, param, cdf, mask)
             if not wrap:
                 cdf[:, 0] = 0.0
                 cdf[:, -1] = 1.0
-            acc += cdf[:, 1:] - cdf[:, :-1]
-        out[i] = acc.sum(axis=0) / q
+            np.subtract(cdf[:, 1:], cdf[:, :-1], out=diff)
+            acc += diff
+        np.sum(acc, axis=0, out=out[i])
+        out[i] /= q
     return out
 
 
-def _np_noise_cdf(u, noise_code, param):
+def _noise_cdf(u, noise_code, param, out, mask):
+    # writes the CDF at u into out; mask is boolean scratch of u's shape
     if noise_code == 0:  # point mass at 0
-        return (u >= 0.0).astype(np.float64)
-    if noise_code == 1:  # uniform on [-delta, delta]
-        return np.clip((u + param) / (2.0 * param), 0.0, 1.0)
-    # truncated gaussian: Phi(u/sigma) cut at +-6 sigma and renormalised
-    from scipy.special import erf
+        np.copyto(out, np.greater_equal(u, 0.0, out=mask))
+    elif noise_code == 1:  # uniform on [-delta, delta]
+        np.add(u, param, out=out)
+        out /= 2.0 * param
+        np.clip(out, 0.0, 1.0, out=out)
+    else:  # truncated gaussian: Phi(u/sigma) cut at +-6 sigma and renormalised
+        from scipy.special import erf
 
-    lo = 0.5 * (1.0 + erf(-6.0 / math.sqrt(2.0)))
-    z = 0.5 * (1.0 + erf(u / (param * math.sqrt(2.0))))
-    out = (z - lo) / (1.0 - 2.0 * lo)
-    out[u <= -6.0 * param] = 0.0
-    out[u >= 6.0 * param] = 1.0
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Numba twins
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-    _U = np.uint64
-
-    @njit(cache=True)
-    def _nb_mix64(z):
-        z = (z ^ (z >> _U(30))) * _U(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> _U(27))) * _U(0x94D049BB133111EB)
-        return z ^ (z >> _U(31))
-
-    @njit(cache=True)
-    def _nb_matvec(indptr, indices, data, x):
-        n = indptr.shape[0] - 1
-        out = np.empty(n)
-        for i in range(n):
-            acc = 0.0
-            for p in range(indptr[i], indptr[i + 1]):
-                acc += data[p] * x[indices[p]]
-            out[i] = acc
-        return out
-
-    @njit(cache=True)
-    def _nb_rmatvec(indptr, indices, data, x, k):
-        out = np.zeros(k)
-        n = indptr.shape[0] - 1
-        for i in range(n):
-            xi = x[i]
-            for p in range(indptr[i], indptr[i + 1]):
-                out[indices[p]] += data[p] * xi
-        return out
-
-    @njit(cache=True)
-    def _nb_draw_col(indptr, indices, cumdata, s, u):
-        lo = indptr[s]
-        hi = indptr[s + 1]
-        a, b = lo, hi
-        while a < b:
-            mid = (a + b) // 2
-            if cumdata[mid] <= u:
-                a = mid + 1
-            else:
-                b = mid
-        if a >= hi:
-            a = hi - 1
-        return indices[a]
-
-    @njit(cache=True)
-    def _nb_sample_path(indptr, indices, cumdata, start, n, seed):
-        states = np.empty(n + 1, dtype=np.int64)
-        states[0] = start
-        state = _nb_mix64(_U(seed))
-        s = start
-        gold = _U(0x9E3779B97F4A7C15)
-        for t in range(n):
-            state = state + gold
-            u = np.float64(_nb_mix64(state) >> _U(11)) * (1.0 / 9007199254740992.0)
-            s = _nb_draw_col(indptr, indices, cumdata, s, u)
-            states[t + 1] = s
-        return states
-
-    @njit(cache=True)
-    def _nb_sample_endpoints(indptr, indices, cumdata, start, j, master_seed, n_samples):
-        out = np.empty(n_samples, dtype=np.int64)
-        gold = _U(0x9E3779B97F4A7C15)
-        for i in range(n_samples):
-            state = _nb_mix64(_U(master_seed) ^ _U(i))
-            s = start
-            for _ in range(j):
-                state = state + gold
-                u = np.float64(_nb_mix64(state) >> _U(11)) * (1.0 / 9007199254740992.0)
-                s = _nb_draw_col(indptr, indices, cumdata, s, u)
-            out[i] = s
-        return out
-
-    @njit(cache=True)
-    def _nb_noise_cdf(u, noise_code, param):
-        if noise_code == 0:
-            return 1.0 if u >= 0.0 else 0.0
-        if noise_code == 1:
-            v = (u + param) / (2.0 * param)
-            if v < 0.0:
-                return 0.0
-            if v > 1.0:
-                return 1.0
-            return v
-        if u <= -6.0 * param:
-            return 0.0
-        if u >= 6.0 * param:
-            return 1.0
-        lo = 0.5 * (1.0 + math.erf(-6.0 / math.sqrt(2.0)))
-        z = 0.5 * (1.0 + math.erf(u / (param * math.sqrt(2.0))))
-        return (z - lo) / (1.0 - 2.0 * lo)
-
-    @njit(cache=True)
-    def _nb_ulam_rows(boundaries, samples, noise_code, param, wrap):
-        k = boundaries.shape[0] - 1
-        q = samples.shape[1]
-        out = np.zeros((k, k))
-        if noise_code == 1:
-            radius = param
-        elif noise_code == 2:
-            radius = 6.0 * param
-        else:
-            radius = 0.0
-        n_shift = int(math.ceil(radius)) + 1 if wrap else 0
-        for i in range(k):
-            for t in range(q):
-                y = samples[i, t]
-                for w in range(-n_shift, n_shift + 1):
-                    # restrict to boundary offsets inside the noise support
-                    jlo = 0
-                    jhi = k
-                    if noise_code != 0:
-                        jlo = np.searchsorted(boundaries, y - w - radius) - 1
-                        jhi = np.searchsorted(boundaries, y - w + radius) + 1
-                        if jlo < 0:
-                            jlo = 0
-                        if jhi > k:
-                            jhi = k
-                    prev = _nb_noise_cdf(boundaries[jlo] - y + w, noise_code, param)
-                    if not wrap and jlo == 0:
-                        prev = 0.0
-                    for j in range(jlo, jhi):
-                        cur = _nb_noise_cdf(boundaries[j + 1] - y + w, noise_code, param)
-                        if not wrap and j + 1 == k:
-                            cur = 1.0
-                        out[i, j] += cur - prev
-                        prev = cur
-        out /= q
-        return out
-
-
-# ---------------------------------------------------------------------------
-# Public backend surface
-# ---------------------------------------------------------------------------
-
-if USE_NUMBA:
-    matvec = _nb_matvec
-    rmatvec = _nb_rmatvec
-    sample_path = _nb_sample_path
-    ulam_rows = _nb_ulam_rows
-
-    def sample_endpoints(kernel_arrays, start, j, master_seed, n_samples):
-        indptr, indices, cumdata = kernel_arrays.csr_with_cum()
-        return _nb_sample_endpoints(
-            indptr, indices, cumdata, start, j, master_seed, n_samples
-        )
-
-else:
-    matvec = _np_matvec
-    rmatvec = _np_rmatvec
-    sample_path = _np_sample_path
-    ulam_rows = _np_ulam_rows
-
-    def sample_endpoints(kernel_arrays, start, j, master_seed, n_samples):
-        dense_cum, last_col = kernel_arrays.dense_cum()
-        return _np_sample_endpoints(dense_cum, last_col, start, j, master_seed, n_samples)
+        lo = 0.5 * (1.0 + erf(-6.0 / math.sqrt(2.0)))
+        # erf only on the columns where some |u| < 6 sigma: the rest is overwritten below
+        cols = np.flatnonzero(np.less(np.abs(u, out=out), 6.0 * param, out=mask).any(axis=0))
+        np.divide(u, param * math.sqrt(2.0), out=out)
+        window = out[:, cols[0]:cols[-1] + 1] if cols.size else out[:, :0]
+        erf(window, out=window)
+        out += 1.0
+        out *= 0.5
+        out -= lo
+        out /= 1.0 - 2.0 * lo
+        np.copyto(out, 0.0, where=np.less_equal(u, -6.0 * param, out=mask))
+        np.copyto(out, 1.0, where=np.greater_equal(u, 6.0 * param, out=mask))

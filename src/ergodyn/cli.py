@@ -30,6 +30,7 @@ import numpy as np
 from . import __version__, _backend
 from .errors import (
     ConvergenceError,
+    DimensionError,
     ErgodynError,
     InvalidArgumentError,
     InvalidKernelError,
@@ -61,7 +62,7 @@ from .theorems import (
     check_nonconvergence_set_empty,
     check_periodic_pointwise,
     birkhoff_limit,
-    sublevel_sets,
+    running_average_extremes,
 )
 from .transfer import stationarity_residual
 
@@ -112,7 +113,7 @@ def save_kernel(P: TransitionKernel, path) -> None:
 def load_kernel(path) -> TransitionKernel:
     try:
         text = Path(path).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InvalidKernelError(f"cannot read kernel file {path}: {e}") from None
     try:
         lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -125,13 +126,29 @@ def load_kernel(path) -> TransitionKernel:
         entries = lines[5:]
         if len(entries) != nnz:
             raise ValueError(f"expected {nnz} entries, found {len(entries)}")
-        rows = np.zeros((k, k))
-        for ln in entries:
-            r, c, p = ln.split()
-            rows[int(r), int(c)] = float(p)
+        r = np.empty(nnz, dtype=np.int64)
+        c = np.empty(nnz, dtype=np.int64)
+        p = np.empty(nnz)
+        for n, ln in enumerate(entries):
+            row, col, prob = ln.split()
+            r[n], c[n], p[n] = int(row), int(col), float(prob)
         partition = Partition(domain, boundaries)
-    except (ValueError, IndexError) as e:
+    except (ValueError, IndexError, OverflowError) as e:
         raise InvalidKernelError(f"malformed kernel file {path}: {e}") from None
+    if partition.cell_count != k:
+        raise DimensionError(
+            f"kernel file {path}: header K {k} disagrees with {boundaries.size} boundaries"
+        )
+    outside = (r < 0) | (r >= k) | (c < 0) | (c >= k)
+    if outside.any():
+        i = int(outside.argmax())
+        raise InvalidKernelError(f"kernel file {path}: entry {r[i]} {c[i]} outside [0, {k})")
+    keys, counts = np.unique(r * k + c, return_counts=True)
+    if counts.max(initial=1) > 1:
+        key = int(keys[counts.argmax()])
+        raise InvalidKernelError(f"kernel file {path}: duplicate entry {key // k} {key % k}")
+    rows = np.zeros((k, k))
+    rows[r, c] = p
     return kernel_from_rows(rows, partition)
 
 
@@ -275,6 +292,29 @@ def _cfg_get(cfg, section, key):
     if section in cfg and key in cfg[section]:
         return cfg[section][key]
     return _DEFAULTS[(section, key)]
+
+
+def _master_seed(cfg, args) -> int:
+    """The run's master seed: --seed, else [mc] master_seed; it must fit in u64."""
+    seed = args.seed if args.seed is not None else _cfg_get(cfg, "mc", "master_seed")
+    if not 0 <= seed <= _backend._MASK64:
+        raise ConfigError(f"seed {seed} is outside the u64 range [0, 2^64)")
+    return seed
+
+
+def _observable(cfg, P: TransitionKernel) -> Observable:
+    """The [mc] observable: ``coordinate`` or ``indicator:k`` with k in [0, K)."""
+    spec = str(_cfg_get(cfg, "mc", "observable"))
+    if spec == "coordinate":
+        return Observable(P.partition.midpoints(), P.partition)
+    kind, _, cell = spec.partition(":")
+    if kind != "indicator" or not cell.isdecimal() or int(cell) >= P.K:
+        raise ConfigError(
+            f"observable {spec!r} is neither 'coordinate' nor 'indicator:k' with k in [0, {P.K})"
+        )
+    values = np.zeros(P.K)
+    values[int(cell)] = 1.0
+    return Observable(values, P.partition)
 
 
 def config_hash(cfg: dict, seed: int) -> str:
@@ -459,7 +499,7 @@ def run_check(name, P, stationaries, cfg, master_seed) -> "CheckReport":
     elif name in ("corollary_c", "corollary_b"):
         for _ in range(max(1, trials // max(1, len(classes)))):
             phi = _random_observable(rng, part)
-            hi, lo = _running_average_extremes(P, phi, n_max)
+            hi, lo = running_average_extremes(P, phi, n_max)
             for A in classes:
                 if name == "corollary_c":
                     a = alpha if alpha is not None else float(hi[A].min()) - 0.1
@@ -500,21 +540,6 @@ def run_check(name, P, stationaries, cfg, master_seed) -> "CheckReport":
     return _worst(reports)
 
 
-def _running_average_extremes(P, phi, n_max):
-    """Per-state max and min of S_n / n over n <= n_max."""
-    cur = phi.values.copy()
-    total = cur.copy()
-    hi = total.copy()
-    lo = total.copy()
-    for n in range(2, n_max + 1):
-        cur = P.matvec(cur)
-        total += cur
-        avg = total / n
-        np.maximum(hi, avg, out=hi)
-        np.minimum(lo, avg, out=lo)
-    return hi, lo
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -529,6 +554,7 @@ def cmd_kernel_build(args) -> int:
     cfg = load_config(args.config) if args.config else {}
     if "system" not in cfg:
         raise ConfigError("kernel-build needs a config with a [system] section")
+    _master_seed(cfg, args)  # kernel-build draws nothing, but rejects what the others reject
     system, partition, quad = _system_from_config(cfg)
     P = ulam_discretize(system, partition, quad)
     out = _out_dir(cfg, args)
@@ -544,7 +570,7 @@ def cmd_measure(args) -> int:
     cfg = load_config(args.config) if args.config else {}
     config_dir = Path(args.config).parent if args.config else Path.cwd()
     P = _obtain_kernel(cfg, args, config_dir)
-    seed = args.seed if args.seed is not None else _cfg_get(cfg, "mc", "master_seed")
+    seed = _master_seed(cfg, args)
     tol = args.tol if args.tol is not None else _cfg_get(cfg, "solver", "tol")
     max_iter = int(_cfg_get(cfg, "solver", "max_iter"))
     p = int(_cfg_get(cfg, "checks", "p"))
@@ -584,7 +610,7 @@ def cmd_verify(args) -> int:
     cfg = load_config(args.config) if args.config else {}
     config_dir = Path(args.config).parent if args.config else Path.cwd()
     P = _obtain_kernel(cfg, args, config_dir)
-    seed = args.seed if args.seed is not None else _cfg_get(cfg, "mc", "master_seed")
+    seed = _master_seed(cfg, args)
     if args.tol is not None:
         cfg.setdefault("checks", {})["tol"] = args.tol
     if args.n_max is not None:
@@ -630,21 +656,12 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config) if args.config else {}
     config_dir = Path(args.config).parent if args.config else Path.cwd()
     P = _obtain_kernel(cfg, args, config_dir)
-    seed = args.seed if args.seed is not None else _cfg_get(cfg, "mc", "master_seed")
+    seed = _master_seed(cfg, args)
     start = int(_cfg_get(cfg, "mc", "start"))
     steps = int(_cfg_get(cfg, "mc", "steps"))
     n_traj = args.trials if args.trials is not None else int(_cfg_get(cfg, "mc", "trajectories"))
     n_samples = int(_cfg_get(cfg, "mc", "n_samples"))
-    obs_spec = str(_cfg_get(cfg, "mc", "observable"))
-    if obs_spec == "coordinate":
-        phi = Observable(P.partition.midpoints(), P.partition)
-    elif obs_spec.startswith("indicator:"):
-        k = int(obs_spec.split(":", 1)[1])
-        values = np.zeros(P.K)
-        values[k] = 1.0
-        phi = Observable(values, P.partition)
-    else:
-        raise ConfigError(f"unknown observable spec {obs_spec!r}")
+    phi = _observable(cfg, P)
     out = _out_dir(cfg, args)
 
     traj_path = out / "trajectories.csv"
@@ -710,7 +727,7 @@ def main(argv=None) -> int:
     except (ConfigError, InvalidArgumentError) as e:
         print(f"error: invalid configuration: {e}", file=sys.stderr)
         return 2
-    except (InvalidKernelError, InvalidMeasureError) as e:
+    except (InvalidKernelError, InvalidMeasureError, DimensionError) as e:
         print(f"error: invalid data: {e}", file=sys.stderr)
         return 3
     except ConvergenceError as e:

@@ -222,9 +222,7 @@ class TransitionKernel:
     def csr_with_cum(self):
         cache = self._cache
         if "cumdata" not in cache:
-            # per-row cumsum, bitwise equal to cumsum of the dense row
-            # (interleaved zeros are exact no-ops), so both sampling
-            # backends search identical partial sums
+            # per-row running sums: the inverse-CDF table both samplers search
             cumdata = np.empty_like(self.data)
             for i in range(self.K):
                 lo, hi = self.indptr[i], self.indptr[i + 1]
@@ -232,21 +230,6 @@ class TransitionKernel:
             cumdata.setflags(write=False)
             cache["cumdata"] = cumdata
         return self.indptr, self.indices, cache["cumdata"]
-
-    def dense_cum(self):
-        cache = self._cache
-        if "dense_cum" not in cache:
-            k = self.K
-            dense = np.zeros((k, k))
-            rows = np.repeat(np.arange(k), np.diff(self.indptr))
-            dense[rows, self.indices] = self.data
-            dc = np.cumsum(dense, axis=1)
-            last = np.empty(k, dtype=np.int64)
-            for i in range(k):
-                last[i] = self.indices[self.indptr[i + 1] - 1]
-            dc.setflags(write=False)
-            cache["dense_cum"] = (dc, last)
-        return cache["dense_cum"]
 
 
 def _rows_to_kernel(rows: np.ndarray, partition: Partition, what: str) -> TransitionKernel:

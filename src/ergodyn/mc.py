@@ -4,7 +4,7 @@ The chain x_{t+1} ~ row x_t of the kernel is simulated with inverse-CDF
 draws on the sparse rows. Randomness comes from splitmix64 streams: a
 trajectory with seed s is fully determined by s, and batch estimates derive
 per-trajectory seeds as master_seed xor trajectory_index, so results are
-reproducible bit for bit regardless of scheduling or backend.
+reproducible bit for bit regardless of scheduling or batching.
 
 estimate_Lj_phi approximates the j-step conditional expectation of an
 observable, i.e. the j-fold averaged observable evaluated at the start

@@ -83,16 +83,27 @@ def _as_index_tuple(A) -> tuple:
 # Maximal ergodic machinery
 # ---------------------------------------------------------------------------
 
-def maximal_function(P: TransitionKernel, phi: Observable, n_max: int = DEFAULT_N_MAX) -> Observable:
-    """Componentwise max of the partial sums phi + L phi + ... up to n_max terms."""
+def _partial_sums(P: TransitionKernel, phi: Observable, n_max: int):
+    """Yield (n, S_n) for n = 1..n_max, where S_n = phi + L phi + ... + L^{n-1} phi.
+
+    S_n is one array updated in place, so a consumer that keeps it past the
+    next step must copy it.
+    """
     if n_max < 1:
-        raise InvalidArgumentError("n_max must be positive")
+        raise InvalidArgumentError(f"number of terms must be positive, got {n_max}")
     cur = phi.values.copy()
     total = cur.copy()
-    best = cur.copy()
-    for _ in range(1, n_max):
+    yield 1, total
+    for n in range(2, n_max + 1):
         cur = P.matvec(cur)
         total += cur
+        yield n, total
+
+
+def maximal_function(P: TransitionKernel, phi: Observable, n_max: int = DEFAULT_N_MAX) -> Observable:
+    """Componentwise max of the partial sums phi + L phi + ... up to n_max terms."""
+    best = np.full_like(phi.values, -np.inf)
+    for _, total in _partial_sums(P, phi, n_max):
         np.maximum(best, total, out=best)
     return phi.with_values(best)
 
@@ -129,19 +140,19 @@ def sublevel_sets(
     first set uses the max over n <= n_max with strict >, the second the
     min with strict <.
     """
-    if n_max < 1:
-        raise InvalidArgumentError("n_max must be positive")
-    cur = phi.values.copy()
-    total = cur.copy()
-    hi = total.copy()
-    lo = total.copy()
-    for n in range(2, n_max + 1):
-        cur = P.matvec(cur)
-        total += cur
+    hi, lo = running_average_extremes(P, phi, n_max)
+    return np.flatnonzero(hi > alpha), np.flatnonzero(lo < beta)
+
+
+def running_average_extremes(P: TransitionKernel, phi: Observable, n_max: int = DEFAULT_N_MAX):
+    """Per-state max and min of the running averages S_n / n over n <= n_max."""
+    hi = np.full_like(phi.values, -np.inf)
+    lo = np.full_like(phi.values, np.inf)
+    for n, total in _partial_sums(P, phi, n_max):
         avg = total / n
         np.maximum(hi, avg, out=hi)
         np.minimum(lo, avg, out=lo)
-    return np.flatnonzero(hi > alpha), np.flatnonzero(lo < beta)
+    return hi, lo
 
 
 def check_corollary_c(
@@ -225,13 +236,8 @@ def check_corollary_inequalities(
 
 def birkhoff_average(P: TransitionKernel, phi: Observable, n: int) -> Observable:
     """Exact n-term time average (1/n) sum_{j<n} L^j phi."""
-    if n < 1:
-        raise InvalidArgumentError("n must be positive")
-    cur = phi.values.copy()
-    total = cur.copy()
-    for _ in range(1, n):
-        cur = P.matvec(cur)
-        total += cur
+    for _, total in _partial_sums(P, phi, n):
+        pass
     return phi.with_values(total / n)
 
 

@@ -1,113 +1,260 @@
-"""Agreement between the compiled kernels and the pure-NumPy fallback."""
+"""The compute path's samplers and Ulam rows, pinned bit for bit.
 
-import os
+The golden strings were recorded from the sampler this module's batched
+endpoint sampler replaced (a dense n_samples x K inverse-CDF gather). Each
+character is one state in hexadecimal; trajectories start at state 3 and
+run 40 steps, endpoint arrays hold 48 samples started at state 5 after
+j = 0..6 steps, and the estimate is estimate_Lj_phi of the cell midpoints
+at j = 6 as (mean, stderr) in float.hex.
+"""
+
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 import ergodyn._backend as backend
+from ergodyn import Observable, estimate_Lj_phi, sample_trajectory
 
 from conftest import random_kernel
 
 
-requires_numba = pytest.mark.skipif(
-    not backend._HAVE_NUMBA, reason="numba not importable"
+def _hex_states(states):
+    return "".join(f"{int(s):x}" for s in states)
+
+
+GOLDEN = {
+    (12, 0.5, 2718): {
+        0: (
+            '3310a12295b8869a75b4ab9b775619bb561a70312',
+            (
+                '555555555555555555555555555555555555555555555555',
+                'bb6b6666b666b666b6b66bb6b666b66b6b66b66b6bbb666b',
+                '88b8b951b919991b4b4b1895851ba15b1ab14bb8ba465118',
+                '04844a6abb255b58a804515686981ab4a19ab8479b1162aa',
+                'ab8a6bbba99b69b31136b261b9b82bb61ab768abaa19961b',
+                '14771aa9baa8ba41aa1192b18a91348b57b5147bb1a9ab94',
+                '28b71bb547b8a7891719a9a131b51b196046090b541578a8',
+            ),
+            ('0x1.1aaaaaaaaaaabp-1', '0x1.7078d28729dd7p-5'),
+        ),
+        1807: (
+            '33127569948b8182756148331ab4bb87299565656',
+            (
+                '555555555555555555555555555555555555555555555555',
+                'b66bbbbb6bb6b66b66bb6b666666b66b666b6666bbb66b66',
+                '89b84b8914818b1b194ababbbb114bba111ab5b187899499',
+                '2566641b283919449a01977784118b41a521a69477baa6a9',
+                '761119aa981a9986a10195b5a811b9811692b55957b77914',
+                '59019517aaa74a0979a98bb6b7155aba9953a6ba65802516',
+                '6542a615bb7091495aba28a5702b6b8b5563b941b684369b',
+            ),
+            ('0x1.28e38e38e38e3p-1', '0x1.554ee0ab9489ep-5'),
+        ),
+        9223372036854775808: (
+            '31a195699400612999a195b494941a1a75b9a7031',
+            (
+                '555555555555555555555555555555555555555555555555',
+                '66b6bb66b66666666b666b6b6b6b6b66bb6b666bb666b666',
+                'bb8bbb91ab519bbb969bb89856b49811b95491989b1581bb',
+                '441978921862aa48999a83546176ab29796b59b4aa9bb18a',
+                '915a78a7a299178195b74969b95b192a0a17b589174862ab',
+                '5ab702b513a5a0314b5094544469153b3b004b8aa08252b9',
+                '6b80a696231bb311866aa86ba9b54b1436a69b01167369a5',
+            ),
+            ('0x1.21c71c71c71c7p-1', '0x1.6008b466b499dp-5'),
+        ),
+        9223372036854788153: (
+            '31a1129b6127b8819406126b888770a19a15ba195',
+            (
+                '555555555555555555555555555555555555555555555555',
+                'b6b6bbbbb6bbbb666b66b6bb6bb66b66bbb6b6b6b6b6b6b6',
+                'a991984999847a959a11a9a7b94b19198a8989816961899b',
+                '1b499b89ab005babb7921b154b841aa93b1505b115113455',
+                '19949479b70a697a455228268a86a17b1826ab49a62a10b6',
+                '2aa9aab44767155186b97179b7111a78a361b4097b270a4b',
+                '977a7b886797abb1816aa5b4701991b1b195a13a2825a11a',
+            ),
+            ('0x1.2aaaaaaaaaaabp-1', '0x1.6c2c0e62ca302p-5'),
+        ),
+        18446744073709551615: (
+            '31956b4887a12270040a70a195bb98484069ab9a1',
+            (
+                '555555555555555555555555555555555555555555555555',
+                'bb6666b6bbb6b66b66b6b6bb6b6bb66666bb66b66b6bbb66',
+                '9ab19b4ba869bb5b9b4969a41854a1b11baabba198bb87b1',
+                '51a949a87a1ab868a9949a7913b8199a28116672ab944049',
+                '6179957b5b114198194a4b051192a59193129b07b6a18384',
+                'b205565a640181b41987a40ba2a3bb54a1a74905917481b1',
+                '42366b61b1aa32a95a757aa919117ab8b1b0b5ab51564292',
+            ),
+            ('0x1.2000000000000p-1', '0x1.6e26ee507dd07p-5'),
+        ),
+    },
+    (16, 1.0, 31415): {
+        0: (
+            '3e70f253c3f6b88b88d4cc8e4d9549ef400b64375',
+            (
+                '555555555555555555555555555555555555555555555555',
+                'ec4e0709f320c774f3e0afa2a476e22a3d73f02a8caf032c',
+                '74d79744e906864d0f2e1a95550fe25e2bd22be7cc155424',
+                '05652a5eff437d68e6117047c38a4fc0f4bef5277d2604fc',
+                'ffae4bfedadb09841223a342dbea4ef32cf95cfc8c0a866c',
+                '24790cdbf9b69a14dfb272b16bb1406b97fb44bdf2f6dea2',
+                '58cc1df50baac7494c4b8eb243f70e2a11240c0f495577c5',
+            ),
+            ('0x1.eaaaaaaaaaaabp-2', '0x1.59bb04ca58340p-5'),
+        ),
+        1807: (
+            '3b84b91a705f7193a625844c4ca0ef695fa566870',
+            (
+                '555555555555555555555555555555555555555555555555',
+                'c60dffca3ce3e76e36ae7f633008f72c926c5732cca60c32',
+                '57e72e4932727b4e372cddeefe000aea411ce5b043575099',
+                '5346402f785a2a62aa03b644a0125e12d643c9956cfae3b9',
+                'c90209feab7be773812398f5c604f97244e6e53d6cf77940',
+                '69038406cbc90a0a8beb6dfac8265ddfb626e0ed56905403',
+                '2155d027bc448157abdc46d64159ad9f569de624d1c5608f',
+            ),
+            ('0x1.eeaaaaaaaaaabp-2', '0x1.470b7f4225966p-5'),
+        ),
+        9223372036854775808: (
+            '36e2c32a7000615fa8d3b4d2c0912e4da5c89565c',
+            (
+                '555555555555555555555555555555555555555555555555',
+                '70f9af69e23878260e662d3e0c9f7f70fc6f372cc730f004',
+                'de6cef71ee526cea638de6b953c38630f560b2956a5470db',
+                '402647832755da157a7b74463434dd486a6f6be7aca9f36b',
+                'b299b9dbf48d167084da5f6bd89c191d2b46e55a271754da',
+                '5ea503c825d5e2431c42c0524198155c3d002de9f54370c9',
+                '2f74fa834e4af542530f863fcaf25ea1b5e5bd0368672fc5',
+            ),
+            ('0x1.0600000000000p-1', '0x1.63f0742f7f8bep-5'),
+        ),
+        9223372036854788153: (
+            '3bb334dd556ad7a1a005546e79d9b5f4bc29ac3b4',
+            (
+                '555555555555555555555555555555555555555555555555',
+                'c3a0eecfe9efde657fa3e9fe2ee87c87def7c3a2e7f2e6f0',
+                'bba2962cb6505c776d04cad4fb0f28266e984773475277cb',
+                '3f1bae95be00a8ccf6753d160e5229f85f0503c302404024',
+                '3c9270aab42e096c272357555cd5e2ae66327b0cb15e30b5',
+                '4cceccd03b97028395fcc2caf5130fa7d491c2167d452f3f',
+                'd55e7f845ab99ad2c658c9f0651b83e2d9a8a22a5807f33d',
+            ),
+            ('0x1.0a00000000000p-1', '0x1.3d759c701c164p-5'),
+        ),
+        18446744073709551615: (
+            '3ba50b16b9d57081050d94d1a6aeb6775067cfcc2',
+            (
+                '555555555555555555555555555555555555555555555555',
+                'ba3898a2aac7c20a63a3e7fd3c3ef67736ce06e26e9caf39',
+                'acb17d1ed537ce5d8d0a38d15472d2d45bac9dd487cf76e4',
+                '51ca2bd77e4cf628d980bb6b04a50eae45434575dc526419',
+                '0247b56f6f1303bc1a0b1c342395c571f6176e0ac3e28360',
+                'b803539e440332f52779d12bf5c6fe46d4d819277499d5f2',
+                '13553d41c0bf58ccac7a7de95d246c96c0c0e5b9237376c6',
+            ),
+            ('0x1.fd55555555555p-2', '0x1.4303075ccd311p-5'),
+        ),
+    },
+}
+
+
+CASES = [(spec, seed) for spec, by_seed in GOLDEN.items() for seed in by_seed]
+
+
+@pytest.mark.parametrize("spec,seed", CASES)
+def test_samplers_match_golden(spec, seed):
+    k, density, rng_seed = spec
+    P = random_kernel(np.random.default_rng(rng_seed), k, density)
+    traj, ends, (mean, stderr) = GOLDEN[spec][seed]
+    assert _hex_states(sample_trajectory(P, 3, 40, seed).states) == traj
+    for j, expected in enumerate(ends):
+        assert _hex_states(backend.sample_endpoints(P, 5, j, seed, 48)) == expected
+    phi = Observable(P.partition.midpoints(), P.partition)
+    est = estimate_Lj_phi(P, phi, 5, 6, 48, seed)
+    assert (est.mean.hex(), est.stderr.hex()) == (mean, stderr)
+
+
+def test_endpoints_match_single_paths(rng):
+    # the batched bisection and the per-path searchsorted draw the same states
+    for _ in range(10):
+        k = int(rng.integers(1, 40))
+        P = random_kernel(rng, k, density=float(rng.uniform(0.05, 1.0)))
+        indptr, indices, cumdata = P.csr_with_cum()
+        start = int(rng.integers(0, k))
+        master = int(rng.integers(0, 2**63)) * 2 + int(rng.integers(0, 2))
+        j = int(rng.integers(0, 9))
+        ends = backend.sample_endpoints(P, start, j, master, 64)
+        for i in range(64):
+            seed = backend.trajectory_seed(master, i)
+            path = backend.sample_path(indptr, indices, cumdata, start, j, seed)
+            assert ends[i] == path[-1]
+
+
+def test_trajectories_match_across_processes(rng, tmp_path):
+    # a kernel saved, reloaded and sampled in a fresh interpreter gives the same path
+    P = random_kernel(rng, 13, density=0.5)
+    from ergodyn.cli import save_kernel
+
+    save_kernel(P, tmp_path / "k.txt")
+    script = (
+        "import sys, numpy as np; import ergodyn; "
+        "from ergodyn.cli import load_kernel; "
+        "P = load_kernel(sys.argv[1]); "
+        "t = ergodyn.sample_trajectory(P, 3, 100, seed=31415); "
+        "np.save(sys.argv[2], t.states)"
+    )
+    out = tmp_path / "states.npy"
+    subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "k.txt"), str(out)], check=True
+    )
+    here = sample_trajectory(P, 3, 100, seed=31415)
+    assert np.array_equal(np.load(out), here.states)
+
+
+def _reference_ulam_rows(boundaries, samples, code, param, wrap):
+    # every noise CDF evaluated over all K+1 boundaries, one temporary per step
+    k, q = boundaries.size - 1, samples.shape[1]
+    radius = {1: param, 2: 6.0 * param}.get(code, 0.0)
+    n_shift = int(math.ceil(radius)) + 1 if wrap else 0
+    out = np.zeros((k, k))
+    for i in range(k):
+        y = samples[i][:, None]
+        acc = np.zeros((q, k))
+        for w in range(-n_shift, n_shift + 1):
+            u = boundaries[None, :] - y + w
+            if code == 0:
+                cdf = (u >= 0.0).astype(np.float64)
+            elif code == 1:
+                cdf = np.clip((u + param) / (2.0 * param), 0.0, 1.0)
+            else:
+                lo = 0.5 * (1.0 + erf(-6.0 / math.sqrt(2.0)))
+                cdf = (0.5 * (1.0 + erf(u / (param * math.sqrt(2.0)))) - lo) / (1.0 - 2.0 * lo)
+                cdf[u <= -6.0 * param] = 0.0
+                cdf[u >= 6.0 * param] = 1.0
+            if not wrap:
+                cdf[:, 0] = 0.0
+                cdf[:, -1] = 1.0
+            acc += cdf[:, 1:] - cdf[:, :-1]
+        out[i] = acc.sum(axis=0) / q
+    return out
+
+
+@pytest.mark.parametrize("wrap", [True, False])
+@pytest.mark.parametrize(
+    "code,param", [(0, 0.0), (1, 0.05), (1, 0.7), (2, 0.002), (2, 0.03), (2, 0.4)]
 )
-
-
-class TestNumpyVsNumba:
-    @requires_numba
-    def test_matvec_agree(self, rng):
-        for _ in range(20):
-            k = int(rng.integers(1, 60))
-            P = random_kernel(rng, k, density=0.5)
-            x = rng.uniform(-1, 1, k)
-            a = backend._np_matvec(P.indptr, P.indices, P.data, x)
-            b = backend._nb_matvec(P.indptr, P.indices, P.data, x)
-            assert np.abs(a - b).max() <= 1e-14
-
-    @requires_numba
-    def test_rmatvec_agree(self, rng):
-        for _ in range(20):
-            k = int(rng.integers(1, 60))
-            P = random_kernel(rng, k, density=0.5)
-            x = rng.random(k)
-            a = backend._np_rmatvec(P.indptr, P.indices, P.data, x, k)
-            b = backend._nb_rmatvec(P.indptr, P.indices, P.data, x, k)
-            assert np.abs(a - b).max() <= 1e-14
-
-    @requires_numba
-    def test_paths_bit_identical(self, rng):
-        for _ in range(10):
-            k = int(rng.integers(2, 40))
-            P = random_kernel(rng, k, density=0.6)
-            indptr, indices, cumdata = P.csr_with_cum()
-            seed = np.uint64(int(rng.integers(0, 2**63)))
-            a = backend._np_sample_path(indptr, indices, cumdata, 0, 64, seed)
-            b = backend._nb_sample_path(indptr, indices, cumdata, 0, 64, seed)
-            assert np.array_equal(a, b)
-
-    @requires_numba
-    def test_endpoints_bit_identical(self, rng):
-        for _ in range(10):
-            k = int(rng.integers(2, 30))
-            P = random_kernel(rng, k, density=0.7)
-            indptr, indices, cumdata = P.csr_with_cum()
-            dense_cum, last = P.dense_cum()
-            a = backend._np_sample_endpoints(dense_cum, last, 1, 6, 171, 500)
-            b = backend._nb_sample_endpoints(indptr, indices, cumdata, 1, 6, 171, 500)
-            assert np.array_equal(a, b)
-
-    @requires_numba
-    def test_ulam_rows_agree(self):
-        boundaries = np.arange(33) / 32.0
-        samples = (np.arange(32)[:, None] + (np.arange(8)[None, :] + 0.5) / 8) / 32.0
-        for code, param, wrap in [
-            (0, 0.0, True),
-            (1, 0.11, True),
-            (1, 0.3, False),
-            (2, 0.04, True),
-        ]:
-            a = backend._np_ulam_rows(boundaries, samples, code, param, wrap)
-            b = backend._nb_ulam_rows(boundaries, samples, code, param, wrap)
-            assert np.abs(a - b).max() <= 1e-13
-
-
-class TestEnvFlagSelection:
-    def test_numpy_flag_forces_fallback(self):
-        script = (
-            "import ergodyn; import numpy as np; "
-            "assert ergodyn.BACKEND == 'numpy', ergodyn.BACKEND; "
-            "P = ergodyn.kernel_from_rows([[0.0, 1.0], [1.0, 0.0]]); "
-            "t = ergodyn.sample_trajectory(P, 0, 4, seed=9); "
-            "assert list(t.states) == [0, 1, 0, 1, 0]"
-        )
-        env = dict(os.environ, ERGODYN_BACKEND="numpy")
-        subprocess.run([sys.executable, "-c", script], check=True, env=env)
-
-    def test_trajectories_match_across_backends(self, rng, tmp_path):
-        # same seeds through a subprocess on the numpy backend
-        P = random_kernel(rng, 13, density=0.5)
-        from ergodyn.cli import save_kernel
-
-        save_kernel(P, tmp_path / "k.txt")
-        script = (
-            "import sys, numpy as np; import ergodyn; "
-            "from ergodyn.cli import load_kernel; "
-            "P = load_kernel(sys.argv[1]); "
-            "t = ergodyn.sample_trajectory(P, 3, 100, seed=31415); "
-            "np.save(sys.argv[2], t.states)"
-        )
-        env = dict(os.environ, ERGODYN_BACKEND="numpy")
-        out = tmp_path / "states.npy"
-        subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / "k.txt"), str(out)],
-            check=True,
-            env=env,
-        )
-        from ergodyn import sample_trajectory
-
-        here = sample_trajectory(P, 3, 100, seed=31415)
-        assert np.array_equal(np.load(out), here.states)
+def test_ulam_rows_match_full_width_reference(rng, wrap, code, param):
+    # scratch buffers and the erf column window leave every bit as before
+    for k, q in ((7, 3), (64, 16), (300, 5)):
+        boundaries = np.linspace(0.0, 1.0, k + 1)
+        samples = rng.random((k, q))
+        samples[1, 0] = boundaries[3]  # an image exactly on a boundary
+        got = backend.ulam_rows(boundaries, samples, code, param, wrap)
+        want = _reference_ulam_rows(boundaries, samples, code, param, wrap)
+        assert got.tobytes() == want.tobytes()

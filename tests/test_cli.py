@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ergodyn import kernel_from_rows, make_uniform_partition, ulam_discretize, NoisySystem
 from ergodyn.cli import load_kernel, load_measure, main, save_kernel, save_measure
@@ -137,6 +138,99 @@ class TestExitCodes:
         assert "passed=false" in text
 
 
+SWAP_HEADER = "ergodyn-kernel 1\nK 2\ndomain unit_interval\nboundaries 0 0.5 1\n"
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+class TestInvalidData:
+    def test_kernel_header_k_disagrees_with_boundaries_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.kernel"
+        bad.write_text(
+            "ergodyn-kernel 1\nK 3\ndomain unit_interval\nboundaries 0 0.5 1\n"
+            "nnz 3\n0 1 1\n1 0 1\n2 2 1\n"
+        )
+        assert main(["measure", "--kernel", str(bad), "--out", str(tmp_path / "o")]) == 3
+        assert_one_line_error(capsys)
+
+    def test_measure_of_wrong_length_exits_3(self, tmp_path, capsys):
+        bundled("swap.kernel", tmp_path)
+        mfile = tmp_path / "m.txt"
+        mfile.write_text("ergodyn-measure 1\nK 3\n0.2\n0.3\n0.5\n")
+        code = main([
+            "measure", "--kernel", str(tmp_path / "swap.kernel"),
+            "--measure", str(mfile), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 3
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("records", [
+        "nnz 2\n0 1 1\n-1 0 1\n",     # negative row, once aliased to row K-1
+        "nnz 2\n0 -1 1\n1 0 1\n",     # negative column
+        "nnz 2\n0 1 1\n2 0 1\n",      # row past K-1
+        "nnz 2\n0 2 1\n1 0 1\n",      # column past K-1
+        "nnz 3\n0 1 1\n1 0 0.5\n1 0 1\n",  # duplicate record, once last-wins
+    ])
+    def test_bad_records_exit_3(self, tmp_path, capsys, records):
+        bad = tmp_path / "bad.kernel"
+        bad.write_text(SWAP_HEADER + records)
+        assert main(["measure", "--kernel", str(bad), "--out", str(tmp_path / "o")]) == 3
+        assert_one_line_error(capsys)
+
+
+class TestInvalidConfiguration:
+    @pytest.mark.parametrize("spec", ["indicator:2", "indicator:7", "indicator:-1", "indicator:x"])
+    def test_observable_outside_kernel_exits_2(self, tmp_path, capsys, spec):
+        bundled("swap.kernel", tmp_path)
+        cfg = write_config(
+            tmp_path / "c.cfg", f"[kernel]\npath = swap.kernel\n[mc]\nobservable = {spec}\n"
+        )
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert_one_line_error(capsys)
+
+    def test_indicator_in_range_accepted(self, tmp_path):
+        bundled("swap.kernel", tmp_path)
+        cfg = write_config(
+            tmp_path / "c.cfg",
+            "[kernel]\npath = swap.kernel\n[mc]\nobservable = indicator:1\nn_samples = 10\n",
+        )
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        rows = (tmp_path / "o" / "estimates.csv").read_text().splitlines()
+        assert rows[1].split(",")[3] == "0"  # (L^0 chi_1)(0) = 0
+
+    @pytest.mark.parametrize("command", ["kernel-build", "measure", "verify", "simulate"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_u64_exits_2(self, tmp_path, capsys, command, seed):
+        bundled("swap.kernel", tmp_path)
+        cfg = write_config(
+            tmp_path / "c.cfg",
+            "[system]\nmap = doubling\n[partition]\ndomain = circle\ncells = 4\n"
+            if command == "kernel-build" else "[kernel]\npath = swap.kernel\n",
+        )
+        code = main([command, "--config", cfg, "--seed", seed, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert_one_line_error(capsys)
+
+    def test_config_seed_outside_u64_exits_2(self, tmp_path, capsys):
+        bundled("swap.kernel", tmp_path)
+        cfg = write_config(
+            tmp_path / "c.cfg", "[kernel]\npath = swap.kernel\n[mc]\nmaster_seed = -5\n"
+        )
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert_one_line_error(capsys)
+
+    def test_largest_u64_seed_accepted(self, tmp_path):
+        bundled("swap.kernel", tmp_path)
+        code = main([
+            "simulate", "--kernel", str(tmp_path / "swap.kernel"), "--seed", str(2**64 - 1),
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 0
+
+
 class TestKernelBuild:
     def test_build_writes_kernel(self, tmp_path, capsys):
         cfg = write_config(
@@ -244,3 +338,112 @@ class TestDeterminism:
         rows = (tmp_path / "o" / "trajectories.csv").read_text().splitlines()
         assert rows[0] == "trial,step,state"
         assert all(line.endswith(",1") for line in rows[1:])
+
+
+# ---------------------------------------------------------------------------
+# Mutated kernel and measure files: always a clean exit 2 or 3
+# ---------------------------------------------------------------------------
+
+#: text that neither int() nor float() can read as a finite number
+GARBAGE = st.one_of(
+    st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6),
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "0x1", "1_0_", "--1"]),
+)
+
+
+def _replace_token(lines, line_no, tok_no, value):
+    toks = lines[line_no].split(" ")
+    toks[tok_no] = value
+    lines[line_no] = " ".join(toks)
+
+
+@st.composite
+def broken_kernel_text(draw):
+    """A saved random kernel with one mutation that makes it invalid."""
+    import tempfile
+
+    k = draw(st.integers(2, 6))
+    P = random_kernel(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), k, density=0.6)
+    with tempfile.TemporaryDirectory() as d:
+        save_kernel(P, Path(d) / "k.txt")
+        text = (Path(d) / "k.txt").read_text()
+    lines = text.splitlines()
+    entry = draw(st.integers(5, len(lines) - 1))
+    kind = draw(st.sampled_from(
+        ["negative", "out_of_range", "duplicate", "wrong_k", "truncate", "garbage"]
+    ))
+    if kind == "negative":
+        _replace_token(lines, entry, draw(st.integers(0, 1)), str(draw(st.integers(max_value=-1))))
+    elif kind == "out_of_range":
+        _replace_token(lines, entry, draw(st.integers(0, 1)), str(draw(st.integers(min_value=k))))
+    elif kind == "duplicate":
+        copy = lines[entry].rsplit(" ", 1)[0] + " " + draw(st.sampled_from(["0.5", "1", "0"]))
+        lines.insert(draw(st.integers(5, len(lines))), copy)
+        if draw(st.booleans()):
+            lines[4] = f"nnz {P.nnz + 1}"
+    elif kind == "wrong_k":
+        lines[1] = f"K {draw(st.integers().filter(lambda v: v != k))}"
+    elif kind == "truncate":
+        # cut anywhere before the last probability, which then goes missing
+        return text[: draw(st.integers(0, text.rindex(" ") + 1))]
+    else:
+        numeric = [(1, 1), (4, 1), (entry, 0), (entry, 1), (entry, 2)]
+        numeric += [(3, t) for t in range(1, k + 2)]
+        line_no, tok_no = draw(st.sampled_from(numeric))
+        _replace_token(lines, line_no, tok_no, draw(GARBAGE))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def broken_measure_text(draw):
+    """The swap kernel's stationary measure file with one invalidating mutation."""
+    lines = ["ergodyn-measure 1", "K 2", "0.5", "0.5"]
+    kind = draw(st.sampled_from(["negative", "wrong_k", "truncate", "garbage"]))
+    if kind == "negative":
+        lines[draw(st.integers(2, 3))] = str(-draw(st.floats(1e-300, 1e300)))
+    elif kind == "wrong_k":
+        lines[1] = f"K {draw(st.integers().filter(lambda v: v != 2))}"
+    elif kind == "truncate":
+        text = "\n".join(lines) + "\n"
+        return text[: draw(st.integers(0, text.rindex("0.5")))]
+    else:
+        line_no, tok_no = draw(st.sampled_from([(1, 1), (2, 0), (3, 0)]))
+        _replace_token(lines, line_no, tok_no, draw(GARBAGE))
+    return "\n".join(lines) + "\n"
+
+
+def _main_on(argv, files):
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as d:
+        for name, content in files.items():
+            Path(d, name).write_text(content)
+        return main([a.format(d=d) for a in argv])
+
+
+@settings(max_examples=150, deadline=None)
+@given(broken_kernel_text())
+def test_mutated_kernel_file_exits_2_or_3(text):
+    code = _main_on(["measure", "--kernel", "{d}/k.txt", "--out", "{d}/o"], {"k.txt": text})
+    assert code in (2, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.binary(min_size=1, max_size=40))
+def test_undecodable_kernel_file_exits_3(junk):
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as d:
+        Path(d, "k.txt").write_bytes(b"ergodyn-kernel 1\nK 2\n\xff" + junk)
+        assert main(["measure", "--kernel", f"{d}/k.txt", "--out", f"{d}/o"]) == 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(broken_measure_text())
+def test_mutated_measure_file_exits_2_or_3(text):
+    swap = "ergodyn-kernel 1\nK 2\ndomain unit_interval\nboundaries 0 0.5 1\nnnz 2\n0 1 1\n1 0 1\n"
+    code = _main_on(
+        ["measure", "--kernel", "{d}/k.txt", "--measure", "{d}/m.txt", "--out", "{d}/o"],
+        {"k.txt": swap, "m.txt": text},
+    )
+    assert code in (2, 3)

@@ -28,6 +28,7 @@ from ergodyn import (
     stationary_measures,
     sublevel_sets,
 )
+from ergodyn.theorems import running_average_extremes
 
 from conftest import (
     cyclic_kernel,
@@ -51,6 +52,47 @@ def partial_sums_oracle(P, phi, n_max):
         sums.append(total.copy())
         cur = dense @ cur
     return sums
+
+
+def plain_loop_reference(P, phi, n_max):
+    """The partial-sum loop written out once per quantity, with the order of
+    floating-point operations the library must keep: returns the maximal
+    function, the running-average max and min, and the n_max-term average."""
+    cur = phi.values.copy()
+    total = cur.copy()
+    best, hi, lo = cur.copy(), cur.copy(), cur.copy()
+    for n in range(2, n_max + 1):
+        cur = P.matvec(cur)
+        total += cur
+        np.maximum(best, total, out=best)
+        avg = total / n
+        np.maximum(hi, avg, out=hi)
+        np.minimum(lo, avg, out=lo)
+    return best, hi, lo, total / n_max
+
+
+class TestPartialSumReference:
+    def test_bit_identical_to_plain_loops(self, rng):
+        for _ in range(25):
+            k = int(rng.integers(1, 30))
+            P = random_kernel(rng, k, density=float(rng.uniform(0.1, 1.0)))
+            phi = random_observable(rng, P.partition)
+            n_max = int(rng.integers(1, 70))
+            best, hi, lo, avg = plain_loop_reference(P, phi, n_max)
+            assert np.array_equal(maximal_function(P, phi, n_max).values, best)
+            assert np.array_equal(birkhoff_average(P, phi, n_max).values, avg)
+            got_hi, got_lo = running_average_extremes(P, phi, n_max)
+            assert np.array_equal(got_hi, hi) and np.array_equal(got_lo, lo)
+            alpha, beta = float(hi[0]), float(lo[-1])  # thresholds on the boundary
+            c, b = sublevel_sets(P, phi, n_max, alpha, beta)
+            assert np.array_equal(c, np.flatnonzero(hi > alpha))
+            assert np.array_equal(b, np.flatnonzero(lo < beta))
+
+    @pytest.mark.parametrize("fn", [maximal_function, birkhoff_average, sublevel_sets])
+    def test_nonpositive_horizon_rejected(self, fn):
+        P = swap_kernel()
+        with pytest.raises(InvalidArgumentError):
+            fn(P, Observable([1.0, -2.0], P.partition), 0)
 
 
 def mixture(ms):
