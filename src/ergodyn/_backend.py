@@ -1,7 +1,8 @@
 """Hot inner loops of the compute path, in NumPy and SciPy.
 
-This is the only implementation of CSR products, trajectory and endpoint
-sampling, and Ulam row assembly. Randomness comes from splitmix64 streams:
+This is the only implementation of CSR products (through one cached SciPy
+``csr_matrix`` per kernel), trajectory and endpoint sampling, and Ulam row
+assembly. Randomness comes from splitmix64 streams:
 a trajectory with seed s is fully determined by s, and batch samplers give
 trajectory i the stream seeded by ``master_seed xor i``, so sampled states
 are reproducible bit for bit regardless of batching. ``perfbench/`` times
@@ -40,14 +41,22 @@ def trajectory_seed(master_seed: int, index: int) -> int:
     return (int(master_seed) ^ int(index)) & _MASK64
 
 
-def matvec(indptr, indices, data, x):
-    # rows are guaranteed nonempty (row sums are 1), so reduceat is safe
-    return np.add.reduceat(data * x[indices], indptr[:-1])
+def matvec(csr, x):
+    """P x for a SciPy CSR matrix and a K-vector or K x T block.
+
+    Column t of a block product equals the product with column t alone, bit
+    for bit: both accumulate each row's entries in CSR order.
+    """
+    return csr @ x
 
 
-def rmatvec(indptr, indices, data, x, k):
-    counts = np.diff(indptr)
-    return np.bincount(indices, weights=data * np.repeat(x, counts), minlength=k)
+def rmatvec(csr, x):
+    """x P (P transposed times x) for a K-vector or K x T block.
+
+    The transpose is a CSC view of the same arrays, so each output entry
+    accumulates in CSR row order.
+    """
+    return csr.T @ x
 
 
 def sample_path(indptr, indices, cumdata, start, n, seed):

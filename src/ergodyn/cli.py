@@ -50,18 +50,17 @@ from .measures import (
 from .mc import estimate_Lj_phi, sample_trajectory
 from .space import Measure, Observable, Partition, make_uniform_partition
 from .theorems import (
-    check_corollary_b,
-    check_corollary_c,
-    check_duality,
-    check_ergodic_limit,
-    check_lemma1,
-    check_lemma2,
+    birkhoff_trials,
     check_levelset_invariance,
-    check_localization,
-    check_maximal_inequality,
-    check_nonconvergence_set_empty,
-    check_periodic_pointwise,
-    birkhoff_limit,
+    corollary_trials,
+    duality_trials,
+    ergodic_limit_trials,
+    lemma1_trials,
+    lemma2_trials,
+    localization_trials,
+    maximal_trials,
+    nonconvergence_trials,
+    periodic_trials,
     running_average_extremes,
 )
 from .transfer import stationarity_residual
@@ -302,6 +301,13 @@ def _master_seed(cfg, args) -> int:
     return seed
 
 
+def _trial_count(n: int, what: str) -> int:
+    """A trial count from the command line or the config; it must be at least 1."""
+    if n < 1:
+        raise ConfigError(f"{what} must be at least 1, got {n}")
+    return n
+
+
 def _observable(cfg, P: TransitionKernel) -> Observable:
     """The [mc] observable: ``coordinate`` or ``indicator:k`` with k in [0, K)."""
     spec = str(_cfg_get(cfg, "mc", "observable"))
@@ -424,8 +430,9 @@ class ReportWriter:
 # verify drivers
 # ---------------------------------------------------------------------------
 
-def _random_observable(rng, partition) -> Observable:
-    return Observable(rng.uniform(-1.0, 1.0, partition.cell_count), partition)
+def _random_observables(rng, partition, n) -> np.ndarray:
+    """n random observables, drawn in order, as the columns of a K x n block."""
+    return np.column_stack([rng.uniform(-1.0, 1.0, partition.cell_count) for _ in range(n)])
 
 
 def _random_measure(rng, partition) -> Measure:
@@ -467,7 +474,12 @@ def _worst(reports):
 
 
 def run_check(name, P, stationaries, cfg, master_seed) -> "CheckReport":
-    """Run one named check with seeded randomness and aggregate trials."""
+    """Run one named check with seeded randomness and aggregate trials.
+
+    The trials run together: their random inputs are drawn in trial order
+    and stacked as the columns of one K x T block, and the check's
+    preconditions are evaluated once, before any trial.
+    """
     idx = CHECK_NAMES.index(name)
     rng = np.random.default_rng(np.random.SeedSequence([int(master_seed) & ((1 << 64) - 1), idx]))
     trials = int(_cfg_get(cfg, "checks", "trials"))
@@ -482,59 +494,51 @@ def run_check(name, P, stationaries, cfg, master_seed) -> "CheckReport":
     part = P.partition
     mix = _mixture_measure(stationaries)
     classes = closed_classes(P, float(_cfg_get(cfg, "checks", "edge_threshold")))
-    reports = []
 
     if name == "duality":
-        for _ in range(trials):
-            reports.append(check_duality(P, _random_observable(rng, part), _random_measure(rng, part)))
+        draws = [(rng.uniform(-1.0, 1.0, P.K), _random_measure(rng, part).weights)
+                 for _ in range(trials)]
+        values, weights = (np.column_stack(block) for block in zip(*draws))
+        reports = duality_trials(P, values, weights)
     elif name == "lemma1":
-        for _ in range(trials):
-            reports.append(check_lemma1(P, _random_observable(rng, part)))
+        reports = lemma1_trials(P, _random_observables(rng, part, trials))
     elif name == "lemma2":
-        for _ in range(trials):
-            reports.append(check_lemma2(P, mix, _random_observable(rng, part), tol))
+        reports = lemma2_trials(P, mix, _random_observables(rng, part, trials), tol)
     elif name == "maximal":
-        for _ in range(trials):
-            reports.append(check_maximal_inequality(P, mix, _random_observable(rng, part), n_max, tol))
+        reports = maximal_trials(P, mix, _random_observables(rng, part, trials), n_max, tol)
     elif name in ("corollary_c", "corollary_b"):
-        for _ in range(max(1, trials // max(1, len(classes)))):
-            phi = _random_observable(rng, part)
-            hi, lo = running_average_extremes(P, phi, n_max)
-            for A in classes:
-                if name == "corollary_c":
-                    a = alpha if alpha is not None else float(hi[A].min()) - 0.1
-                    reports.append(check_corollary_c(P, mix, phi, a, A, n_max, tol))
-                else:
-                    b = beta if beta is not None else float(lo[A].max()) + 0.1
-                    reports.append(check_corollary_b(P, mix, phi, b, A, n_max, tol))
+        values = _random_observables(rng, part, max(1, trials // max(1, len(classes))))
+        hi, lo = running_average_extremes(P, values, n_max)
+        columns = range(values.shape[1])
+        if name == "corollary_c":
+            extremes = hi
+            levels = [[alpha if alpha is not None else float(hi[A, t].min()) - 0.1
+                       for A in classes] for t in columns]
+        else:
+            extremes = lo
+            levels = [[beta if beta is not None else float(lo[A, t].max()) + 0.1
+                       for A in classes] for t in columns]
+        reports = corollary_trials(name, P, mix, values, extremes, classes, levels, n_max, tol)
     elif name == "birkhoff":
-        for _ in range(trials):
-            _, rep = birkhoff_limit(P, _random_observable(rng, part), mix, tol, n_cap)
-            reports.append(rep)
+        _, reports = birkhoff_trials(P, mix, _random_observables(rng, part, trials), tol, n_cap)
     elif name == "ergodic_limit":
-        for _ in range(trials):
-            reports.append(check_ergodic_limit(P, _random_observable(rng, part), stationaries[0], tol, n_cap))
+        values = _random_observables(rng, part, trials)
+        reports = ergodic_limit_trials(P, stationaries[0], values, tol, n_cap)
     elif name == "periodic":
         fixed = periodic_measures(P, p, float(_cfg_get(cfg, "solver", "tol")),
                                   int(_cfg_get(cfg, "solver", "max_iter")))
-        for _ in range(trials):
-            phi = _random_observable(rng, part)
-            for nu, _d in fixed:
-                reports.append(check_periodic_pointwise(P, p, phi, nu, tol, n_cap))
+        values = _random_observables(rng, part, trials)
+        reports = periodic_trials(P, p, [nu for nu, _d in fixed], values, tol, n_cap)
     elif name == "localization":
-        for _ in range(trials):
-            phi = _random_observable(rng, part)
-            for A in classes:
-                reports.append(check_localization(P, mix, A, phi, tol))
+        reports = localization_trials(P, mix, classes, _random_observables(rng, part, trials), tol)
     elif name == "levelsets":
         phi = _class_eigenfunction(P, classes)
         a = alpha if alpha is not None else 0.5
-        reports.append(check_levelset_invariance(P, mix, phi, a, tol))
+        reports = [check_levelset_invariance(P, mix, phi, a, tol)]
     elif name == "nonconvergence_empty":
         a = alpha if alpha is not None else 0.05
         b = beta if beta is not None else -0.05
-        for _ in range(trials):
-            reports.append(check_nonconvergence_set_empty(P, _random_observable(rng, part), a, b, n_cap))
+        reports = nonconvergence_trials(P, _random_observables(rng, part, trials), a, b, n_cap)
     else:
         raise ConfigError(f"unknown check {name!r}")
     return _worst(reports)
@@ -611,12 +615,13 @@ def cmd_verify(args) -> int:
     config_dir = Path(args.config).parent if args.config else Path.cwd()
     P = _obtain_kernel(cfg, args, config_dir)
     seed = _master_seed(cfg, args)
+    if args.trials is not None:
+        cfg.setdefault("checks", {})["trials"] = args.trials
+    _trial_count(_cfg_get(cfg, "checks", "trials"), "trials")
     if args.tol is not None:
         cfg.setdefault("checks", {})["tol"] = args.tol
     if args.n_max is not None:
         cfg.setdefault("checks", {})["n_max"] = args.n_max
-    if args.trials is not None:
-        cfg.setdefault("checks", {})["trials"] = args.trials
     names = args.checks or _cfg_get(cfg, "checks", "names")
     requested = [t.strip() for t in names.split(",") if t.strip()]
     if requested == ["all"]:
@@ -659,7 +664,10 @@ def cmd_simulate(args) -> int:
     seed = _master_seed(cfg, args)
     start = int(_cfg_get(cfg, "mc", "start"))
     steps = int(_cfg_get(cfg, "mc", "steps"))
-    n_traj = args.trials if args.trials is not None else int(_cfg_get(cfg, "mc", "trajectories"))
+    if args.trials is not None:
+        n_traj = _trial_count(args.trials, "--trials")
+    else:
+        n_traj = _trial_count(int(_cfg_get(cfg, "mc", "trajectories")), "trajectories in [mc]")
     n_samples = int(_cfg_get(cfg, "mc", "n_samples"))
     phi = _observable(cfg, P)
     out = _out_dir(cfg, args)
@@ -688,6 +696,12 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def integer(text: str) -> int:
+    """An integer literal in any base Python accepts; argparse's error for a
+    bad value names the type after this function ("invalid integer value")."""
+    return int(text, 0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ergodyn",
@@ -699,7 +713,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="run configuration file (INI)")
     common.add_argument("--kernel", help="kernel file path (overrides config)")
     common.add_argument("--out", help="output directory")
-    common.add_argument("--seed", type=lambda s: int(s, 0), default=None, help="master seed (u64)")
+    common.add_argument("--seed", type=integer, default=None, help="master seed (u64)")
     common.add_argument("--tol", type=float, default=None, help="check tolerance")
     common.add_argument("--n-max", dest="n_max", type=int, default=None, help="sup truncation horizon")
     common.add_argument("--trials", type=int, default=None, help="randomized trial count")
@@ -721,7 +735,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse exits 0 after --help/--version, 2 on bad usage
+        return e.code
     try:
         return _COMMANDS[args.command](args)
     except (ConfigError, InvalidArgumentError) as e:

@@ -206,13 +206,22 @@ class TransitionKernel:
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return self.indices[lo:hi], self.data[lo:hi]
 
+    def csr(self):
+        """The kernel as a SciPy ``csr_matrix`` (built once, then cached)."""
+        cache = self._cache
+        if "csr" not in cache:
+            from scipy.sparse import csr_matrix
+
+            cache["csr"] = csr_matrix((self.data, self.indices, self.indptr), shape=(self.K, self.K))
+        return cache["csr"]
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Row action: (P x)_i = sum_j P_ij x_j."""
-        return _backend.matvec(self.indptr, self.indices, self.data, np.asarray(x, dtype=np.float64))
+        """Row action: (P x)_i = sum_j P_ij x_j, on a K-vector or each column of a K x T block."""
+        return _backend.matvec(self.csr(), np.asarray(x, dtype=np.float64))
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """Column action: (x P)_j = sum_i x_i P_ij."""
-        return _backend.rmatvec(self.indptr, self.indices, self.data, np.asarray(x, dtype=np.float64), self.K)
+        """Column action: (x P)_j = sum_i x_i P_ij, on a K-vector or each column of a K x T block."""
+        return _backend.rmatvec(self.csr(), np.asarray(x, dtype=np.float64))
 
     def restrict(self, states: np.ndarray) -> np.ndarray:
         """Dense submatrix over the given states (rows and columns)."""

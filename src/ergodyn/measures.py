@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import ConvergenceError, InvalidArgumentError, NotStationaryError
 from .kernel import TransitionKernel, kernel_power
@@ -95,25 +95,15 @@ def closed_classes(P: TransitionKernel, edge_threshold: float = 0.0) -> list:
 
 
 def _graph_period(sub: np.ndarray) -> int:
-    """Period of a strongly connected 0/1 digraph (gcd of cycle lengths)."""
-    n = sub.shape[0]
-    level = -np.ones(n, dtype=np.int64)
-    level[0] = 0
-    frontier = [0]
-    order = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.flatnonzero(sub[u]):
-                if level[v] < 0:
-                    level[v] = level[u] + 1
-                    nxt.append(int(v))
-                    order.append(int(v))
-        frontier = nxt
-    g = 0
-    for u in order:
-        for v in np.flatnonzero(sub[u]):
-            g = math.gcd(g, int(level[u]) + 1 - int(level[v]))
+    """Period of a strongly connected 0/1 digraph (gcd of cycle lengths).
+
+    With breadth-first levels from state 0, it is the gcd over all edges
+    u -> v of |level[u] + 1 - level[v]|.
+    """
+    edges = csr_matrix(sub)
+    level = shortest_path(edges, unweighted=True, indices=0).astype(np.int32)
+    u = np.repeat(np.arange(sub.shape[0], dtype=np.int32), np.diff(edges.indptr))
+    g = int(np.gcd.reduce(np.abs(level[u] + 1 - level[edges.indices])))
     return g if g > 0 else 1
 
 

@@ -19,6 +19,13 @@ W_n = (1/n) sum_{j=n}^{2n-1} L^j phi on the support of the measure. The
 window average has the same limit as the full average but converges
 geometrically once the rotating part cancels, whereas the full average
 carries an O(1/n) bias that cannot reach tight tolerances.
+
+Trials: each ``*_trials`` function runs one check on every column of a
+K x T block of observable values, with its preconditions evaluated once,
+and returns one report per column (per column and set, where a check takes
+sets). Column t of every block product equals the product with column t
+alone, bit for bit, so a report does not depend on the batch it ran in. The
+single-observable ``check_*`` functions are the T = 1 case.
 """
 
 from __future__ import annotations
@@ -29,13 +36,14 @@ import numpy as np
 
 from .errors import (
     ConvergenceError,
+    DimensionError,
     InvalidArgumentError,
     PreconditionError,
 )
 from .kernel import TransitionKernel, kernel_power
 from .measures import invariance_violation, is_ergodic, require_stationary
-from .space import Measure, Observable, integrate
-from .transfer import apply_L, duality_gap, positive_part
+from .space import Measure, Observable
+from .transfer import duality_gap, duality_gaps
 
 DEFAULT_N_MAX = 64
 DEFAULT_TOL = 1e-10
@@ -83,15 +91,26 @@ def _as_index_tuple(A) -> tuple:
 # Maximal ergodic machinery
 # ---------------------------------------------------------------------------
 
-def _partial_sums(P: TransitionKernel, phi: Observable, n_max: int):
+def _values(phi) -> np.ndarray:
+    """An Observable's values, or an array of them (a K-vector or a K x T block)."""
+    return phi.values if isinstance(phi, Observable) else np.asarray(phi, dtype=np.float64)
+
+
+def _like(phi, values):
+    """Wrap values as phi was given: an Observable stays one, an array stays an array."""
+    return phi.with_values(values) if isinstance(phi, Observable) else values
+
+
+def _partial_sums(P: TransitionKernel, values: np.ndarray, n_max: int):
     """Yield (n, S_n) for n = 1..n_max, where S_n = phi + L phi + ... + L^{n-1} phi.
 
-    S_n is one array updated in place, so a consumer that keeps it past the
-    next step must copy it.
+    values is a K-vector or a K x T block with one observable per column; S_n
+    has its shape and is one array updated in place, so a consumer that keeps
+    it past the next step must copy it.
     """
     if n_max < 1:
         raise InvalidArgumentError(f"number of terms must be positive, got {n_max}")
-    cur = phi.values.copy()
+    cur = values.copy()
     total = cur.copy()
     yield 1, total
     for n in range(2, n_max + 1):
@@ -100,17 +119,34 @@ def _partial_sums(P: TransitionKernel, phi: Observable, n_max: int):
         yield n, total
 
 
-def maximal_function(P: TransitionKernel, phi: Observable, n_max: int = DEFAULT_N_MAX) -> Observable:
-    """Componentwise max of the partial sums phi + L phi + ... up to n_max terms."""
-    best = np.full_like(phi.values, -np.inf)
-    for _, total in _partial_sums(P, phi, n_max):
+def maximal_function(P: TransitionKernel, phi, n_max: int = DEFAULT_N_MAX):
+    """Componentwise max of the partial sums phi + L phi + ... up to n_max terms.
+
+    phi is an Observable, or a K-vector or K x T block of observable values;
+    the result takes the same form.
+    """
+    values = _values(phi)
+    best = np.full_like(values, -np.inf)
+    for _, total in _partial_sums(P, values, n_max):
         np.maximum(best, total, out=best)
-    return phi.with_values(best)
+    return _like(phi, best)
 
 
 def maximal_set(P: TransitionKernel, phi: Observable, n_max: int = DEFAULT_N_MAX) -> np.ndarray:
     """States where the running maximum of partial sums is positive."""
     return np.flatnonzero(maximal_function(P, phi, n_max).values > 0.0)
+
+
+def maximal_trials(P: TransitionKernel, mu: Measure, values: np.ndarray,
+                   n_max: int = DEFAULT_N_MAX, tol: float = DEFAULT_TOL) -> list:
+    """check_maximal_inequality for each column of a K x T block."""
+    require_stationary(P, mu, tol)
+    reports = []
+    for v, best in zip(values.T, maximal_function(P, values, n_max).T):
+        E = np.flatnonzero(best > 0.0)
+        lhs = float(v[E] @ mu.weights[E])
+        reports.append(_ge_report("maximal", lhs, 0.0, tol, _as_index_tuple(E), n_max))
+    return reports
 
 
 def check_maximal_inequality(
@@ -121,10 +157,7 @@ def check_maximal_inequality(
     tol: float = DEFAULT_TOL,
 ) -> CheckReport:
     """Integral of phi over the maximal set is nonnegative (stationary mu)."""
-    require_stationary(P, mu, tol)
-    E = maximal_set(P, phi, n_max)
-    lhs = float(phi.values[E] @ mu.weights[E])
-    return _ge_report("maximal", lhs, 0.0, tol, _as_index_tuple(E), n_max)
+    return maximal_trials(P, mu, phi.values[:, None], n_max, tol)[0]
 
 
 def sublevel_sets(
@@ -144,15 +177,63 @@ def sublevel_sets(
     return np.flatnonzero(hi > alpha), np.flatnonzero(lo < beta)
 
 
-def running_average_extremes(P: TransitionKernel, phi: Observable, n_max: int = DEFAULT_N_MAX):
-    """Per-state max and min of the running averages S_n / n over n <= n_max."""
-    hi = np.full_like(phi.values, -np.inf)
-    lo = np.full_like(phi.values, np.inf)
-    for n, total in _partial_sums(P, phi, n_max):
+def running_average_extremes(P: TransitionKernel, phi, n_max: int = DEFAULT_N_MAX):
+    """Per-state max and min of the running averages S_n / n over n <= n_max.
+
+    phi is an Observable, or a K-vector or K x T block of observable values;
+    hi and lo are arrays of the values' shape.
+    """
+    values = _values(phi)
+    hi = np.full_like(values, -np.inf)
+    lo = np.full_like(values, np.inf)
+    for n, total in _partial_sums(P, values, n_max):
         avg = total / n
         np.maximum(hi, avg, out=hi)
         np.minimum(lo, avg, out=lo)
     return hi, lo
+
+
+#: corollary name -> (test that a state lies in the level set, report, precondition, set)
+_COROLLARIES = {
+    "corollary_c": (np.greater, _ge_report, "subset_of_c_alpha", "super-average set for alpha"),
+    "corollary_b": (np.less, _le_report, "subset_of_b_beta", "sub-average set for beta"),
+}
+
+
+def corollary_trials(name: str, P: TransitionKernel, mu: Measure, values: np.ndarray,
+                     extremes: np.ndarray, sets, levels,
+                     n_max: int = DEFAULT_N_MAX, tol: float = DEFAULT_TOL) -> list:
+    """Corollary c or b for each column t of a K x T block and each set.
+
+    For ``corollary_c`` extremes holds the running-average maxima of values
+    and levels[t][j] the alpha of column t on sets[j]; for ``corollary_b``
+    the minima and beta. Reports come column by column, sets in order.
+    """
+    inside, report, condition, what = _COROLLARIES[name]
+    require_stationary(P, mu, tol)
+    sets = [np.asarray(A, dtype=np.int64) for A in sets]
+    violations = [invariance_violation(P, mu, A) for A in sets]
+    reports = []
+    for t, v in enumerate(values.T):
+        for A, viol, level in zip(sets, violations, levels[t]):
+            if viol > tol:
+                raise PreconditionError(
+                    f"A is not a.e. invariant: criterion violation {viol:.3e}",
+                    name="invariant_set",
+                )
+            if not inside(extremes[A, t], level).all():
+                raise PreconditionError(f"A is not contained in the {what}", name=condition)
+            lhs = float(v[A] @ mu.weights[A])
+            rhs = level * float(mu.weights[A].sum())
+            reports.append(report(name, lhs, rhs, tol, _as_index_tuple(A), n_max))
+    return reports
+
+
+def _corollary(name, P, mu, phi, level, A, n_max, tol):
+    values = phi.values[:, None]
+    hi, lo = running_average_extremes(P, values, n_max)
+    extremes = hi if name == "corollary_c" else lo
+    return corollary_trials(name, P, mu, values, extremes, [A], [[level]], n_max, tol)[0]
 
 
 def check_corollary_c(
@@ -165,23 +246,7 @@ def check_corollary_c(
     tol: float = DEFAULT_TOL,
 ) -> CheckReport:
     """integral_A phi dmu >= alpha * mu(A) for invariant A inside C_alpha."""
-    require_stationary(P, mu, tol)
-    A = np.asarray(A, dtype=np.int64)
-    viol = invariance_violation(P, mu, A)
-    if viol > tol:
-        raise PreconditionError(
-            f"A is not a.e. invariant: criterion violation {viol:.3e}",
-            name="invariant_set",
-        )
-    c_set, _ = sublevel_sets(P, phi, n_max, alpha=alpha)
-    if not np.isin(A, c_set).all():
-        raise PreconditionError(
-            "A is not contained in the super-average set for alpha",
-            name="subset_of_c_alpha",
-        )
-    lhs = float(phi.values[A] @ mu.weights[A])
-    rhs = alpha * float(mu.weights[A].sum())
-    return _ge_report("corollary_c", lhs, rhs, tol, _as_index_tuple(A), n_max)
+    return _corollary("corollary_c", P, mu, phi, alpha, A, n_max, tol)
 
 
 def check_corollary_b(
@@ -194,23 +259,7 @@ def check_corollary_b(
     tol: float = DEFAULT_TOL,
 ) -> CheckReport:
     """integral_A phi dmu <= beta * mu(A) for invariant A inside B_beta."""
-    require_stationary(P, mu, tol)
-    A = np.asarray(A, dtype=np.int64)
-    viol = invariance_violation(P, mu, A)
-    if viol > tol:
-        raise PreconditionError(
-            f"A is not a.e. invariant: criterion violation {viol:.3e}",
-            name="invariant_set",
-        )
-    _, b_set = sublevel_sets(P, phi, n_max, beta=beta)
-    if not np.isin(A, b_set).all():
-        raise PreconditionError(
-            "A is not contained in the sub-average set for beta",
-            name="subset_of_b_beta",
-        )
-    lhs = float(phi.values[A] @ mu.weights[A])
-    rhs = beta * float(mu.weights[A].sum())
-    return _le_report("corollary_b", lhs, rhs, tol, _as_index_tuple(A), n_max)
+    return _corollary("corollary_b", P, mu, phi, beta, A, n_max, tol)
 
 
 def check_corollary_inequalities(
@@ -234,43 +283,98 @@ def check_corollary_inequalities(
 # Time averages and pointwise limits
 # ---------------------------------------------------------------------------
 
-def birkhoff_average(P: TransitionKernel, phi: Observable, n: int) -> Observable:
-    """Exact n-term time average (1/n) sum_{j<n} L^j phi."""
-    for _, total in _partial_sums(P, phi, n):
-        pass
-    return phi.with_values(total / n)
+def birkhoff_average(P: TransitionKernel, phi, n: int):
+    """Exact n-term time average (1/n) sum_{j<n} L^j phi.
 
-
-def _windowed_limit(P: TransitionKernel, values: np.ndarray, watch: np.ndarray,
-                    tol: float, n_cap: int):
-    """Doubling-horizon limit of time averages, watched on given states.
-
-    Returns (limit vector, residual, horizon, window history tail). The
-    candidate at window n is W_n = 2 A_{2n} - A_n, the average over the
-    second half of the horizon; successive candidates are compared in
-    sup norm on ``watch``.
+    phi is an Observable, or a K-vector or K x T block of observable values;
+    the result takes the same form.
     """
-    power = np.array(P.to_dense())
-    avg = values.copy()
+    for _, total in _partial_sums(P, _values(phi), n):
+        pass
+    return _like(phi, total / n)
+
+
+def _windowed_limit(P: TransitionKernel, values: np.ndarray, watches,
+                    tol: float, n_cap: int):
+    """Doubling-horizon limits of time averages, one per column of a K x T block.
+
+    Column t is watched on the states watches[t]. Returns the limits and the
+    previous windows as K x T blocks, and per column the residual and the
+    horizon. The candidate at window n is W_n = 2 A_{2n} - A_n, the average
+    over the second half of the horizon; successive candidates are compared
+    in sup norm on the watched states. All columns share one sequence of
+    squared powers, streamed so that only the current power is held; a
+    column leaves once it has converged.
+    """
+    power = P.to_dense()
+    limits = np.empty_like(values)
+    prevs = np.empty_like(values)
+    residuals = [float("inf")] * values.shape[1]
+    horizons = [0] * values.shape[1]
+    avgs = [np.ascontiguousarray(col) for col in values.T]
+    prev = [None] * values.shape[1]
+    live = list(range(values.shape[1]))
     n = 1
-    prev = None
-    last_res = float("inf")
-    while 2 * n <= n_cap:
-        avg2 = 0.5 * (avg + power @ avg)
-        window = 2.0 * avg2 - avg
-        if prev is not None:
-            res = float(np.abs(window[watch] - prev[watch]).max()) if watch.size else 0.0
-            if res <= tol:
-                return window, res, 2 * n, prev
-            last_res = res
-        prev = window
-        power = power @ power
-        avg = avg2
+    while live and 2 * n <= n_cap:
+        still = []
+        for t in live:
+            avg = avgs[t]
+            avg2 = 0.5 * (avg + power @ avg)
+            window = 2.0 * avg2 - avg
+            if prev[t] is not None:
+                w = watches[t]
+                res = float(np.abs(window[w] - prev[t][w]).max()) if w.size else 0.0
+                residuals[t] = res
+                if res <= tol:
+                    limits[:, t], prevs[:, t], horizons[t] = window, prev[t], 2 * n
+                    continue
+            prev[t], avgs[t] = window, avg2
+            still.append(t)
+        live = still
         n *= 2
-    raise ConvergenceError(
-        f"time averages not converged at horizon {n}: residual {last_res:.3e}",
-        residual=last_res,
-    )
+        if live and 2 * n <= n_cap:
+            power = power @ power
+    if live:
+        res = residuals[live[0]]
+        raise ConvergenceError(
+            f"time averages not converged at horizon {n}: residual {res:.3e}",
+            residual=res,
+        )
+    return limits, prevs, residuals, horizons
+
+
+def _limit_reports(P: TransitionKernel, values: np.ndarray, measures, ergodic,
+                   tol: float, n_cap: int):
+    """Limit reports, one per column of a K x T block: birkhoff_limit's, or
+    check_ergodic_limit's where ergodic[t]; column t is watched on
+    supp measures[t]. Returns the limits as a K x T block and the reports."""
+    watches = [np.flatnonzero(mu.weights > 0.0) for mu in measures]
+    limits, _, residuals, horizons = _windowed_limit(P, values, watches, tol, n_cap)
+    lifted = P.matvec(limits)
+    reports = []
+    for t, (mu, watch) in enumerate(zip(measures, watches)):
+        limit, res = limits[:, t], residuals[t]
+        inv_err = float(np.abs(lifted[watch, t] - limit[watch]).max()) if watch.size else 0.0
+        passed = res <= tol and inv_err <= 10.0 * tol
+        report = CheckReport(
+            "birkhoff", passed, res, 0.0, float(tol), _as_index_tuple(watch), horizons[t]
+        )
+        if ergodic[t]:
+            target = float(np.ascontiguousarray(values[:, t]) @ mu.weights)
+            lhs = float(np.abs(limit[watch] - target).max()) if watch.size else 0.0
+            report = CheckReport(
+                "ergodic_limit", bool(lhs <= tol and passed), lhs, 0.0, float(tol),
+                report.witnesses, report.iterations_used,
+            )
+        reports.append(report)
+    return limits, reports
+
+
+def birkhoff_trials(P: TransitionKernel, mu: Measure, values: np.ndarray,
+                    tol: float = DEFAULT_TOL, n_cap: int = DEFAULT_N_CAP):
+    """birkhoff_limit for each column of a K x T block: (limits block, reports)."""
+    require_stationary(P, mu, tol)
+    return _limit_reports(P, values, [mu] * values.shape[1], [False] * values.shape[1], tol, n_cap)
 
 
 def birkhoff_limit(
@@ -286,18 +390,16 @@ def birkhoff_limit(
     on supp mu, then also asserts the limit is fixed by the operator there
     (within 10 tol). Returns the limit observable and a report.
     """
-    require_stationary(P, mu, tol)
-    watch = np.flatnonzero(mu.weights > 0.0)
-    limit, res, horizon, _ = _windowed_limit(P, phi.values, watch, tol, n_cap)
-    tilde = phi.with_values(limit)
-    inv_err = (
-        float(np.abs(P.matvec(limit)[watch] - limit[watch]).max()) if watch.size else 0.0
-    )
-    passed = res <= tol and inv_err <= 10.0 * tol
-    report = CheckReport(
-        "birkhoff", passed, res, 0.0, float(tol), _as_index_tuple(watch), horizon
-    )
-    return tilde, report
+    limits, (report,) = birkhoff_trials(P, mu, phi.values[:, None], tol, n_cap)
+    return phi.with_values(limits[:, 0]), report
+
+
+def ergodic_limit_trials(P: TransitionKernel, mu: Measure, values: np.ndarray,
+                         tol: float = DEFAULT_TOL, n_cap: int = DEFAULT_N_CAP) -> list:
+    """check_ergodic_limit for each column of a K x T block."""
+    if not is_ergodic(P, mu, tol):
+        raise PreconditionError("measure is not ergodic", name="ergodic")
+    return _limit_reports(P, values, [mu] * values.shape[1], [True] * values.shape[1], tol, n_cap)[1]
 
 
 def check_ergodic_limit(
@@ -308,21 +410,22 @@ def check_ergodic_limit(
     n_cap: int = DEFAULT_N_CAP,
 ) -> CheckReport:
     """Time averages of an ergodic measure converge to the space average."""
-    if not is_ergodic(P, mu, tol):
-        raise PreconditionError("measure is not ergodic", name="ergodic")
-    tilde, inner = birkhoff_limit(P, phi, mu, tol, n_cap)
-    watch = np.flatnonzero(mu.weights > 0.0)
-    target = integrate(phi, mu)
-    lhs = float(np.abs(tilde.values[watch] - target).max()) if watch.size else 0.0
-    return CheckReport(
-        "ergodic_limit",
-        bool(lhs <= tol and inner.passed),
-        lhs,
-        0.0,
-        float(tol),
-        _as_index_tuple(watch),
-        inner.iterations_used,
-    )
+    return ergodic_limit_trials(P, mu, phi.values[:, None], tol, n_cap)[0]
+
+
+def periodic_trials(P: TransitionKernel, p: int, measures, values: np.ndarray,
+                    tol: float = DEFAULT_TOL, n_cap: int = DEFAULT_N_CAP) -> list:
+    """check_periodic_pointwise for each column of a K x T block and each measure.
+
+    P^p is formed once; reports come column by column, measures in order.
+    """
+    if p < 1:
+        raise InvalidArgumentError("period must be a positive integer")
+    Q = P if p == 1 else kernel_power(P, p)
+    ergodic = [is_ergodic(Q, mu, tol) for mu in measures]  # also requires stationarity
+    m, trials = len(measures), values.shape[1]
+    block = np.repeat(values, m, axis=1)
+    return _limit_reports(Q, block, list(measures) * trials, ergodic * trials, tol, n_cap)[1]
 
 
 def check_periodic_pointwise(
@@ -336,39 +439,55 @@ def check_periodic_pointwise(
     """Pointwise theorem for measures fixed by the p-th dual power.
 
     Runs the limit machinery on the p-step kernel. When mu is ergodic for
-    the p-step kernel this delegates to check_ergodic_limit (so p=1 on an
+    the p-step kernel the report is check_ergodic_limit's (so p=1 on an
     ergodic measure reproduces that report exactly); otherwise only
     existence and invariance of the limit are asserted.
     """
-    if p < 1:
-        raise InvalidArgumentError("period must be a positive integer")
-    Q = P if p == 1 else kernel_power(P, p)
-    require_stationary(Q, mu, tol)
-    if is_ergodic(Q, mu, tol):
-        return check_ergodic_limit(Q, phi, mu, tol, n_cap)
-    _, report = birkhoff_limit(Q, phi, mu, tol, n_cap)
-    return report
+    return periodic_trials(P, p, [mu], phi.values[:, None], tol, n_cap)[0]
 
 
 # ---------------------------------------------------------------------------
 # Lemmas as checks
 # ---------------------------------------------------------------------------
 
+def lemma1_trials(P: TransitionKernel, values: np.ndarray, tol: float = 1e-12) -> list:
+    """check_lemma1 for each column of a K x T block."""
+    gap = P.matvec(np.maximum(values, 0.0)) - np.maximum(P.matvec(values), 0.0)
+    return [_ge_report("lemma1", float(g.min()), 0.0, tol) for g in gap.T]
+
+
 def check_lemma1(P: TransitionKernel, phi: Observable, tol: float = 1e-12) -> CheckReport:
     """L applied to the positive part dominates the positive part of L phi."""
-    gap = apply_L(P, positive_part(phi)).values - np.maximum(apply_L(P, phi).values, 0.0)
-    return _ge_report("lemma1", float(gap.min()), 0.0, tol)
+    if phi.partition != P.partition:
+        raise DimensionError("observable and kernel live on different partitions")
+    return lemma1_trials(P, phi.values[:, None], tol)[0]
+
+
+def lemma2_trials(P: TransitionKernel, mu: Measure, values: np.ndarray,
+                  tol: float = DEFAULT_TOL) -> list:
+    """check_lemma2 for each column of a K x T block."""
+    require_stationary(P, mu, tol)
+    w = mu.weights
+    reports = []
+    for v, lv in zip(values.T, P.matvec(values).T):
+        lhs = float(v[v > 0.0] @ w[v > 0.0])
+        rhs = float(lv[lv > 0.0] @ w[lv > 0.0])
+        reports.append(_ge_report("lemma2", lhs, rhs, tol))
+    return reports
 
 
 def check_lemma2(
     P: TransitionKernel, mu: Measure, phi: Observable, tol: float = DEFAULT_TOL
 ) -> CheckReport:
     """One averaging step cannot increase the integral over the positive set."""
-    require_stationary(P, mu, tol)
-    lphi = apply_L(P, phi).values
-    lhs = float(phi.values[phi.values > 0.0] @ mu.weights[phi.values > 0.0])
-    rhs = float(lphi[lphi > 0.0] @ mu.weights[lphi > 0.0])
-    return _ge_report("lemma2", lhs, rhs, tol)
+    return lemma2_trials(P, mu, phi.values[:, None], tol)[0]
+
+
+def duality_trials(P: TransitionKernel, values: np.ndarray, weights: np.ndarray,
+                   tol: float = 1e-12) -> list:
+    """check_duality for each column pair of K x T blocks of observable
+    values and measure weights."""
+    return [_le_report("duality", gap, 0.0, tol) for gap in duality_gaps(P, values, weights)]
 
 
 def check_duality(
@@ -376,6 +495,36 @@ def check_duality(
 ) -> CheckReport:
     """The two sides of the defining duality identity agree."""
     return _le_report("duality", duality_gap(P, phi, mu), 0.0, tol)
+
+
+def localization_trials(P: TransitionKernel, mu: Measure, sets, values: np.ndarray,
+                        tol: float = DEFAULT_TOL) -> list:
+    """check_localization for each column of a K x T block and each set.
+
+    Reports come column by column, sets in order.
+    """
+    supp = np.flatnonzero(mu.weights > 0.0)
+    lifted = P.matvec(values)
+    gaps, witnesses = [], []
+    for A in sets:
+        A = np.asarray(A, dtype=np.int64)
+        viol = invariance_violation(P, mu, A)
+        if viol > tol:
+            raise PreconditionError(
+                f"A is not a.e. invariant: criterion violation {viol:.3e}",
+                name="invariant_set",
+            )
+        mask = np.zeros((P.K, 1))
+        mask[A] = 1.0
+        left = P.matvec(mask * values)
+        right = mask * lifted
+        gaps.append(np.abs(left[supp] - right[supp]).max(axis=0) if supp.size else np.zeros(values.shape[1]))
+        witnesses.append(_as_index_tuple(A))
+    return [
+        _le_report("localization", float(gap[t]), 0.0, tol, wit)
+        for t in range(values.shape[1])
+        for gap, wit in zip(gaps, witnesses)
+    ]
 
 
 def check_localization(
@@ -386,20 +535,7 @@ def check_localization(
     tol: float = DEFAULT_TOL,
 ) -> CheckReport:
     """L(chi_A phi) equals chi_A L(phi) a.e. for an a.e.-invariant A."""
-    A = np.asarray(A, dtype=np.int64)
-    viol = invariance_violation(P, mu, A)
-    if viol > tol:
-        raise PreconditionError(
-            f"A is not a.e. invariant: criterion violation {viol:.3e}",
-            name="invariant_set",
-        )
-    mask = np.zeros(P.K)
-    mask[A] = 1.0
-    left = P.matvec(mask * phi.values)
-    right = mask * P.matvec(phi.values)
-    supp = np.flatnonzero(mu.weights > 0.0)
-    lhs = float(np.abs(left[supp] - right[supp]).max()) if supp.size else 0.0
-    return _le_report("localization", lhs, 0.0, tol, _as_index_tuple(A))
+    return localization_trials(P, mu, [A], phi.values[:, None], tol)[0]
 
 
 def check_levelset_invariance(
@@ -434,6 +570,32 @@ def check_levelset_invariance(
     return _le_report("levelsets", worst, 0.0, tol, None)
 
 
+def nonconvergence_trials(
+    P: TransitionKernel,
+    values: np.ndarray,
+    alpha: float,
+    beta: float,
+    n_cap: int = DEFAULT_N_CAP,
+) -> list:
+    """check_nonconvergence_set_empty for each column of a K x T block."""
+    if not alpha > beta:
+        raise InvalidArgumentError("requires alpha > beta")
+    inner_tol = min(1e-10, (alpha - beta) / 8.0)
+    watch = np.arange(P.K)
+    windows, prevs, _, horizons = _windowed_limit(
+        P, values, [watch] * values.shape[1], inner_tol, n_cap
+    )
+    upper = np.maximum(windows, prevs)
+    lower = np.minimum(windows, prevs)
+    reports = []
+    for t, bad in enumerate(((upper > alpha) & (lower < beta)).T):
+        bad = np.flatnonzero(bad)
+        reports.append(_le_report(
+            "nonconvergence_empty", bad.size, 0.0, 0.0, _as_index_tuple(bad), horizons[t]
+        ))
+    return reports
+
+
 def check_nonconvergence_set_empty(
     P: TransitionKernel,
     phi: Observable,
@@ -447,20 +609,4 @@ def check_nonconvergence_set_empty(
     doubling test settles, no state can keep its running upper estimate
     above alpha while its running lower estimate sits below beta.
     """
-    if not alpha > beta:
-        raise InvalidArgumentError("requires alpha > beta")
-    inner_tol = min(1e-10, (alpha - beta) / 8.0)
-    watch = np.arange(P.K)
-    window, res, horizon, prev = _windowed_limit(P, phi.values, watch, inner_tol, n_cap)
-    upper = np.maximum(window, prev)
-    lower = np.minimum(window, prev)
-    bad = np.flatnonzero((upper > alpha) & (lower < beta))
-    return CheckReport(
-        "nonconvergence_empty",
-        bad.size == 0,
-        float(bad.size),
-        0.0,
-        0.0,
-        _as_index_tuple(bad),
-        horizon,
-    )
+    return nonconvergence_trials(P, phi.values[:, None], alpha, beta, n_cap)[0]

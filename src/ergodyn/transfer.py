@@ -58,9 +58,17 @@ def duality_gap(P: TransitionKernel, phi: Observable, mu: Measure) -> float:
     """|integral of phi d(L* mu) - integral of (L phi) d mu|; ~0 always."""
     _check_phi(P, phi)
     _check_mu(P, mu)
-    lhs = float(phi.values @ P.rmatvec(mu.weights))
-    rhs = float(P.matvec(phi.values) @ mu.weights)
-    return abs(lhs - rhs)
+    return duality_gaps(P, phi.values[:, None], mu.weights[:, None])[0]
+
+
+def duality_gaps(P: TransitionKernel, values: np.ndarray, weights: np.ndarray) -> list:
+    """duality_gap for each column pair of K x T blocks of observable values
+    and measure weights."""
+    pushed = P.rmatvec(weights)
+    lifted = P.matvec(values)
+    # contiguous rows, so each dot product sums as it would for lone vectors
+    rows = [np.ascontiguousarray(a.T) for a in (values, pushed, lifted, weights)]
+    return [abs(float(v @ r) - float(lv @ w)) for v, r, lv, w in zip(*rows)]
 
 
 def positive_part(phi: Observable) -> Observable:

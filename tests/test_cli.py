@@ -222,6 +222,38 @@ class TestInvalidConfiguration:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_verify_trials_below_one_exits_2(self, tmp_path, capsys, trials):
+        bundled("swap.kernel", tmp_path)
+        code = main([
+            "verify", "--kernel", str(tmp_path / "swap.kernel"), "--trials", trials,
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert_one_line_error(capsys)
+
+    def test_config_trials_below_one_exits_2(self, tmp_path, capsys):
+        bundled("swap.kernel", tmp_path)
+        cfg = write_config(tmp_path / "c.cfg", "[kernel]\npath = swap.kernel\n[checks]\ntrials = 0\n")
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert_one_line_error(capsys)
+
+    def test_simulate_trials_below_one_exits_2(self, tmp_path, capsys):
+        bundled("swap.kernel", tmp_path)
+        code = main([
+            "simulate", "--kernel", str(tmp_path / "swap.kernel"), "--trials", "-3",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert_one_line_error(capsys)
+        assert not (tmp_path / "o" / "trajectories.csv").exists()
+
+    def test_config_trajectories_below_one_exits_2(self, tmp_path, capsys):
+        bundled("swap.kernel", tmp_path)
+        cfg = write_config(tmp_path / "c.cfg", "[kernel]\npath = swap.kernel\n[mc]\ntrajectories = 0\n")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert_one_line_error(capsys)
+
     def test_largest_u64_seed_accepted(self, tmp_path):
         bundled("swap.kernel", tmp_path)
         code = main([
@@ -229,6 +261,29 @@ class TestInvalidConfiguration:
             "--out", str(tmp_path / "o"),
         ])
         assert code == 0
+
+
+class TestArgumentParsing:
+    """main(argv) returns argparse's exit code instead of raising SystemExit."""
+
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["verify", "--help"]])
+    def test_version_and_help_return_0(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--seed", "abc"],
+        ["simulate", "--trials", "many"],
+        ["no-such-command"],
+        [],
+    ])
+    def test_bad_usage_returns_2(self, capsys, argv):
+        assert main(argv) == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_seed_error_names_the_type(self, capsys):
+        assert main(["verify", "--seed", "abc"]) == 2
+        assert "invalid integer value: 'abc'" in capsys.readouterr().err
 
 
 class TestKernelBuild:

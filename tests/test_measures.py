@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ergodyn import (
     stationary_measures,
     support,
 )
+from ergodyn.measures import _graph_period
 
 from conftest import (
     cyclic_kernel,
@@ -77,6 +79,46 @@ def brute_force_invariant_sets(P, mu, tol):
             if ok:
                 hits.append(frozenset(a))
     return set(hits)
+
+
+def breadth_first_period(sub):
+    """The period by an explicit breadth-first search and a gcd over edges."""
+    level = -np.ones(sub.shape[0], dtype=np.int64)
+    level[0] = 0
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in np.flatnonzero(sub[u]):
+                if level[v] < 0:
+                    level[v] = level[u] + 1
+                    nxt.append(int(v))
+        frontier = nxt
+    g = 0
+    for u, v in zip(*np.nonzero(sub)):
+        g = math.gcd(g, int(level[u]) + 1 - int(level[v]))
+    return g if g > 0 else 1
+
+
+class TestGraphPeriod:
+    def test_matches_breadth_first_loop(self, rng):
+        seen = set()
+        for _ in range(300):
+            d, groups = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+            n = d * groups
+            order = rng.permutation(n)
+            group = np.empty(n, dtype=np.int64)
+            group[order] = np.arange(n) % d
+            # edges only from group g to g+1 (mod d), plus a cycle through every state
+            sub = (group[None, :] == (group[:, None] + 1) % d) & (
+                rng.random((n, n)) < rng.uniform(0.05, 0.6)
+            )
+            sub[order, np.roll(order, -1)] = True
+            got = _graph_period(sub)
+            assert got == breadth_first_period(sub)
+            assert got % d == 0
+            seen.add(got)
+        assert seen >= {1, 2, 3, 4, 5}
 
 
 class TestSupport:

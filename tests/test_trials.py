@@ -1,0 +1,131 @@
+"""Batched trials: a check run on a K x T block equals its trials run one by one."""
+
+from importlib import resources
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ergodyn import (
+    Observable,
+    check_corollary_b,
+    check_corollary_c,
+    check_duality,
+    check_ergodic_limit,
+    check_lemma1,
+    check_lemma2,
+    check_levelset_invariance,
+    check_localization,
+    check_maximal_inequality,
+    check_nonconvergence_set_empty,
+    check_periodic_pointwise,
+    birkhoff_limit,
+    closed_classes,
+    periodic_measures,
+    stationary_measures,
+)
+from ergodyn import cli
+from ergodyn.cli import CHECK_NAMES, _cfg_get
+from ergodyn.theorems import running_average_extremes
+
+from conftest import random_kernel, reducible_kernel
+
+
+def per_trial_reports(name, P, stationaries, cfg, seed):
+    """run_check's trial reports, from its trials run one at a time through
+    the public single-observable checks, drawing from the same stream in the
+    same order."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, CHECK_NAMES.index(name)]))
+    trials = int(_cfg_get(cfg, "checks", "trials"))
+    if name in cli._EXPENSIVE:
+        trials = min(trials, 20)
+    n_max = int(_cfg_get(cfg, "checks", "n_max"))
+    tol = float(_cfg_get(cfg, "checks", "tol"))
+    n_cap = int(_cfg_get(cfg, "checks", "n_cap"))
+    p = int(_cfg_get(cfg, "checks", "p"))
+    part = P.partition
+    mix = cli._mixture_measure(stationaries)
+    classes = closed_classes(P, float(_cfg_get(cfg, "checks", "edge_threshold")))
+
+    def draw():
+        return Observable(rng.uniform(-1.0, 1.0, P.K), part)
+
+    reports = []
+    if name == "duality":
+        for _ in range(trials):
+            phi = draw()
+            reports.append(check_duality(P, phi, cli._random_measure(rng, part)))
+    elif name == "lemma1":
+        reports = [check_lemma1(P, draw()) for _ in range(trials)]
+    elif name == "lemma2":
+        reports = [check_lemma2(P, mix, draw(), tol) for _ in range(trials)]
+    elif name == "maximal":
+        reports = [check_maximal_inequality(P, mix, draw(), n_max, tol) for _ in range(trials)]
+    elif name in ("corollary_c", "corollary_b"):
+        for _ in range(max(1, trials // max(1, len(classes)))):
+            phi = draw()
+            hi, lo = running_average_extremes(P, phi, n_max)
+            for A in classes:
+                if name == "corollary_c":
+                    reports.append(check_corollary_c(P, mix, phi, float(hi[A].min()) - 0.1, A, n_max, tol))
+                else:
+                    reports.append(check_corollary_b(P, mix, phi, float(lo[A].max()) + 0.1, A, n_max, tol))
+    elif name == "birkhoff":
+        reports = [birkhoff_limit(P, draw(), mix, tol, n_cap)[1] for _ in range(trials)]
+    elif name == "ergodic_limit":
+        reports = [check_ergodic_limit(P, draw(), stationaries[0], tol, n_cap) for _ in range(trials)]
+    elif name == "periodic":
+        fixed = periodic_measures(P, p)
+        for _ in range(trials):
+            phi = draw()
+            reports += [check_periodic_pointwise(P, p, phi, nu, tol, n_cap) for nu, _d in fixed]
+    elif name == "localization":
+        for _ in range(trials):
+            phi = draw()
+            reports += [check_localization(P, mix, A, phi, tol) for A in classes]
+    elif name == "levelsets":
+        phi = cli._class_eigenfunction(P, classes)
+        reports = [check_levelset_invariance(P, mix, phi, 0.5, tol)]
+    elif name == "nonconvergence_empty":
+        reports = [check_nonconvergence_set_empty(P, draw(), 0.05, -0.05, n_cap) for _ in range(trials)]
+    return reports
+
+
+def _cases():
+    """name -> (kernel, config): the bundled swap run and three random kernels."""
+    with resources.as_file(resources.files("ergodyn").joinpath("data")) as data:
+        swap = (cli.load_kernel(Path(data) / "swap.kernel"), cli.load_config(Path(data) / "swap.cfg"))
+    rng = np.random.default_rng(4711)
+    cfg = {"checks": {"trials": 9, "n_max": 20}}
+    return {
+        "swap.cfg": swap,
+        "dense23": (random_kernel(rng, 23), cfg),
+        "sparse40": (random_kernel(rng, 40, density=0.3), cfg),
+        "two_classes": (reducible_kernel(rng, [4, 5], n_transient=3), cfg),
+    }
+
+
+CASES = _cases()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_run_check_equals_per_trial_checks(case, name, monkeypatch):
+    P, cfg = CASES[case]
+    stationaries = stationary_measures(P)
+    expected = per_trial_reports(name, P, stationaries, cfg, 1807)
+    assert cli.run_check(name, P, stationaries, cfg, 1807) == cli._worst(expected)
+    # every trial report, in order, not only the worst one
+    monkeypatch.setattr(cli, "_worst", lambda reports: reports)
+    assert cli.run_check(name, P, stationaries, cfg, 1807) == expected
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_block_products_equal_column_products(case):
+    P, _ = CASES[case]
+    block = np.random.default_rng(5).uniform(-1.0, 1.0, (P.K, 11))
+    for product in (P.matvec, P.rmatvec):
+        out = product(block)
+        assert out.shape == block.shape
+        for t in range(block.shape[1]):
+            assert np.array_equal(out[:, t], product(np.ascontiguousarray(block[:, t])))
