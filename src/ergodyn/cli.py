@@ -23,6 +23,7 @@ import configparser
 import hashlib
 import io
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,7 @@ from .errors import (
     NotStationaryError,
     PreconditionError,
 )
-from .kernel import NoisySystem, TransitionKernel, kernel_from_rows, ulam_discretize
+from .kernel import NoisySystem, TransitionKernel, _csr_to_kernel, ulam_discretize
 from .measures import (
     closed_classes,
     ergodic_decomposition,
@@ -96,59 +97,90 @@ def _fmt(x: float) -> str:
 # Kernel and measure files
 # ---------------------------------------------------------------------------
 
+#: Records formatted per write in ``save_kernel``.
+_WRITE_BLOCK = 8192
+
+
 def save_kernel(P: TransitionKernel, path) -> None:
-    lines = [KERNEL_MAGIC]
-    lines.append(f"K {P.K}")
-    lines.append(f"domain {P.partition.domain_kind}")
-    lines.append("boundaries " + " ".join(_fmt(b) for b in P.partition.boundaries))
-    lines.append(f"nnz {P.nnz}")
-    for i in range(P.K):
-        cols, probs = P.row(i)
-        for c, p in zip(cols, probs):
-            lines.append(f"{i} {c} {_fmt(p)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write a kernel file, one ``row col probability`` record per nonzero.
+
+    Records are formatted and written in blocks, so the text is never held
+    in memory as a whole.
+    """
+    rows = np.repeat(np.arange(P.K), np.diff(P.indptr))
+    with open(path, "w") as fh:
+        fh.write(f"{KERNEL_MAGIC}\nK {P.K}\ndomain {P.partition.domain_kind}\n")
+        fh.write("boundaries " + " ".join(_fmt(b) for b in P.partition.boundaries) + "\n")
+        fh.write(f"nnz {P.nnz}\n")
+        for lo in range(0, P.nnz, _WRITE_BLOCK):
+            block = slice(lo, lo + _WRITE_BLOCK)
+            fh.write("".join(
+                f"{i} {c} {p:.17g}\n"
+                for i, c, p in zip(rows[block].tolist(), P.indices[block].tolist(), P.data[block].tolist())
+            ))
+
+
+#: One ``row col probability`` record of a kernel file.
+_RECORD = np.dtype([("row", np.int64), ("col", np.int64), ("prob", np.float64)])
+
+
+def _header_value(line: str, keyword: str) -> list:
+    """The values of a header line ``keyword value ...``."""
+    tokens = line.split()
+    if not tokens or tokens[0] != keyword:
+        raise ValueError(f"expected header {keyword!r}, found {line.strip()!r}")
+    return tokens[1:]
 
 
 def load_kernel(path) -> TransitionKernel:
+    """Read a kernel file straight into CSR arrays; no K x K array is formed.
+
+    The records are parsed in chunks from the open file, so the text is
+    never held in memory as a whole.
+    """
     try:
-        text = Path(path).read_text()
+        with open(path) as fh:
+            head = []
+            while len(head) < 5:
+                line = fh.readline()
+                if not line:
+                    raise ValueError("truncated header")
+                if line.strip():
+                    head.append(line.rstrip("\n"))
+            if head[0] != KERNEL_MAGIC:
+                raise ValueError(f"bad header {head[0]!r}")
+            (k,) = map(int, _header_value(head[1], "K"))
+            (domain,) = _header_value(head[2], "domain")
+            boundaries = np.array([float(t) for t in _header_value(head[3], "boundaries")])
+            (nnz,) = map(int, _header_value(head[4], "nnz"))
+            with warnings.catch_warnings():  # no records: the count check below reports it
+                warnings.simplefilter("ignore", UserWarning)
+                records = np.loadtxt(fh, dtype=_RECORD, comments=None, ndmin=1)
+        if records.size != nnz:
+            raise ValueError(f"expected {nnz} entries, found {records.size}")
+        partition = Partition(domain, boundaries)
     except (OSError, UnicodeDecodeError) as e:
         raise InvalidKernelError(f"cannot read kernel file {path}: {e}") from None
-    try:
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if lines[0] != KERNEL_MAGIC:
-            raise ValueError(f"bad header {lines[0]!r}")
-        k = int(lines[1].split()[1])
-        domain = lines[2].split()[1]
-        boundaries = np.array([float(t) for t in lines[3].split()[1:]])
-        nnz = int(lines[4].split()[1])
-        entries = lines[5:]
-        if len(entries) != nnz:
-            raise ValueError(f"expected {nnz} entries, found {len(entries)}")
-        r = np.empty(nnz, dtype=np.int64)
-        c = np.empty(nnz, dtype=np.int64)
-        p = np.empty(nnz)
-        for n, ln in enumerate(entries):
-            row, col, prob = ln.split()
-            r[n], c[n], p[n] = int(row), int(col), float(prob)
-        partition = Partition(domain, boundaries)
     except (ValueError, IndexError, OverflowError) as e:
         raise InvalidKernelError(f"malformed kernel file {path}: {e}") from None
     if partition.cell_count != k:
         raise DimensionError(
             f"kernel file {path}: header K {k} disagrees with {boundaries.size} boundaries"
         )
+    r, c = records["row"], records["col"]
     outside = (r < 0) | (r >= k) | (c < 0) | (c >= k)
     if outside.any():
         i = int(outside.argmax())
         raise InvalidKernelError(f"kernel file {path}: entry {r[i]} {c[i]} outside [0, {k})")
-    keys, counts = np.unique(r * k + c, return_counts=True)
-    if counts.max(initial=1) > 1:
-        key = int(keys[counts.argmax()])
-        raise InvalidKernelError(f"kernel file {path}: duplicate entry {key // k} {key % k}")
-    rows = np.zeros((k, k))
-    rows[r, c] = p
-    return kernel_from_rows(rows, partition)
+    key = r * k + c
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    repeated = key[1:] == key[:-1]
+    if repeated.any():
+        dup = int(key[int(repeated.argmax())])
+        raise InvalidKernelError(f"kernel file {path}: duplicate entry {dup // k} {dup % k}")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=k))))
+    return _csr_to_kernel(indptr, c[order], records["prob"][order], partition, f"kernel file {path}")
 
 
 def save_measure(mu: Measure, path) -> None:
@@ -162,10 +194,10 @@ def load_measure(path, partition: Partition) -> Measure:
         lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
         if lines[0] != MEASURE_MAGIC:
             raise ValueError(f"bad header {lines[0]!r}")
-        k = int(lines[1].split()[1])
-        weights = np.array([float(t) for t in lines[2 : 2 + k]])
+        (k,) = map(int, _header_value(lines[1], "K"))
+        weights = np.array([float(t) for t in lines[2:]])
         if weights.size != k:
-            raise ValueError("weight count mismatch")
+            raise ValueError(f"expected {k} weights, found {weights.size}")
     except (OSError, ValueError, IndexError) as e:
         raise InvalidMeasureError(f"malformed measure file {path}: {e}") from None
     return Measure(weights, partition)
@@ -282,9 +314,16 @@ def load_config(path) -> dict:
         if section in cfg and key not in cfg[section]:
             cfg[section][key] = default
     for section, key in (("solver", "tol"), ("checks", "tol")):
-        if section in cfg and not cfg[section][key] > 0.0:
-            raise ConfigError(f"{key} in [{section}] must be positive")
+        if section in cfg:
+            _positive(cfg[section][key], f"{key} in [{section}]")
     return cfg
+
+
+def _positive(tol: float, what: str) -> float:
+    """A tolerance from the config or the command line; it must be positive (not NaN)."""
+    if not tol > 0.0:
+        raise ConfigError(f"{what} must be positive, got {tol!r}")
+    return tol
 
 
 def _cfg_get(cfg, section, key):
@@ -575,7 +614,7 @@ def cmd_measure(args) -> int:
     config_dir = Path(args.config).parent if args.config else Path.cwd()
     P = _obtain_kernel(cfg, args, config_dir)
     seed = _master_seed(cfg, args)
-    tol = args.tol if args.tol is not None else _cfg_get(cfg, "solver", "tol")
+    tol = _positive(args.tol, "--tol") if args.tol is not None else _cfg_get(cfg, "solver", "tol")
     max_iter = int(_cfg_get(cfg, "solver", "max_iter"))
     p = int(_cfg_get(cfg, "checks", "p"))
     ms = stationary_measures(P, tol, max_iter)
@@ -619,7 +658,7 @@ def cmd_verify(args) -> int:
         cfg.setdefault("checks", {})["trials"] = args.trials
     _trial_count(_cfg_get(cfg, "checks", "trials"), "trials")
     if args.tol is not None:
-        cfg.setdefault("checks", {})["tol"] = args.tol
+        cfg.setdefault("checks", {})["tol"] = _positive(args.tol, "--tol")
     if args.n_max is not None:
         cfg.setdefault("checks", {})["n_max"] = args.n_max
     names = args.checks or _cfg_get(cfg, "checks", "names")

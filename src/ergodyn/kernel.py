@@ -192,6 +192,7 @@ class TransitionKernel:
         return int(self.data.size)
 
     def to_dense(self) -> np.ndarray:
+        """The K x K array (cached); only the doubling-horizon limit checks use it."""
         cache = self._cache
         if "dense" not in cache:
             k = self.K
@@ -223,10 +224,10 @@ class TransitionKernel:
         """Column action: (x P)_j = sum_i x_i P_ij, on a K-vector or each column of a K x T block."""
         return _backend.rmatvec(self.csr(), np.asarray(x, dtype=np.float64))
 
-    def restrict(self, states: np.ndarray) -> np.ndarray:
-        """Dense submatrix over the given states (rows and columns)."""
+    def restrict(self, states: np.ndarray):
+        """Submatrix over the given states (rows and columns), as a SciPy ``csr_matrix``."""
         states = np.asarray(states, dtype=np.int64)
-        return self.to_dense()[np.ix_(states, states)]
+        return self.csr()[states][:, states]
 
     def csr_with_cum(self):
         cache = self._cache
@@ -241,32 +242,69 @@ class TransitionKernel:
         return self.indptr, self.indices, cache["cumdata"]
 
 
-def _rows_to_kernel(rows: np.ndarray, partition: Partition, what: str) -> TransitionKernel:
-    """Validate dense rows under the shared tolerance policy and sparsify."""
-    rows = np.asarray(rows, dtype=np.float64)
+#: Entries of the scratch block that ``_dense_row_sums`` scatters rows into.
+_SCRATCH_ENTRIES = 1 << 16
+
+
+def _dense_row_sums(indptr, indices, data, k: int) -> np.ndarray:
+    """Row sums of a CSR matrix with the bits of ``dense.sum(axis=1)``.
+
+    NumPy sums a dense row pairwise over all K slots, so a sum over the
+    nonzeros alone can differ in the last bit. Blocks of rows are scattered
+    into a bounded scratch array and summed there instead.
+    """
+    sums = np.empty(k)
+    block = max(1, _SCRATCH_ENTRIES // k)
+    scratch = np.zeros((block, k))
+    for lo in range(0, k, block):
+        hi = min(lo + block, k)
+        a, b = indptr[lo], indptr[hi]
+        rows = np.repeat(np.arange(hi - lo), np.diff(indptr[lo:hi + 1]))
+        view = scratch[:hi - lo]
+        view[rows, indices[a:b]] = data[a:b]
+        view.sum(axis=1, out=sums[lo:hi])
+        view[rows, indices[a:b]] = 0.0
+    return sums
+
+
+def _csr_to_kernel(indptr, indices, data, partition: Partition, what: str) -> TransitionKernel:
+    """Validate CSR rows under the shared tolerance policy and build the kernel.
+
+    Every producer ends here. Columns must be sorted and unique within each
+    row. Rows off 1 by more than 1e-13 are renormalised, by more than 1e-9
+    rejected; entries that are zero afterwards are dropped.
+    """
+    indptr = np.asarray(indptr, dtype=np.int64)
+    data = np.asarray(data, dtype=np.float64)
     k = partition.cell_count
-    if rows.shape != (k, k):
-        raise DimensionError(f"{what}: expected a {k}x{k} matrix, got {rows.shape}")
-    if not np.all(np.isfinite(rows)):
+    if not np.all(np.isfinite(data)):
         raise InvalidKernelError(f"{what}: non-finite entry")
-    if np.any(rows < 0.0):
-        raise InvalidKernelError(f"{what}: negative entry {rows.min()}")
-    sums = rows.sum(axis=1)
+    if np.any(data < 0.0):
+        raise InvalidKernelError(f"{what}: negative entry {data.min()}")
+    sums = _dense_row_sums(indptr, indices, data, k)
     dev = np.abs(sums - 1.0)
     worst = dev.max() if dev.size else 0.0
     if worst > SUM_RENORM_BAND:
         i = int(dev.argmax())
         raise InvalidKernelError(f"{what}: row {i} sums to {float(sums[i])!r}, off by {worst:g}")
     fix = dev > SUM_EXACT_BAND
-    if np.any(fix):
-        rows = rows.copy()
-        rows[fix] /= sums[fix, None]
-    mask = rows > 0.0
-    counts = mask.sum(axis=1)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    indices = np.nonzero(mask)[1]
-    data = rows[mask]
+    if np.any(fix):  # x / 1.0 == x, so the other rows keep their bits
+        data = data / np.repeat(np.where(fix, sums, 1.0), np.diff(indptr))
+    keep = data > 0.0
+    if not keep.all():
+        indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+        indices, data = indices[keep], data[keep]
     return TransitionKernel(indptr, indices, data, partition)
+
+
+def _dense_to_kernel(rows: np.ndarray, partition: Partition, what: str) -> TransitionKernel:
+    """Sparsify a dense K x K row matrix and validate it as CSR."""
+    k = partition.cell_count
+    if rows.shape != (k, k):
+        raise DimensionError(f"{what}: expected a {k}x{k} matrix, got {rows.shape}")
+    mask = rows != 0.0  # keeps negative and non-finite entries for the validator
+    indptr = np.concatenate(([0], np.cumsum(mask.sum(axis=1))))
+    return _csr_to_kernel(indptr, np.nonzero(mask)[1], rows[mask], partition, what)
 
 
 def kernel_from_rows(rows, partition: Partition | None = None) -> TransitionKernel:
@@ -281,7 +319,7 @@ def kernel_from_rows(rows, partition: Partition | None = None) -> TransitionKern
         raise DimensionError(f"kernel data must be square, got {rows.shape}")
     if partition is None:
         partition = make_uniform_partition("unit_interval", rows.shape[0])
-    return _rows_to_kernel(rows, partition, "kernel_from_rows")
+    return _dense_to_kernel(rows, partition, "kernel_from_rows")
 
 
 def ulam_discretize(
@@ -312,22 +350,23 @@ def ulam_discretize(
     else:
         param = 0.0
     rows = _backend.ulam_rows(b, np.ascontiguousarray(images), code, param, wrap)
-    return _rows_to_kernel(rows, partition, "ulam_discretize")
+    return _dense_to_kernel(rows, partition, "ulam_discretize")
 
 
 def kernel_power(P: TransitionKernel, p: int) -> TransitionKernel:
-    """Matrix power P^p (binary powering on the dense form)."""
+    """Matrix power P^p: binary powering with SciPy sparse products on the CSR form."""
     if p < 1:
         raise InvalidArgumentError("power must be a positive integer")
     if p == 1:
         return P
-    base = np.array(P.to_dense())
+    base = P.csr()
     result = None
     e = int(p)
     while e:
         if e & 1:
-            result = base.copy() if result is None else result @ base
+            result = base if result is None else result @ base
         e >>= 1
         if e:
             base = base @ base
-    return _rows_to_kernel(result, P.partition, "kernel_power")
+    result.sort_indices()
+    return _csr_to_kernel(result.indptr, result.indices, result.data, P.partition, "kernel_power")

@@ -22,6 +22,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
+from . import _backend
 from .errors import ConvergenceError, InvalidArgumentError, NotStationaryError
 from .kernel import TransitionKernel, kernel_power
 from .space import Measure
@@ -53,26 +54,18 @@ def support(mu: Measure, threshold: float = 0.0) -> np.ndarray:
     return np.flatnonzero(mu.weights > threshold)
 
 
-def _edge_lists(P: TransitionKernel, edge_threshold: float):
-    rows = np.repeat(np.arange(P.K), np.diff(P.indptr))
-    keep = P.data > edge_threshold
-    return rows[keep], P.indices[keep]
-
-
 def _closed_classes_on(P, states, edge_threshold):
-    """Closed strongly connected classes of the digraph restricted to states."""
+    """Closed strongly connected classes of the digraph restricted to sorted states."""
     states = np.asarray(states, dtype=np.int64)
-    pos = -np.ones(P.K, dtype=np.int64)
-    pos[states] = np.arange(states.size)
-    rows, cols = _edge_lists(P, edge_threshold)
-    keep = (pos[rows] >= 0) & (pos[cols] >= 0)
-    r, c = pos[rows[keep]], pos[cols[keep]]
-    n = states.size
-    adj = csr_matrix((np.ones(r.size), (r, c)), shape=(n, n))
+    adj = P.csr() if states.size == P.K else P.restrict(states)
+    if edge_threshold > 0.0:
+        adj = adj.copy()
+        adj.data[adj.data <= edge_threshold] = 0.0
+        adj.eliminate_zeros()
     n_comp, labels = connected_components(adj, directed=True, connection="strong")
+    source = np.repeat(labels, np.diff(adj.indptr))
     is_closed = np.ones(n_comp, dtype=bool)
-    crossing = labels[r] != labels[c]
-    is_closed[np.unique(labels[r[crossing]])] = False
+    is_closed[source[source != labels[adj.indices]]] = False
     classes = [
         states[np.flatnonzero(labels == comp)]
         for comp in range(n_comp)
@@ -94,11 +87,12 @@ def closed_classes(P: TransitionKernel, edge_threshold: float = 0.0) -> list:
     return _closed_classes_on(P, np.arange(P.K), edge_threshold)
 
 
-def _graph_period(sub: np.ndarray) -> int:
+def _graph_period(sub) -> int:
     """Period of a strongly connected 0/1 digraph (gcd of cycle lengths).
 
-    With breadth-first levels from state 0, it is the gcd over all edges
-    u -> v of |level[u] + 1 - level[v]|.
+    ``sub`` is a dense array or a SciPy sparse matrix. With breadth-first
+    levels from state 0, the period is the gcd over all edges u -> v of
+    |level[u] + 1 - level[v]|.
     """
     edges = csr_matrix(sub)
     level = shortest_path(edges, unweighted=True, indices=0).astype(np.int32)
@@ -107,8 +101,8 @@ def _graph_period(sub: np.ndarray) -> int:
     return g if g > 0 else 1
 
 
-def _solve_class(sub: np.ndarray, tol: float, max_iter: int):
-    """Stationary row vector of an irreducible row-stochastic block.
+def _solve_class(sub, tol: float, max_iter: int):
+    """Stationary row vector of an irreducible row-stochastic CSR block.
 
     Power iteration averaged over one graph period: the window mean kills
     the rotating eigenvalues exactly, so the averaged iterates converge
@@ -118,6 +112,7 @@ def _solve_class(sub: np.ndarray, tol: float, max_iter: int):
     if m == 1:
         return np.ones(1), 1
     d = _graph_period(sub > 0.0)
+    step = sub.T.tocsr()  # x @ sub as a CSR product; each entry sums in state order
     x = np.full(m, 1.0 / m)
     res = math.inf
     for it in range(1, max_iter + 1):
@@ -125,10 +120,10 @@ def _solve_class(sub: np.ndarray, tol: float, max_iter: int):
         cur = x
         for _ in range(d):
             acc += cur
-            cur = cur @ sub
+            cur = _backend.matvec(step, cur)
         avg = acc / d
         avg /= avg.sum()
-        res = float(np.abs(avg @ sub - avg).sum())
+        res = float(np.abs(_backend.matvec(step, avg) - avg).sum())
         if res <= tol:
             return avg, it
         x = cur

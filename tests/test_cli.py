@@ -42,6 +42,20 @@ class TestKernelRoundTrip:
         Q = load_kernel(path)
         assert np.array_equal(P.to_dense(), Q.to_dense())
 
+    @pytest.mark.parametrize("k, density", [(1, 1.0), (23, 0.5), (150, 0.1)])
+    def test_writer_matches_record_by_record_format(self, rng, tmp_path, k, density):
+        P = random_kernel(rng, k, density=density)
+        save_kernel(P, tmp_path / "k.txt")
+        lines = [
+            "ergodyn-kernel 1", f"K {k}", "domain unit_interval",
+            "boundaries " + " ".join(f"{float(b):.17g}" for b in P.partition.boundaries),
+            f"nnz {P.nnz}",
+        ]
+        for i in range(k):
+            cols, probs = P.row(i)
+            lines += [f"{i} {c} {float(p):.17g}" for c, p in zip(cols, probs)]
+        assert (tmp_path / "k.txt").read_text() == "\n".join(lines) + "\n"
+
     def test_measure_round_trip(self, rng, tmp_path):
         part = make_uniform_partition("unit_interval", 9)
         w = rng.random(9)
@@ -181,6 +195,39 @@ class TestInvalidData:
         assert_one_line_error(capsys)
 
 
+    @pytest.mark.parametrize("line_no, replacement", [
+        (1, "X 2"),
+        (2, "foo unit_interval"),
+        (3, "bar 0 0.5 1"),
+        (4, "baz 2"),
+        (1, "K 2 2"),
+        (4, "nnz"),
+    ])
+    def test_kernel_header_keywords_checked(self, tmp_path, capsys, line_no, replacement):
+        lines = (SWAP_HEADER + "nnz 2\n0 1 1\n1 0 1\n").splitlines()
+        lines[line_no] = replacement
+        bad = tmp_path / "bad.kernel"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["measure", "--kernel", str(bad), "--out", str(tmp_path / "o")]) == 3
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("text", [
+        "ergodyn-measure 1\nK 2\n0.5\n0.5\n0.0\n",  # one weight more than K
+        "ergodyn-measure 1\nK 2\n0.5\n0.5\n0.5\n0.5\n",
+        "ergodyn-measure 1\nN 2\n0.5\n0.5\n",  # keyword is not K
+    ])
+    def test_measure_file_beyond_its_header_exits_3(self, tmp_path, capsys, text):
+        bundled("swap.kernel", tmp_path)
+        mfile = tmp_path / "m.txt"
+        mfile.write_text(text)
+        code = main([
+            "measure", "--kernel", str(tmp_path / "swap.kernel"),
+            "--measure", str(mfile), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 3
+        assert_one_line_error(capsys)
+
+
 class TestInvalidConfiguration:
     @pytest.mark.parametrize("spec", ["indicator:2", "indicator:7", "indicator:-1", "indicator:x"])
     def test_observable_outside_kernel_exits_2(self, tmp_path, capsys, spec):
@@ -252,6 +299,26 @@ class TestInvalidConfiguration:
         bundled("swap.kernel", tmp_path)
         cfg = write_config(tmp_path / "c.cfg", "[kernel]\npath = swap.kernel\n[mc]\ntrajectories = 0\n")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("command", ["measure", "verify"])
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "-inf"])
+    def test_tol_not_positive_exits_2(self, tmp_path, capsys, command, tol):
+        bundled("swap.kernel", tmp_path)
+        code = main([
+            command, "--kernel", str(tmp_path / "swap.kernel"), f"--tol={tol}",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert_one_line_error(capsys)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("section", ["solver", "checks"])
+    @pytest.mark.parametrize("tol", ["0", "nan"])
+    def test_config_tol_not_positive_exits_2(self, tmp_path, capsys, section, tol):
+        bundled("swap.kernel", tmp_path)
+        cfg = write_config(tmp_path / "c.cfg", f"[kernel]\npath = swap.kernel\n[{section}]\ntol = {tol}\n")
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert_one_line_error(capsys)
 
     def test_largest_u64_seed_accepted(self, tmp_path):
@@ -467,6 +534,25 @@ def broken_measure_text(draw):
     return "\n".join(lines) + "\n"
 
 
+@st.composite
+def renamed_header_kernel_text(draw):
+    """The swap kernel file with one header keyword replaced by another word."""
+    lines = (SWAP_HEADER + "nnz 2\n0 1 1\n1 0 1\n").splitlines()
+    line_no = draw(st.integers(1, 4))
+    keyword, rest = lines[line_no].split(" ", 1)
+    word = draw(st.text(st.characters(blacklist_categories=("Cs", "Zs", "Zl", "Zp", "Cc")),
+                        min_size=1, max_size=6).filter(lambda w: w != keyword))
+    lines[line_no] = f"{word} {rest}"
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def padded_measure_text(draw):
+    """The swap kernel's stationary measure file with weights past its header K."""
+    extra = draw(st.lists(st.sampled_from(["0", "0.0", "0.5", "1e-300"]), min_size=1, max_size=4))
+    return "\n".join(["ergodyn-measure 1", "K 2", "0.5", "0.5"] + extra) + "\n"
+
+
 def _main_on(argv, files):
     import tempfile
 
@@ -502,3 +588,21 @@ def test_mutated_measure_file_exits_2_or_3(text):
         {"k.txt": swap, "m.txt": text},
     )
     assert code in (2, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(renamed_header_kernel_text())
+def test_renamed_kernel_header_exits_3(text):
+    code = _main_on(["measure", "--kernel", "{d}/k.txt", "--out", "{d}/o"], {"k.txt": text})
+    assert code == 3
+
+
+@settings(max_examples=30, deadline=None)
+@given(padded_measure_text())
+def test_padded_measure_file_exits_3(text):
+    swap = SWAP_HEADER + "nnz 2\n0 1 1\n1 0 1\n"
+    code = _main_on(
+        ["measure", "--kernel", "{d}/k.txt", "--measure", "{d}/m.txt", "--out", "{d}/o"],
+        {"k.txt": swap, "m.txt": text},
+    )
+    assert code == 3
