@@ -24,6 +24,8 @@ import hashlib
 import io
 import sys
 import warnings
+from dataclasses import dataclass, replace
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +41,15 @@ from .errors import (
     NotStationaryError,
     PreconditionError,
 )
-from .kernel import NoisySystem, TransitionKernel, _csr_to_kernel, ulam_discretize
+from .kernel import (
+    MAP_PARAMS,
+    NOISE_PARAMS,
+    NoisySystem,
+    TransitionKernel,
+    _csr_to_kernel,
+    kernel_power,
+    ulam_discretize,
+)
 from .measures import (
     closed_classes,
     ergodic_decomposition,
@@ -51,6 +61,7 @@ from .measures import (
 from .mc import estimate_Lj_phi, sample_trajectory
 from .space import Measure, Observable, Partition, make_uniform_partition
 from .theorems import (
+    _COROLLARIES,
     birkhoff_trials,
     check_levelset_invariance,
     corollary_trials,
@@ -65,24 +76,6 @@ from .theorems import (
     running_average_extremes,
 )
 from .transfer import stationarity_residual
-
-CHECK_NAMES = (
-    "duality",
-    "lemma1",
-    "lemma2",
-    "maximal",
-    "corollary_c",
-    "corollary_b",
-    "birkhoff",
-    "ergodic_limit",
-    "periodic",
-    "localization",
-    "levelsets",
-    "nonconvergence_empty",
-)
-
-#: checks that square dense matrices per trial get a reduced trial count
-_EXPENSIVE = {"birkhoff", "ergodic_limit", "periodic", "nonconvergence_empty"}
 
 KERNEL_MAGIC = "ergodyn-kernel 1"
 MEASURE_MAGIC = "ergodyn-measure 1"
@@ -207,64 +200,44 @@ def load_measure(path, partition: Partition) -> Measure:
 # Configuration
 # ---------------------------------------------------------------------------
 
+#: section -> key -> (kind, default). A key whose default is None has none;
+#: ``load_config`` fills every other default into each section a config has.
 _SCHEMA = {
     "system": {
-        "map": str,
-        "alpha": float,
-        "r": float,
-        "breakpoints": "floats",
-        "slopes": "floats",
-        "noise": str,
-        "half_width": float,
-        "sigma": float,
-        "boundary": str,
-        "quadrature": int,
+        "map": (str, None),
+        "alpha": (float, None),
+        "r": (float, None),
+        "breakpoints": ("floats", None),
+        "slopes": ("floats", None),
+        "noise": (str, None),
+        "half_width": (float, None),
+        "sigma": (float, None),
+        "boundary": (str, "wrap"),
+        "quadrature": (int, 16),
     },
-    "kernel": {"path": str},
-    "partition": {"domain": str, "cells": int},
-    "solver": {"tol": float, "max_iter": int},
+    "kernel": {"path": (str, None)},
+    "partition": {"domain": (str, None), "cells": (int, None)},
+    "solver": {"tol": (float, 1e-12), "max_iter": (int, 100000)},
     "checks": {
-        "names": str,
-        "n_max": int,
-        "alpha": float,
-        "beta": float,
-        "p": int,
-        "n_cap": int,
-        "trials": int,
-        "tol": float,
-        "edge_threshold": float,
+        "names": (str, "all"),
+        "n_max": (int, 64),
+        "alpha": (float, None),
+        "beta": (float, None),
+        "p": (int, 2),
+        "n_cap": (int, 2**20),
+        "trials": (int, 100),
+        "tol": (float, 1e-10),
+        "edge_threshold": (float, 1e-14),
     },
     "mc": {
-        "start": int,
-        "steps": int,
-        "trajectories": int,
-        "n_samples": int,
-        "master_seed": int,
-        "observable": str,
+        "start": (int, 0),
+        "steps": (int, 5),
+        "trajectories": (int, 1),
+        "n_samples": (int, 10000),
+        "master_seed": (int, 0),
+        "observable": (str, "coordinate"),
     },
-    "output": {"dir": str, "formats": str},
-}
-
-_DEFAULTS = {
-    ("solver", "tol"): 1e-12,
-    ("solver", "max_iter"): 100000,
-    ("checks", "names"): "all",
-    ("checks", "n_max"): 64,
-    ("checks", "p"): 2,
-    ("checks", "n_cap"): 2**20,
-    ("checks", "trials"): 100,
-    ("checks", "tol"): 1e-10,
-    ("checks", "edge_threshold"): 1e-14,
-    ("system", "quadrature"): 16,
-    ("system", "boundary"): "wrap",
-    ("mc", "start"): 0,
-    ("mc", "steps"): 5,
-    ("mc", "trajectories"): 1,
-    ("mc", "n_samples"): 10000,
-    ("mc", "master_seed"): 0,
-    ("mc", "observable"): "coordinate",
-    ("output", "dir"): "out",
-    ("output", "formats"): "report,csv",
+    "output": {"dir": (str, "out")},
 }
 
 
@@ -293,7 +266,7 @@ def load_config(path) -> dict:
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            kind = _SCHEMA[section][key]
+            kind, _ = _SCHEMA[section][key]
             try:
                 if kind == "floats":
                     value = tuple(float(t) for t in raw.split())
@@ -310,9 +283,10 @@ def load_config(path) -> dict:
             cfg[section][key] = value
     if "system" in cfg and "kernel" in cfg:
         raise ConfigError("config must name exactly one of [system] or [kernel]")
-    for (section, key), default in _DEFAULTS.items():
-        if section in cfg and key not in cfg[section]:
-            cfg[section][key] = default
+    for section, values in cfg.items():
+        for key, (_, default) in _SCHEMA[section].items():
+            if default is not None:
+                values.setdefault(key, default)
     for section, key in (("solver", "tol"), ("checks", "tol")):
         if section in cfg:
             _positive(cfg[section][key], f"{key} in [{section}]")
@@ -327,9 +301,8 @@ def _positive(tol: float, what: str) -> float:
 
 
 def _cfg_get(cfg, section, key):
-    if section in cfg and key in cfg[section]:
-        return cfg[section][key]
-    return _DEFAULTS[(section, key)]
+    """A config value, else its schema default (None for a key without one)."""
+    return cfg.get(section, {}).get(key, _SCHEMA[section][key][1])
 
 
 def _master_seed(cfg, args) -> int:
@@ -372,43 +345,27 @@ def config_hash(cfg: dict, seed: int) -> str:
 
 
 def _system_from_config(cfg) -> tuple[NoisySystem, Partition, int]:
+    """The [system] and [partition] sections as a system, a partition and a
+    quadrature count.
+
+    A map and a noise law get the config keys that ``kernel.MAP_PARAMS`` and
+    ``kernel.NOISE_PARAMS`` list for them. ``NoisySystem`` rejects unknown
+    maps and noise laws and missing or invalid parameters (exit 2).
+    """
     sys_cfg = cfg["system"]
     part_cfg = cfg.get("partition", {})
     if "map" not in sys_cfg:
         raise ConfigError("section [system] needs a 'map' key")
     if "domain" not in part_cfg or "cells" not in part_cfg:
         raise ConfigError("section [partition] needs 'domain' and 'cells'")
-    name = sys_cfg["map"]
-    map_params = {}
-    if name == "rotation":
-        if "alpha" not in sys_cfg:
-            raise ConfigError("rotation needs key 'alpha'")
-        map_params["alpha"] = sys_cfg["alpha"]
-    elif name == "logistic":
-        if "r" not in sys_cfg:
-            raise ConfigError("logistic needs key 'r'")
-        map_params["r"] = sys_cfg["r"]
-    elif name == "piecewise_linear":
-        if "breakpoints" not in sys_cfg or "slopes" not in sys_cfg:
-            raise ConfigError("piecewise_linear needs 'breakpoints' and 'slopes'")
-        map_params["breakpoints"] = sys_cfg["breakpoints"]
-        map_params["slopes"] = sys_cfg["slopes"]
-    elif name != "doubling":
-        raise ConfigError(f"unknown map {name!r}")
-    noise = sys_cfg.get("noise", "none")
-    noise_params = {}
-    if noise == "uniform":
-        if "half_width" not in sys_cfg:
-            raise ConfigError("uniform noise needs key 'half_width'")
-        noise_params["half_width"] = sys_cfg["half_width"]
-    elif noise == "wrapped_gaussian":
-        if "sigma" not in sys_cfg:
-            raise ConfigError("wrapped_gaussian noise needs key 'sigma'")
-        noise_params["sigma"] = sys_cfg["sigma"]
-    elif noise != "none":
-        raise ConfigError(f"unknown noise {noise!r}")
+    name, noise = sys_cfg["map"], sys_cfg.get("noise", "none")
+    _, noise_keys = NOISE_PARAMS.get(noise, (None, ()))
     try:
-        system = NoisySystem(name, map_params, noise, noise_params, sys_cfg["boundary"])
+        system = NoisySystem(
+            name, {k: sys_cfg[k] for k in MAP_PARAMS.get(name, ()) if k in sys_cfg},
+            noise, {k: sys_cfg[k] for k in noise_keys if k in sys_cfg},
+            sys_cfg["boundary"],
+        )
         partition = make_uniform_partition(part_cfg["domain"], part_cfg["cells"])
     except InvalidArgumentError as e:
         raise ConfigError(str(e)) from None
@@ -491,96 +448,111 @@ def _class_eigenfunction(P, classes) -> Observable:
     return Observable(values, P.partition)
 
 
-_LE_CHECKS = {
-    "duality", "corollary_b", "birkhoff", "ergodic_limit",
-    "localization", "levelsets", "nonconvergence_empty",
-}
-
-
 def _worst(reports):
-    """Aggregate trial reports into one: smallest margin wins the slot."""
-    def margin(r):
-        diff = r.lhs - r.rhs
-        return -diff if r.name in _LE_CHECKS else diff
+    """Aggregate trial reports into one: of the failed reports, else of all,
+    the one with the smallest margin in its own direction wins the slot."""
+    worst = min([r for r in reports if not r.passed] or reports, key=lambda r: r.margin)
+    return replace(worst, passed=all(r.passed for r in reports), iterations_used=len(reports))
 
-    failed = [r for r in reports if not r.passed]
-    pool = failed if failed else reports
-    worst = min(pool, key=margin)
-    return type(worst)(
-        worst.name, all(r.passed for r in reports), worst.lhs, worst.rhs,
-        worst.slack, worst.witnesses, len(reports),
-    )
+
+@dataclass
+class _CheckRun:
+    """What a check's runner draws on; the mixture measure and the closed
+    classes are computed only by the checks that use them."""
+
+    P: TransitionKernel
+    stationaries: list
+    cfg: dict
+    rng: np.random.Generator
+    trials: int
+
+    def opt(self, key, default=None):
+        """A [checks] setting; ``default`` stands in for a key without a value."""
+        value = _cfg_get(self.cfg, "checks", key)
+        return default if value is None else value
+
+    def observables(self, n=None) -> np.ndarray:
+        return _random_observables(self.rng, self.P.partition, self.trials if n is None else n)
+
+    @cached_property
+    def mix(self) -> Measure:
+        return _mixture_measure(self.stationaries)
+
+    @cached_property
+    def classes(self) -> list:
+        return closed_classes(self.P, self.opt("edge_threshold"))
+
+
+def _run_duality(r: _CheckRun) -> list:
+    draws = [(r.rng.uniform(-1.0, 1.0, r.P.K), _random_measure(r.rng, r.P.partition).weights)
+             for _ in range(r.trials)]
+    values, weights = (np.column_stack(block) for block in zip(*draws))
+    return duality_trials(r.P, values, weights)
+
+
+def _run_corollary(name: str, r: _CheckRun) -> list:
+    """corollary_c or corollary_b on every closed class; its side (extremes,
+    level key, default level) comes from ``theorems._COROLLARIES``."""
+    direction, key, bound, offset = _COROLLARIES[name][:4]
+    values = r.observables(max(1, r.trials // max(1, len(r.classes))))
+    hi, lo = running_average_extremes(r.P, values, r.opt("n_max"))
+    extremes = hi if direction == "ge" else lo
+    levels = [[r.opt(key, float(bound(extremes[A, t])) + offset) for A in r.classes]
+              for t in range(values.shape[1])]
+    return corollary_trials(name, r.P, r.mix, values, extremes, r.classes, levels,
+                            r.opt("n_max"), r.opt("tol"))
+
+
+def _run_periodic(r: _CheckRun) -> list:
+    """The periodic theorem on the measures fixed by the p-step kernel, which is formed once."""
+    Q = kernel_power(r.P, r.opt("p"))
+    fixed = stationary_measures(
+        Q, _cfg_get(r.cfg, "solver", "tol"), _cfg_get(r.cfg, "solver", "max_iter"))
+    return periodic_trials(Q, fixed, r.observables(), r.opt("tol"), r.opt("n_cap"))
+
+
+#: check name -> (expensive, runner). An expensive check squares dense
+#: matrices and runs at most 20 trials. A runner takes a ``_CheckRun`` and
+#: returns the trial reports. Check i draws from SeedSequence([seed, i]), so
+#: the order is part of every report: a new check goes last.
+CHECKS = {
+    "duality": (False, _run_duality),
+    "lemma1": (False, lambda r: lemma1_trials(r.P, r.observables())),
+    "lemma2": (False, lambda r: lemma2_trials(r.P, r.mix, r.observables(), r.opt("tol"))),
+    "maximal": (False, lambda r: maximal_trials(
+        r.P, r.mix, r.observables(), r.opt("n_max"), r.opt("tol"))),
+    "corollary_c": (False, partial(_run_corollary, "corollary_c")),
+    "corollary_b": (False, partial(_run_corollary, "corollary_b")),
+    "birkhoff": (True, lambda r: birkhoff_trials(
+        r.P, r.mix, r.observables(), r.opt("tol"), r.opt("n_cap"))[1]),
+    "ergodic_limit": (True, lambda r: ergodic_limit_trials(
+        r.P, r.stationaries[0], r.observables(), r.opt("tol"), r.opt("n_cap"))),
+    "periodic": (True, _run_periodic),
+    "localization": (False, lambda r: localization_trials(
+        r.P, r.mix, r.classes, r.observables(), r.opt("tol"))),
+    "levelsets": (False, lambda r: [check_levelset_invariance(
+        r.P, r.mix, _class_eigenfunction(r.P, r.classes), r.opt("alpha", 0.5), r.opt("tol"))]),
+    "nonconvergence_empty": (True, lambda r: nonconvergence_trials(
+        r.P, r.observables(), r.opt("alpha", 0.05), r.opt("beta", -0.05), r.opt("n_cap"))),
+}
+CHECK_NAMES = tuple(CHECKS)
 
 
 def run_check(name, P, stationaries, cfg, master_seed) -> "CheckReport":
-    """Run one named check with seeded randomness and aggregate trials.
+    """Run one named check with seeded randomness and aggregate its trials.
 
-    The trials run together: their random inputs are drawn in trial order
-    and stacked as the columns of one K x T block, and the check's
+    ``CHECKS`` holds each check's runner and whether its trials are capped;
+    each report carries its ``ge``/``le`` direction, by which ``_worst``
+    ranks the trials. Check i draws from SeedSequence([master_seed, i]). The
+    trials run together: their random inputs are drawn in trial order and
+    stacked as the columns of one K x T block, and the check's
     preconditions are evaluated once, before any trial.
     """
-    idx = CHECK_NAMES.index(name)
-    rng = np.random.default_rng(np.random.SeedSequence([int(master_seed) & ((1 << 64) - 1), idx]))
-    trials = int(_cfg_get(cfg, "checks", "trials"))
-    if name in _EXPENSIVE:
-        trials = min(trials, 20)
-    n_max = int(_cfg_get(cfg, "checks", "n_max"))
-    tol = float(_cfg_get(cfg, "checks", "tol"))
-    n_cap = int(_cfg_get(cfg, "checks", "n_cap"))
-    p = int(_cfg_get(cfg, "checks", "p"))
-    alpha = cfg.get("checks", {}).get("alpha")
-    beta = cfg.get("checks", {}).get("beta")
-    part = P.partition
-    mix = _mixture_measure(stationaries)
-    classes = closed_classes(P, float(_cfg_get(cfg, "checks", "edge_threshold")))
-
-    if name == "duality":
-        draws = [(rng.uniform(-1.0, 1.0, P.K), _random_measure(rng, part).weights)
-                 for _ in range(trials)]
-        values, weights = (np.column_stack(block) for block in zip(*draws))
-        reports = duality_trials(P, values, weights)
-    elif name == "lemma1":
-        reports = lemma1_trials(P, _random_observables(rng, part, trials))
-    elif name == "lemma2":
-        reports = lemma2_trials(P, mix, _random_observables(rng, part, trials), tol)
-    elif name == "maximal":
-        reports = maximal_trials(P, mix, _random_observables(rng, part, trials), n_max, tol)
-    elif name in ("corollary_c", "corollary_b"):
-        values = _random_observables(rng, part, max(1, trials // max(1, len(classes))))
-        hi, lo = running_average_extremes(P, values, n_max)
-        columns = range(values.shape[1])
-        if name == "corollary_c":
-            extremes = hi
-            levels = [[alpha if alpha is not None else float(hi[A, t].min()) - 0.1
-                       for A in classes] for t in columns]
-        else:
-            extremes = lo
-            levels = [[beta if beta is not None else float(lo[A, t].max()) + 0.1
-                       for A in classes] for t in columns]
-        reports = corollary_trials(name, P, mix, values, extremes, classes, levels, n_max, tol)
-    elif name == "birkhoff":
-        _, reports = birkhoff_trials(P, mix, _random_observables(rng, part, trials), tol, n_cap)
-    elif name == "ergodic_limit":
-        values = _random_observables(rng, part, trials)
-        reports = ergodic_limit_trials(P, stationaries[0], values, tol, n_cap)
-    elif name == "periodic":
-        fixed = periodic_measures(P, p, float(_cfg_get(cfg, "solver", "tol")),
-                                  int(_cfg_get(cfg, "solver", "max_iter")))
-        values = _random_observables(rng, part, trials)
-        reports = periodic_trials(P, p, [nu for nu, _d in fixed], values, tol, n_cap)
-    elif name == "localization":
-        reports = localization_trials(P, mix, classes, _random_observables(rng, part, trials), tol)
-    elif name == "levelsets":
-        phi = _class_eigenfunction(P, classes)
-        a = alpha if alpha is not None else 0.5
-        reports = [check_levelset_invariance(P, mix, phi, a, tol)]
-    elif name == "nonconvergence_empty":
-        a = alpha if alpha is not None else 0.05
-        b = beta if beta is not None else -0.05
-        reports = nonconvergence_trials(P, _random_observables(rng, part, trials), a, b, n_cap)
-    else:
-        raise ConfigError(f"unknown check {name!r}")
-    return _worst(reports)
+    expensive, run = CHECKS[name]
+    seed = np.random.SeedSequence([int(master_seed) & _backend._MASK64, CHECK_NAMES.index(name)])
+    trials = _cfg_get(cfg, "checks", "trials")
+    trials = min(trials, 20) if expensive else trials
+    return _worst(run(_CheckRun(P, stationaries, cfg, np.random.default_rng(seed), trials)))
 
 
 # ---------------------------------------------------------------------------
@@ -665,9 +637,14 @@ def cmd_verify(args) -> int:
     requested = [t.strip() for t in names.split(",") if t.strip()]
     if requested == ["all"]:
         requested = list(CHECK_NAMES)
-    unknown = [t for t in requested if t not in CHECK_NAMES]
+    unknown = [t for t in requested if t not in CHECKS]
     if unknown:
         raise ConfigError(f"unknown checks: {', '.join(unknown)}")
+    if not requested:
+        raise ConfigError(f"no check named in {names!r}")
+    repeated = [t for i, t in enumerate(requested) if t in requested[:i]]
+    if repeated:
+        raise ConfigError(f"checks named more than once: {', '.join(dict.fromkeys(repeated))}")
     solver_tol = float(_cfg_get(cfg, "solver", "tol"))
     max_iter = int(_cfg_get(cfg, "solver", "max_iter"))
     stationaries = stationary_measures(P, solver_tol, max_iter)

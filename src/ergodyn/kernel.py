@@ -33,11 +33,20 @@ from .space import (
     make_uniform_partition,
 )
 
-BASE_MAPS = ("rotation", "doubling", "logistic", "piecewise_linear")
-NOISE_KINDS = ("uniform", "wrapped_gaussian", "none")
+#: base map -> the names of its parameters
+MAP_PARAMS = {
+    "rotation": ("alpha",),
+    "doubling": (),
+    "logistic": ("r",),
+    "piecewise_linear": ("breakpoints", "slopes"),
+}
+#: noise law -> (its code in ``_backend.ulam_rows``, the names of its parameters)
+NOISE_PARAMS = {
+    "uniform": (1, ("half_width",)),
+    "wrapped_gaussian": (2, ("sigma",)),
+    "none": (0, ()),
+}
 BOUNDARY_KINDS = ("wrap", "clamp")
-
-_NOISE_CODE = {"none": 0, "uniform": 1, "wrapped_gaussian": 2}
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,10 +54,12 @@ class NoisySystem:
     """Declarative description of a base map plus a noise law.
 
     base_map: one of rotation(alpha), doubling, logistic(r),
-    piecewise_linear(breakpoints, slopes). The piecewise-linear map is
-    continuous and anchored at T(0) = 0. ``boundary`` says how mass leaving
-    [0,1] is treated: ``wrap`` folds it around the circle, ``clamp`` piles
-    it onto the boundary cells.
+    piecewise_linear(breakpoints, slopes); noise: uniform(half_width),
+    wrapped_gaussian(sigma) or none, with a finite positive parameter.
+    ``MAP_PARAMS`` and ``NOISE_PARAMS`` name the parameters of each. The
+    piecewise-linear map is continuous and anchored at T(0) = 0.
+    ``boundary`` says how mass leaving [0,1] is treated: ``wrap`` folds it
+    around the circle, ``clamp`` piles it onto the boundary cells.
     """
 
     base_map: str
@@ -58,26 +69,33 @@ class NoisySystem:
     boundary: str = "wrap"
 
     def __post_init__(self):
-        if self.base_map not in BASE_MAPS:
+        if self.base_map not in MAP_PARAMS:
             raise InvalidArgumentError(f"unknown base map {self.base_map!r}")
-        if self.noise not in NOISE_KINDS:
+        if self.noise not in NOISE_PARAMS:
             raise InvalidArgumentError(f"unknown noise law {self.noise!r}")
         if self.boundary not in BOUNDARY_KINDS:
             raise InvalidArgumentError(f"unknown boundary mode {self.boundary!r}")
         object.__setattr__(self, "map_params", dict(self.map_params))
         object.__setattr__(self, "noise_params", dict(self.noise_params))
+        for kind, params, names in (
+            (self.base_map, self.map_params, MAP_PARAMS[self.base_map]),
+            (self.noise, self.noise_params, NOISE_PARAMS[self.noise][1]),
+        ):
+            for key in names:
+                if key not in params:
+                    raise InvalidArgumentError(f"{kind} needs parameter {key!r}")
 
         if self.base_map == "rotation":
-            a = float(self._param(self.map_params, "alpha"))
+            a = float(self.map_params["alpha"])
             if not (0.0 <= a < 1.0):
                 raise InvalidArgumentError("rotation angle must lie in [0,1)")
         elif self.base_map == "logistic":
-            r = float(self._param(self.map_params, "r"))
+            r = float(self.map_params["r"])
             if not (0.0 <= r <= 4.0):
                 raise InvalidArgumentError("logistic parameter must lie in [0,4]")
         elif self.base_map == "piecewise_linear":
-            bp = np.asarray(self._param(self.map_params, "breakpoints"), dtype=np.float64)
-            sl = np.asarray(self._param(self.map_params, "slopes"), dtype=np.float64)
+            bp = np.asarray(self.map_params["breakpoints"], dtype=np.float64)
+            sl = np.asarray(self.map_params["slopes"], dtype=np.float64)
             if sl.size != bp.size + 1:
                 raise InvalidArgumentError("need one slope per segment (breakpoints+1)")
             if bp.size and not (
@@ -87,28 +105,17 @@ class NoisySystem:
             if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(sl))):
                 raise InvalidArgumentError("piecewise-linear parameters must be finite")
 
-        if self.noise == "uniform":
-            d = float(self._param(self.noise_params, "half_width"))
-            if d == 0.0:
-                raise InvalidArgumentError("half_width 0 is degenerate; use noise='none'")
-            if d < 0.0:
-                raise InvalidArgumentError("half_width must be positive")
-        elif self.noise == "wrapped_gaussian":
-            s = float(self._param(self.noise_params, "sigma"))
-            if s <= 0.0:
-                raise InvalidArgumentError("sigma must be positive")
-        else:  # noise-free dynamics must stay inside the domain
-            if self.boundary != "wrap" and not self._range_inside_unit():
-                raise InvalidArgumentError(
-                    "noise='none' requires boundary='wrap' or a map with range in [0,1]"
-                )
-
-    @staticmethod
-    def _param(params, key):
-        try:
-            return params[key]
-        except KeyError:
-            raise InvalidArgumentError(f"missing parameter {key!r}") from None
+        for key in NOISE_PARAMS[self.noise][1]:
+            v = float(self.noise_params[key])
+            if v == 0.0:
+                raise InvalidArgumentError(f"{key} 0 is degenerate; use noise='none'")
+            if not (v > 0.0 and math.isfinite(v)):
+                raise InvalidArgumentError(f"{key} must be finite and positive, got {v!r}")
+        # noise-free dynamics must stay inside the domain
+        if self.noise == "none" and self.boundary != "wrap" and not self._range_inside_unit():
+            raise InvalidArgumentError(
+                "noise='none' requires boundary='wrap' or a map with range in [0,1]"
+            )
 
     def _range_inside_unit(self) -> bool:
         if self.base_map == "rotation":
@@ -342,13 +349,8 @@ def ulam_discretize(
     raw = system.map_values(pts.ravel()).reshape(k, quadrature_points)
     wrap = system.boundary == "wrap"
     images = np.mod(raw, 1.0) if wrap else np.clip(raw, 0.0, 1.0)
-    code = _NOISE_CODE[system.noise]
-    if system.noise == "uniform":
-        param = float(system.noise_params["half_width"])
-    elif system.noise == "wrapped_gaussian":
-        param = float(system.noise_params["sigma"])
-    else:
-        param = 0.0
+    code, names = NOISE_PARAMS[system.noise]
+    param = float(system.noise_params[names[0]]) if names else 0.0
     rows = _backend.ulam_rows(b, np.ascontiguousarray(images), code, param, wrap)
     return _dense_to_kernel(rows, partition, "ulam_discretize")
 

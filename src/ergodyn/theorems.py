@@ -54,10 +54,12 @@ DEFAULT_N_CAP = 2**20
 class CheckReport:
     """Outcome of one executable statement.
 
-    For >=-type checks passed means lhs >= rhs - slack; for <=-type checks
-    passed means lhs <= rhs + slack. witnesses carries the index set the
-    check was evaluated on, when there is a natural one. Reports compare
-    by value, so identical inputs must reproduce identical reports.
+    The report carries its own direction: for ``ge`` checks passed means
+    lhs >= rhs - slack, for ``le`` checks lhs <= rhs + slack (``_report``
+    decides it; the limit checks add conditions of their own). witnesses
+    carries the index set the check was evaluated on, when there is a
+    natural one. Reports compare by value, so identical inputs must
+    reproduce identical reports.
     """
 
     name: str
@@ -67,19 +69,21 @@ class CheckReport:
     slack: float
     witnesses: tuple | None = None
     iterations_used: int = 0
+    direction: str = "ge"
+
+    @property
+    def margin(self) -> float:
+        """How far the asserted side is from the bound: lhs - rhs, or rhs - lhs for ``le``."""
+        return self.lhs - self.rhs if self.direction == "ge" else self.rhs - self.lhs
 
 
-def _ge_report(name, lhs, rhs, slack, witnesses=None, iterations=0):
+def _report(name, direction, lhs, rhs, slack, witnesses=None, iterations=0, also=True):
+    """The report of a ``ge`` or ``le`` statement; it passes when the
+    inequality holds within slack and ``also`` is true."""
+    holds = lhs >= rhs - slack if direction == "ge" else lhs <= rhs + slack
     return CheckReport(
-        name, bool(lhs >= rhs - slack), float(lhs), float(rhs), float(slack),
-        witnesses, int(iterations),
-    )
-
-
-def _le_report(name, lhs, rhs, slack, witnesses=None, iterations=0):
-    return CheckReport(
-        name, bool(lhs <= rhs + slack), float(lhs), float(rhs), float(slack),
-        witnesses, int(iterations),
+        name, bool(holds and also), float(lhs), float(rhs), float(slack),
+        witnesses, int(iterations), direction,
     )
 
 
@@ -145,7 +149,7 @@ def maximal_trials(P: TransitionKernel, mu: Measure, values: np.ndarray,
     for v, best in zip(values.T, maximal_function(P, values, n_max).T):
         E = np.flatnonzero(best > 0.0)
         lhs = float(v[E] @ mu.weights[E])
-        reports.append(_ge_report("maximal", lhs, 0.0, tol, _as_index_tuple(E), n_max))
+        reports.append(_report("maximal", "ge", lhs, 0.0, tol, _as_index_tuple(E), n_max))
     return reports
 
 
@@ -193,10 +197,13 @@ def running_average_extremes(P: TransitionKernel, phi, n_max: int = DEFAULT_N_MA
     return hi, lo
 
 
-#: corollary name -> (test that a state lies in the level set, report, precondition, set)
+#: corollary name -> (direction, its level's key in [checks], the bound of the
+#: extremes on a set and the offset from it that make the default level,
+#: precondition, level set). A ``ge`` corollary bounds the running-average
+#: maxima (level set hi > alpha), a ``le`` one the minima (lo < beta).
 _COROLLARIES = {
-    "corollary_c": (np.greater, _ge_report, "subset_of_c_alpha", "super-average set for alpha"),
-    "corollary_b": (np.less, _le_report, "subset_of_b_beta", "sub-average set for beta"),
+    "corollary_c": ("ge", "alpha", np.min, -0.1, "subset_of_c_alpha", "super-average set for alpha"),
+    "corollary_b": ("le", "beta", np.max, 0.1, "subset_of_b_beta", "sub-average set for beta"),
 }
 
 
@@ -209,7 +216,8 @@ def corollary_trials(name: str, P: TransitionKernel, mu: Measure, values: np.nda
     and levels[t][j] the alpha of column t on sets[j]; for ``corollary_b``
     the minima and beta. Reports come column by column, sets in order.
     """
-    inside, report, condition, what = _COROLLARIES[name]
+    direction, _, _, _, condition, what = _COROLLARIES[name]
+    inside = np.greater if direction == "ge" else np.less
     require_stationary(P, mu, tol)
     sets = [np.asarray(A, dtype=np.int64) for A in sets]
     violations = [invariance_violation(P, mu, A) for A in sets]
@@ -225,14 +233,14 @@ def corollary_trials(name: str, P: TransitionKernel, mu: Measure, values: np.nda
                 raise PreconditionError(f"A is not contained in the {what}", name=condition)
             lhs = float(v[A] @ mu.weights[A])
             rhs = level * float(mu.weights[A].sum())
-            reports.append(report(name, lhs, rhs, tol, _as_index_tuple(A), n_max))
+            reports.append(_report(name, direction, lhs, rhs, tol, _as_index_tuple(A), n_max))
     return reports
 
 
 def _corollary(name, P, mu, phi, level, A, n_max, tol):
     values = phi.values[:, None]
     hi, lo = running_average_extremes(P, values, n_max)
-    extremes = hi if name == "corollary_c" else lo
+    extremes = hi if _COROLLARIES[name][0] == "ge" else lo
     return corollary_trials(name, P, mu, values, extremes, [A], [[level]], n_max, tol)[0]
 
 
@@ -355,17 +363,13 @@ def _limit_reports(P: TransitionKernel, values: np.ndarray, measures, ergodic,
     for t, (mu, watch) in enumerate(zip(measures, watches)):
         limit, res = limits[:, t], residuals[t]
         inv_err = float(np.abs(lifted[watch, t] - limit[watch]).max()) if watch.size else 0.0
-        passed = res <= tol and inv_err <= 10.0 * tol
-        report = CheckReport(
-            "birkhoff", passed, res, 0.0, float(tol), _as_index_tuple(watch), horizons[t]
-        )
+        report = _report("birkhoff", "le", res, 0.0, tol, _as_index_tuple(watch), horizons[t],
+                         also=inv_err <= 10.0 * tol)
         if ergodic[t]:
             target = float(np.ascontiguousarray(values[:, t]) @ mu.weights)
             lhs = float(np.abs(limit[watch] - target).max()) if watch.size else 0.0
-            report = CheckReport(
-                "ergodic_limit", bool(lhs <= tol and passed), lhs, 0.0, float(tol),
-                report.witnesses, report.iterations_used,
-            )
+            report = _report("ergodic_limit", "le", lhs, 0.0, tol, report.witnesses,
+                             report.iterations_used, also=report.passed)
         reports.append(report)
     return limits, reports
 
@@ -413,15 +417,13 @@ def check_ergodic_limit(
     return ergodic_limit_trials(P, mu, phi.values[:, None], tol, n_cap)[0]
 
 
-def periodic_trials(P: TransitionKernel, p: int, measures, values: np.ndarray,
+def periodic_trials(Q: TransitionKernel, measures, values: np.ndarray,
                     tol: float = DEFAULT_TOL, n_cap: int = DEFAULT_N_CAP) -> list:
     """check_periodic_pointwise for each column of a K x T block and each measure.
 
-    P^p is formed once; reports come column by column, measures in order.
+    Q is the p-step kernel P^p, formed once by the caller; reports come
+    column by column, measures in order.
     """
-    if p < 1:
-        raise InvalidArgumentError("period must be a positive integer")
-    Q = P if p == 1 else kernel_power(P, p)
     ergodic = [is_ergodic(Q, mu, tol) for mu in measures]  # also requires stationarity
     m, trials = len(measures), values.shape[1]
     block = np.repeat(values, m, axis=1)
@@ -443,7 +445,9 @@ def check_periodic_pointwise(
     ergodic measure reproduces that report exactly); otherwise only
     existence and invariance of the limit are asserted.
     """
-    return periodic_trials(P, p, [mu], phi.values[:, None], tol, n_cap)[0]
+    if p < 1:
+        raise InvalidArgumentError("period must be a positive integer")
+    return periodic_trials(kernel_power(P, p), [mu], phi.values[:, None], tol, n_cap)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +457,7 @@ def check_periodic_pointwise(
 def lemma1_trials(P: TransitionKernel, values: np.ndarray, tol: float = 1e-12) -> list:
     """check_lemma1 for each column of a K x T block."""
     gap = P.matvec(np.maximum(values, 0.0)) - np.maximum(P.matvec(values), 0.0)
-    return [_ge_report("lemma1", float(g.min()), 0.0, tol) for g in gap.T]
+    return [_report("lemma1", "ge", float(g.min()), 0.0, tol) for g in gap.T]
 
 
 def check_lemma1(P: TransitionKernel, phi: Observable, tol: float = 1e-12) -> CheckReport:
@@ -472,7 +476,7 @@ def lemma2_trials(P: TransitionKernel, mu: Measure, values: np.ndarray,
     for v, lv in zip(values.T, P.matvec(values).T):
         lhs = float(v[v > 0.0] @ w[v > 0.0])
         rhs = float(lv[lv > 0.0] @ w[lv > 0.0])
-        reports.append(_ge_report("lemma2", lhs, rhs, tol))
+        reports.append(_report("lemma2", "ge", lhs, rhs, tol))
     return reports
 
 
@@ -487,14 +491,14 @@ def duality_trials(P: TransitionKernel, values: np.ndarray, weights: np.ndarray,
                    tol: float = 1e-12) -> list:
     """check_duality for each column pair of K x T blocks of observable
     values and measure weights."""
-    return [_le_report("duality", gap, 0.0, tol) for gap in duality_gaps(P, values, weights)]
+    return [_report("duality", "le", gap, 0.0, tol) for gap in duality_gaps(P, values, weights)]
 
 
 def check_duality(
     P: TransitionKernel, phi: Observable, mu: Measure, tol: float = 1e-12
 ) -> CheckReport:
     """The two sides of the defining duality identity agree."""
-    return _le_report("duality", duality_gap(P, phi, mu), 0.0, tol)
+    return _report("duality", "le", duality_gap(P, phi, mu), 0.0, tol)
 
 
 def localization_trials(P: TransitionKernel, mu: Measure, sets, values: np.ndarray,
@@ -521,7 +525,7 @@ def localization_trials(P: TransitionKernel, mu: Measure, sets, values: np.ndarr
         gaps.append(np.abs(left[supp] - right[supp]).max(axis=0) if supp.size else np.zeros(values.shape[1]))
         witnesses.append(_as_index_tuple(A))
     return [
-        _le_report("localization", float(gap[t]), 0.0, tol, wit)
+        _report("localization", "le", float(gap[t]), 0.0, tol, wit)
         for t in range(values.shape[1])
         for gap, wit in zip(gaps, witnesses)
     ]
@@ -567,7 +571,7 @@ def check_levelset_invariance(
     worst = 0.0
     for sel in (v >= alpha, v > alpha, v < alpha):
         worst = max(worst, invariance_violation(P, mu, np.flatnonzero(sel)))
-    return _le_report("levelsets", worst, 0.0, tol, None)
+    return _report("levelsets", "le", worst, 0.0, tol)
 
 
 def nonconvergence_trials(
@@ -590,8 +594,8 @@ def nonconvergence_trials(
     reports = []
     for t, bad in enumerate(((upper > alpha) & (lower < beta)).T):
         bad = np.flatnonzero(bad)
-        reports.append(_le_report(
-            "nonconvergence_empty", bad.size, 0.0, 0.0, _as_index_tuple(bad), horizons[t]
+        reports.append(_report(
+            "nonconvergence_empty", "le", bad.size, 0.0, 0.0, _as_index_tuple(bad), horizons[t]
         ))
     return reports
 

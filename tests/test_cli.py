@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ergodyn import kernel_from_rows, make_uniform_partition, ulam_discretize, NoisySystem
-from ergodyn.cli import load_kernel, load_measure, main, save_kernel, save_measure
+from ergodyn.cli import (
+    config_hash, load_config, load_kernel, load_measure, main, save_kernel, save_measure,
+)
 from ergodyn.space import Measure
 
 from conftest import random_kernel
@@ -321,6 +323,60 @@ class TestInvalidConfiguration:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("noise, key", [("uniform", "half_width"), ("wrapped_gaussian", "sigma")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_noise_parameter_exits_2(self, tmp_path, capsys, noise, key, value):
+        cfg = write_config(
+            tmp_path / "c.cfg",
+            f"[system]\nmap = rotation\nalpha = 0.37\nnoise = {noise}\n{key} = {value}\n"
+            "[partition]\ndomain = circle\ncells = 16\n",
+        )
+        assert main(["kernel-build", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert_one_line_error(capsys)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("system", [
+        "map = tent",
+        "map = rotation",
+        "map = piecewise_linear\nbreakpoints = 0.5",
+        "map = doubling\nnoise = cauchy",
+        "map = doubling\nnoise = uniform\nsigma = 0.1",
+        "map = doubling\nnoise = wrapped_gaussian",
+    ])
+    def test_unknown_or_incomplete_system_exits_2(self, tmp_path, capsys, system):
+        cfg = write_config(
+            tmp_path / "c.cfg", f"[system]\n{system}\n[partition]\ndomain = circle\ncells = 16\n"
+        )
+        assert main(["kernel-build", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("checks", [",", " , ", "lemma1,lemma1", "duality,lemma1,duality"])
+    def test_empty_or_repeated_check_list_exits_2(self, tmp_path, capsys, checks):
+        bundled("swap.kernel", tmp_path)
+        code = main([
+            "verify", "--kernel", str(tmp_path / "swap.kernel"), "--checks", checks,
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert_one_line_error(capsys)
+        assert not (tmp_path / "o").exists()
+
+    def test_config_repeated_check_names_exit_2(self, tmp_path, capsys):
+        bundled("swap.kernel", tmp_path)
+        cfg = write_config(
+            tmp_path / "c.cfg", "[kernel]\npath = swap.kernel\n[checks]\nnames = maximal, maximal\n"
+        )
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert_one_line_error(capsys)
+
+    def test_output_formats_is_an_unknown_key(self, tmp_path, capsys):
+        bundled("swap.kernel", tmp_path)
+        cfg = write_config(
+            tmp_path / "c.cfg", "[kernel]\npath = swap.kernel\n[output]\nformats = report,csv\n"
+        )
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "unknown key 'formats'" in capsys.readouterr().err
+
     def test_largest_u64_seed_accepted(self, tmp_path):
         bundled("swap.kernel", tmp_path)
         code = main([
@@ -437,6 +493,14 @@ class TestDeterminism:
         a = (tmp_path / "a" / "verify_report.txt").read_bytes()
         b = (tmp_path / "b" / "verify_report.txt").read_bytes()
         assert a == b
+
+    @pytest.mark.parametrize("name, digest", [
+        ("swap.cfg", "54c2cbab43e6c5fa"), ("rotation_uniform.cfg", "27475df60e5139d0"),
+    ])
+    def test_bundled_config_hash(self, name, digest):
+        # the schema's defaults are part of the resolved config, so this pins them
+        with resources.as_file(resources.files("ergodyn").joinpath(f"data/{name}")) as path:
+            assert config_hash(load_config(path), 1807) == digest
 
     def test_simulate_csv_byte_identical(self, tmp_path):
         bundled("swap.kernel", tmp_path)

@@ -24,9 +24,11 @@ from ergodyn import (
     periodic_measures,
     stationary_measures,
 )
-from ergodyn import cli
+from dataclasses import replace
+
+from ergodyn import cli, kernel, measures, theorems
 from ergodyn.cli import CHECK_NAMES, _cfg_get
-from ergodyn.theorems import running_average_extremes
+from ergodyn.theorems import _report, running_average_extremes
 
 from conftest import random_kernel, reducible_kernel
 
@@ -37,7 +39,7 @@ def per_trial_reports(name, P, stationaries, cfg, seed):
     same order."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, CHECK_NAMES.index(name)]))
     trials = int(_cfg_get(cfg, "checks", "trials"))
-    if name in cli._EXPENSIVE:
+    if cli.CHECKS[name][0]:
         trials = min(trials, 20)
     n_max = int(_cfg_get(cfg, "checks", "n_max"))
     tol = float(_cfg_get(cfg, "checks", "tol"))
@@ -129,3 +131,31 @@ def test_block_products_equal_column_products(case):
         assert out.shape == block.shape
         for t in range(block.shape[1]):
             assert np.array_equal(out[:, t], product(np.ascontiguousarray(block[:, t])))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_periodic_check_forms_the_power_once(case, monkeypatch):
+    P, cfg = CASES[case]
+    powers = []
+
+    def counted(Q, p):
+        powers.append(p)
+        return kernel_power(Q, p)
+
+    kernel_power = kernel.kernel_power
+    for module in (kernel, measures, theorems, cli):
+        monkeypatch.setattr(module, "kernel_power", counted)
+    cli.run_check("periodic", P, stationary_measures(P), cfg, 1807)
+    assert powers == [2]
+
+
+def test_worst_ranks_each_report_by_its_direction():
+    ge = [_report("maximal", "ge", lhs, 0.0, 1.0) for lhs in (0.5, -0.2, 0.1)]
+    assert cli._worst(ge) == replace(ge[1], iterations_used=3)
+    # the periodic check's reports are named after the limit checks and rank as le
+    le = [_report(name, "le", lhs, 0.0, 1.0)
+          for name, lhs in (("birkhoff", 0.1), ("ergodic_limit", 0.7), ("birkhoff", 0.3))]
+    assert cli._worst(le) == replace(le[1], iterations_used=3)
+    # a failed report wins the slot over any passing one
+    failed = _report("birkhoff", "le", 0.0, 0.0, 1.0, also=False)
+    assert cli._worst(le + [failed]) == replace(failed, iterations_used=4)
