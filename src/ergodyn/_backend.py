@@ -2,7 +2,7 @@
 
 This is the only implementation of CSR products (through one cached SciPy
 ``csr_matrix`` per kernel), trajectory and endpoint sampling, and Ulam row
-assembly. Randomness comes from splitmix64 streams:
+assembly straight into CSR. Randomness comes from splitmix64 streams:
 a trajectory with seed s is fully determined by s, and batch samplers give
 trajectory i the stream seeded by ``master_seed xor i``, so sampled states
 are reproducible bit for bit regardless of batching. ``perfbench/`` times
@@ -112,35 +112,105 @@ def sample_endpoints(kernel_arrays, start, j, master_seed, n_samples):
 
 
 def ulam_rows(boundaries, samples, noise_code, param, wrap):
-    """Accumulate transition rows by averaging noise-CDF differences.
+    """Ulam transition rows in CSR form, averaged over noise-CDF differences.
 
     samples: (K, q) array of base-map images, one row of sample images per
-    cell. Returns a dense (K, K) row matrix.
+    cell. Returns ``(indptr, indices, data)`` holding exactly the entries that
+    are not 0.0, with sorted columns; no K x K array is formed.
+
+    Each row evaluates the CDF only on its noise-support window: per wrap w,
+    the boundaries inside [min image - radius, max image + radius] (shifted
+    by -w) and the first boundary beyond each end. Every CDF value outside
+    the window is exactly 0 or 1, so each kept entry has the bits of a
+    full-width evaluation. A uniform law at least as wide as the circle
+    (half_width >= 1 with wrap) is folded in closed form instead.
     """
+    if wrap and noise_code == 1 and param >= 1.0:
+        rows = _wrapped_uniform_rows(boundaries, samples, param)
+    else:
+        rows = _windowed_rows(boundaries, samples, noise_code, param, wrap)
+    return _csr_from_rows(rows, boundaries.size - 1)
+
+
+def _csr_from_rows(rows, k):
+    # rows yields (first column, values over the following columns) per row
+    indptr = np.zeros(k + 1, dtype=np.int64)
+    indices, data = [], []
+    for i, (c0, row) in enumerate(rows):
+        nz = np.flatnonzero(row)
+        indices.append(nz + c0)
+        data.append(row[nz])
+        indptr[i + 1] = indptr[i] + nz.size
+    return indptr, np.concatenate(indices), np.concatenate(data)
+
+
+def _windowed_rows(boundaries, samples, noise_code, param, wrap):
     k = boundaries.shape[0] - 1
     q = samples.shape[1]
-    out = np.zeros((k, k))
     radius = {1: param, 2: 6.0 * param}.get(noise_code, 0.0)
     n_shift = int(math.ceil(radius)) + 1 if wrap else 0
+    shifts = np.arange(-n_shift, n_shift + 1)
+    # boundary slice [lo, hi] per wrap and row; the slack covers the rounding
+    # of u = b - y + w, so the CDF is exactly 0 at lo and 1 at hi
+    slack = 1e-13 * (2.0 + n_shift + radius)
+    lo = np.searchsorted(boundaries, samples.min(axis=1) - shifts[:, None] - radius - slack, "right") - 1
+    hi = np.searchsorted(boundaries, samples.max(axis=1) - shifts[:, None] + radius + slack)
+    np.clip(lo, 0, k, out=lo)
+    np.clip(hi, lo, k, out=hi)
+    # the columns a row touches, at least two of them: NumPy then sums each
+    # column's q samples in order, as it does on a full row
+    live = hi > lo
+    c1 = np.minimum(np.maximum(np.where(live, hi, 0).max(axis=0), 2), k)
+    c0 = np.minimum(np.where(live, lo, k).min(axis=0), c1 - 2).clip(0)
+    width = int((hi - lo).max())
     # scratch allocated once: the row loop's cost is independent of heap state
-    u, cdf = np.empty((2, q, k + 1))
-    mask = np.empty((q, k + 1), dtype=bool)
-    diff, acc = np.empty((2, q, k))
+    u, cdf = np.empty((2, q, width + 1))
+    mask = np.empty((q, width + 1), dtype=bool)
+    diff = np.empty((q, width))
+    acc_all = np.empty((q, int((c1 - c0).max())))
+    lo, hi, c0, c1 = lo.T.tolist(), hi.T.tolist(), c0.tolist(), c1.tolist()
     for i in range(k):
         y = samples[i][:, None]
+        acc = acc_all[:, :c1[i] - c0[i]]
         acc.fill(0.0)
-        for w in range(-n_shift, n_shift + 1):
-            np.subtract(boundaries[None, :], y, out=u)
-            u += w
-            _noise_cdf(u, noise_code, param, cdf, mask)
+        for w, first, last in zip(shifts.tolist(), lo[i], hi[i]):
+            if first == last:
+                continue
+            m = last - first
+            uw, cw = u[:, :m + 1], cdf[:, :m + 1]
+            np.subtract(boundaries[None, first:last + 1], y, out=uw)
+            uw += w
+            _noise_cdf(uw, noise_code, param, cw, mask[:, :m + 1])
             if not wrap:
-                cdf[:, 0] = 0.0
-                cdf[:, -1] = 1.0
-            np.subtract(cdf[:, 1:], cdf[:, :-1], out=diff)
-            acc += diff
-        np.sum(acc, axis=0, out=out[i])
-        out[i] /= q
-    return out
+                if first == 0:
+                    cw[:, 0] = 0.0
+                if last == k:
+                    cw[:, -1] = 1.0
+            np.subtract(cw[:, 1:], cw[:, :-1], out=diff[:, :m])
+            acc[:, first - c0[i]:last - c0[i]] += diff[:, :m]
+        row = acc.sum(axis=0)
+        row /= q
+        yield c0[i], row
+
+
+def _wrapped_uniform_rows(boundaries, samples, half_width):
+    # cell [a, a + h] receives (C(y + d) - C(y - d)) / 2d, where
+    # C(t) = floor(t) h + clip(t - floor(t) - a, 0, h) is the length of [0, t]
+    # that wraps onto the cell; each part is divided by d before they are
+    # combined, so the row stays finite for any finite d
+    a, h = boundaries[:-1], np.diff(boundaries)
+    q = samples.shape[1]
+    top, bottom = samples + half_width, samples - half_width
+    ftop, fbottom = np.floor(top), np.floor(bottom)
+    turns = (ftop / half_width - fbottom / half_width)[:, :, None]
+    top = (top - ftop)[:, :, None]
+    bottom = (bottom - fbottom)[:, :, None]
+    for i in range(samples.shape[0]):
+        folded = np.clip(top[i] - a, 0.0, h) - np.clip(bottom[i] - a, 0.0, h)
+        mass = turns[i] * h + folded / half_width
+        row = mass.sum(axis=0)
+        row *= 0.5 / q
+        yield 0, row
 
 
 def _noise_cdf(u, noise_code, param, out, mask):
@@ -149,17 +219,15 @@ def _noise_cdf(u, noise_code, param, out, mask):
         np.copyto(out, np.greater_equal(u, 0.0, out=mask))
     elif noise_code == 1:  # uniform on [-delta, delta]
         np.add(u, param, out=out)
-        out /= 2.0 * param
+        out /= param  # then halved: the bits of / (2 param), which overflows past 8.9e307
+        out *= 0.5
         np.clip(out, 0.0, 1.0, out=out)
     else:  # truncated gaussian: Phi(u/sigma) cut at +-6 sigma and renormalised
         from scipy.special import erf
 
         lo = 0.5 * (1.0 + erf(-6.0 / math.sqrt(2.0)))
-        # erf only on the columns where some |u| < 6 sigma: the rest is overwritten below
-        cols = np.flatnonzero(np.less(np.abs(u, out=out), 6.0 * param, out=mask).any(axis=0))
         np.divide(u, param * math.sqrt(2.0), out=out)
-        window = out[:, cols[0]:cols[-1] + 1] if cols.size else out[:, :0]
-        erf(window, out=window)
+        erf(out, out=out)
         out += 1.0
         out *= 0.5
         out -= lo

@@ -13,7 +13,9 @@ Row entry (i, j) of the Ulam matrix approximates
 where the noise mass is an exact CDF difference at the cell edges. On a
 uniform partition with a grid-compatible map (rotation, doubling, tent) the
 midpoint average is exact, so Lebesgue-preserving maps yield doubly
-stochastic matrices to rounding.
+stochastic matrices to rounding. Each row is assembled on the cells its
+noise can reach and goes straight into CSR, so the build forms no K x K
+array; only ``kernel_from_rows`` takes dense rows, from its caller.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ NOISE_PARAMS = {
     "none": (0, ()),
 }
 BOUNDARY_KINDS = ("wrap", "clamp")
+#: Widest wrapped Gaussian on the circle: each Ulam row sums 2 ceil(6 sigma) + 3
+#: shifted copies of the noise, 123 at this limit.
+MAX_WRAP_SIGMA = 10.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,6 +116,11 @@ class NoisySystem:
                 raise InvalidArgumentError(f"{key} 0 is degenerate; use noise='none'")
             if not (v > 0.0 and math.isfinite(v)):
                 raise InvalidArgumentError(f"{key} must be finite and positive, got {v!r}")
+        sigma = float(self.noise_params.get("sigma", 0.0))
+        if self.noise == "wrapped_gaussian" and self.boundary == "wrap" and sigma > MAX_WRAP_SIGMA:
+            raise InvalidArgumentError(
+                f"sigma {sigma!r} exceeds {MAX_WRAP_SIGMA:g}, the widest wrapped Gaussian on the circle"
+            )
         # noise-free dynamics must stay inside the domain
         if self.noise == "none" and self.boundary != "wrap" and not self._range_inside_unit():
             raise InvalidArgumentError(
@@ -304,16 +314,6 @@ def _csr_to_kernel(indptr, indices, data, partition: Partition, what: str) -> Tr
     return TransitionKernel(indptr, indices, data, partition)
 
 
-def _dense_to_kernel(rows: np.ndarray, partition: Partition, what: str) -> TransitionKernel:
-    """Sparsify a dense K x K row matrix and validate it as CSR."""
-    k = partition.cell_count
-    if rows.shape != (k, k):
-        raise DimensionError(f"{what}: expected a {k}x{k} matrix, got {rows.shape}")
-    mask = rows != 0.0  # keeps negative and non-finite entries for the validator
-    indptr = np.concatenate(([0], np.cumsum(mask.sum(axis=1))))
-    return _csr_to_kernel(indptr, np.nonzero(mask)[1], rows[mask], partition, what)
-
-
 def kernel_from_rows(rows, partition: Partition | None = None) -> TransitionKernel:
     """Ingest a square nonnegative matrix as a transition kernel.
 
@@ -326,7 +326,12 @@ def kernel_from_rows(rows, partition: Partition | None = None) -> TransitionKern
         raise DimensionError(f"kernel data must be square, got {rows.shape}")
     if partition is None:
         partition = make_uniform_partition("unit_interval", rows.shape[0])
-    return _dense_to_kernel(rows, partition, "kernel_from_rows")
+    k = partition.cell_count
+    if rows.shape != (k, k):
+        raise DimensionError(f"kernel_from_rows: expected a {k}x{k} matrix, got {rows.shape}")
+    mask = rows != 0.0  # keeps negative and non-finite entries for the validator
+    indptr = np.concatenate(([0], np.cumsum(mask.sum(axis=1))))
+    return _csr_to_kernel(indptr, np.nonzero(mask)[1], rows[mask], partition, "kernel_from_rows")
 
 
 def ulam_discretize(
@@ -338,7 +343,9 @@ def ulam_discretize(
 
     Every cell contributes ``quadrature_points`` midpoint sample images;
     each image spreads its noise mass over the cells through exact CDF
-    differences, wrapped or clamped per the system's boundary mode.
+    differences, wrapped or clamped per the system's boundary mode. The rows
+    come from ``_backend.ulam_rows`` as CSR arrays, evaluated on each row's
+    noise-support window; no K x K array is formed.
     """
     if quadrature_points < 1:
         raise InvalidArgumentError("quadrature_points must be positive")
@@ -351,8 +358,8 @@ def ulam_discretize(
     images = np.mod(raw, 1.0) if wrap else np.clip(raw, 0.0, 1.0)
     code, names = NOISE_PARAMS[system.noise]
     param = float(system.noise_params[names[0]]) if names else 0.0
-    rows = _backend.ulam_rows(b, np.ascontiguousarray(images), code, param, wrap)
-    return _dense_to_kernel(rows, partition, "ulam_discretize")
+    indptr, indices, data = _backend.ulam_rows(b, np.ascontiguousarray(images), code, param, wrap)
+    return _csr_to_kernel(indptr, indices, data, partition, "ulam_discretize")
 
 
 def kernel_power(P: TransitionKernel, p: int) -> TransitionKernel:

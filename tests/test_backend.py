@@ -8,6 +8,7 @@ j = 0..6 steps, and the estimate is estimate_Lj_phi of the cell midpoints
 at j = 6 as (mean, stderr) in float.hex.
 """
 
+import itertools
 import math
 import subprocess
 import sys
@@ -17,7 +18,17 @@ import pytest
 from scipy.special import erf
 
 import ergodyn._backend as backend
-from ergodyn import Observable, estimate_Lj_phi, sample_trajectory
+from ergodyn import (
+    NoisySystem,
+    Observable,
+    estimate_Lj_phi,
+    kernel_from_rows,
+    make_uniform_partition,
+    sample_trajectory,
+    ulam_discretize,
+)
+from ergodyn.errors import InvalidArgumentError
+from ergodyn.kernel import NOISE_PARAMS
 
 from conftest import random_kernel
 
@@ -245,16 +256,109 @@ def _reference_ulam_rows(boundaries, samples, code, param, wrap):
     return out
 
 
-@pytest.mark.parametrize("wrap", [True, False])
+def _sparsified(rows):
+    mask = rows != 0.0
+    return np.concatenate(([0], np.cumsum(mask.sum(axis=1)))), np.nonzero(mask)[1], rows[mask]
+
+
+def assert_same_csr(got, want):
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def _clustered_images(rng, k, q, wrap):
+    # each row's images within one cell width, as a base map's images of one cell
+    samples = rng.random((k, 1)) + rng.random((k, q)) / k
+    samples[0] = rng.random(q) / k  # within one cell of 0: the wrap window crosses 0 mod 1
+    samples[1] = 1.0 - rng.random(q) / k  # within one cell of 1
+    if not wrap:
+        samples[0, 0], samples[1, 0] = 0.0, 1.0  # clamped images on the ends
+    return np.mod(samples, 1.0) if wrap else np.clip(samples, 0.0, 1.0)
+
+
+ROW_CASES = [(0, 0.0), (1, 0.05), (1, 0.7), (2, 0.002), (2, 0.03), (2, 0.4), (2, 0.2)]
+
+
+# half_width 1.3 with wrap is folded in closed form (see the closed-form test)
 @pytest.mark.parametrize(
-    "code,param", [(0, 0.0), (1, 0.05), (1, 0.7), (2, 0.002), (2, 0.03), (2, 0.4)]
+    "code,param,wrap",
+    [(c, p, w) for w in (True, False) for c, p in ROW_CASES] + [(1, 1.3, False)],
 )
 def test_ulam_rows_match_full_width_reference(rng, wrap, code, param):
-    # scratch buffers and the erf column window leave every bit as before
+    # the noise-support windows and scratch buffers leave every bit as before
     for k, q in ((7, 3), (64, 16), (300, 5)):
         boundaries = np.linspace(0.0, 1.0, k + 1)
         samples = rng.random((k, q))
         samples[1, 0] = boundaries[3]  # an image exactly on a boundary
-        got = backend.ulam_rows(boundaries, samples, code, param, wrap)
-        want = _reference_ulam_rows(boundaries, samples, code, param, wrap)
-        assert got.tobytes() == want.tobytes()
+        for images in (samples, _clustered_images(rng, k, q, wrap)):
+            got = backend.ulam_rows(boundaries, images, code, param, wrap)
+            want = _reference_ulam_rows(boundaries, images, code, param, wrap)
+            assert_same_csr(got, _sparsified(want))
+    # uneven cells
+    boundaries = np.concatenate(([0.0], np.sort(rng.random(39)), [1.0]))
+    images = _clustered_images(rng, 40, 4, wrap)
+    got = backend.ulam_rows(boundaries, images, code, param, wrap)
+    assert_same_csr(got, _sparsified(_reference_ulam_rows(boundaries, images, code, param, wrap)))
+
+
+@pytest.mark.parametrize("half_width", [1.0, 1.3, 2.7, 10.5])
+def test_wide_uniform_closed_form_matches_wrap_loop(rng, half_width):
+    for boundaries in (np.linspace(0.0, 1.0, 65), np.concatenate(([0.0], np.sort(rng.random(6)), [1.0]))):
+        k = boundaries.size - 1
+        images = rng.random((k, 16))
+        indptr, indices, data = backend.ulam_rows(boundaries, images, 1, half_width, True)
+        got = np.zeros((k, k))
+        got[np.repeat(np.arange(k), np.diff(indptr)), indices] = data
+        want = _reference_ulam_rows(boundaries, images, 1, half_width, True)
+        assert np.abs(got - want).max() <= 1e-13
+
+
+@pytest.mark.parametrize("half_width", [1e6, 1e300, 1e308])
+def test_wide_uniform_rows_stay_finite(rng, half_width):
+    boundaries = np.linspace(0.0, 1.0, 17)
+    indptr, indices, data = backend.ulam_rows(boundaries, rng.random((16, 4)), 1, half_width, True)
+    assert np.all(np.isfinite(data)) and np.all(data > 0.0)
+    assert np.abs(np.add.reduceat(data, indptr[:-1]) - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("half_width", [1e6, 1e307, 1e308])
+def test_wide_clamped_uniform_piles_half_the_mass_on_each_end(rng, half_width):
+    boundaries = np.linspace(0.0, 1.0, 9)
+    indptr, indices, data = backend.ulam_rows(boundaries, rng.random((8, 4)), 1, half_width, False)
+    rows = np.zeros((8, 8))
+    rows[np.repeat(np.arange(8), np.diff(indptr)), indices] = data
+    assert np.abs(rows[:, [0, -1]] - 0.5).max() <= 1e-6
+
+
+MAPS = {
+    "rotation": {"alpha": 0.37},
+    "doubling": {},
+    "logistic": {"r": 3.9},
+    "piecewise_linear": {"breakpoints": [0.3, 0.7], "slopes": [2.0, -1.0, 3.0]},
+}
+NOISES = {"uniform": {"half_width": 0.05}, "wrapped_gaussian": {"sigma": 0.01}, "none": {}}
+
+
+def _accepted_systems():
+    for base_map, noise, boundary in itertools.product(sorted(MAPS), sorted(NOISES), ("wrap", "clamp")):
+        try:
+            system = NoisySystem(base_map, MAPS[base_map], noise, NOISES[noise], boundary)
+        except InvalidArgumentError:
+            continue  # noise-free clamp with a map that leaves [0, 1]
+        yield pytest.param(system, id=f"{base_map}-{noise}-{boundary}")
+
+
+@pytest.mark.parametrize("system", _accepted_systems())
+def test_ulam_discretize_matches_dense_reference(system):
+    # the public build equals the full-width dense rows, sparsified and validated
+    wrap = system.boundary == "wrap"
+    part = make_uniform_partition("circle" if wrap else "unit_interval", 257)
+    b = part.boundaries
+    code, names = NOISE_PARAMS[system.noise]
+    param = float(system.noise_params[names[0]]) if names else 0.0
+    for q in (1, 16):
+        pts = b[:-1, None] + np.diff(b)[:, None] * ((np.arange(q) + 0.5) / q)[None, :]
+        raw = system.map_values(pts.ravel()).reshape(257, q)
+        images = np.mod(raw, 1.0) if wrap else np.clip(raw, 0.0, 1.0)
+        want = kernel_from_rows(_reference_ulam_rows(b, images, code, param, wrap), part)
+        got = ulam_discretize(system, part, q)
+        assert_same_csr((got.indptr, got.indices, got.data), (want.indptr, want.indices, want.data))

@@ -1,4 +1,5 @@
 import shutil
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from ergodyn.space import Measure
 
 from conftest import random_kernel
 
+DATA = Path(__file__).parent / "data"
 
 def bundled(name, dst):
     with resources.as_file(resources.files("ergodyn").joinpath(f"data/{name}")) as p:
@@ -335,6 +337,16 @@ class TestInvalidConfiguration:
         assert_one_line_error(capsys)
         assert not (tmp_path / "o").exists()
 
+    def test_wrapped_gaussian_beyond_the_limit_exits_2(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.cfg",
+            "[system]\nmap = rotation\nalpha = 0.37\nnoise = wrapped_gaussian\nsigma = 1e5\n"
+            "boundary = wrap\n[partition]\ndomain = circle\ncells = 16\n",
+        )
+        assert main(["kernel-build", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "exceeds 10" in err, err
+
     @pytest.mark.parametrize("system", [
         "map = tent",
         "map = rotation",
@@ -441,6 +453,32 @@ class TestKernelBuild:
         P = load_kernel(tmp_path / "o" / "kernel.txt")
         dense = P.to_dense()
         assert np.abs(dense.sum(axis=1) - 1).max() <= 1e-12
+
+
+    @pytest.mark.parametrize("half_width", ["1e6", "1e308"])
+    def test_uniform_noise_wider_than_the_circle_builds_fast(self, tmp_path, half_width):
+        cfg = write_config(
+            tmp_path / "c.cfg",
+            f"[system]\nmap = rotation\nalpha = 0.37\nnoise = uniform\nhalf_width = {half_width}\n"
+            "boundary = wrap\n[partition]\ndomain = circle\ncells = 16\n",
+        )
+        start = time.perf_counter()
+        assert main(["kernel-build", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert time.perf_counter() - start < 1.0
+        P = load_kernel(tmp_path / "o" / "kernel.txt")
+        assert np.abs(np.add.reduceat(P.data, P.indptr[:-1]) - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("config, golden", [
+        ("pipeline_logistic_k64.cfg", "pipeline_logistic_k64.kernel"),
+        ("doubling_gaussian_k64.cfg", "doubling_gaussian_k64.kernel"),
+        ("rotation_uniform.cfg", "rotation_uniform.kernel"),
+    ])
+    def test_build_matches_golden_kernel_file(self, tmp_path, config, golden):
+        # golden files written by the dense-row Ulam assembly that the windowed one replaced;
+        # the bundled rotation config is also the rotation benchmark workload at K=64
+        cfg = DATA / config if (DATA / config).exists() else bundled(config, tmp_path)
+        assert main(["kernel-build", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "kernel.txt").read_bytes() == (DATA / golden).read_bytes()
 
 
 class TestMeasureCommand:

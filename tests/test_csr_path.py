@@ -2,7 +2,7 @@
 
 Each CSR step is compared with the dense computation it replaced: the
 loader and the validator bit for bit, ``kernel_power`` and the class solve
-within rounding. A memory guard fails if the load -> stationary ->
+within rounding. Memory guards fail if the Ulam build or the load -> stationary ->
 periodic path forms a dense K x K array again.
 """
 
@@ -212,3 +212,17 @@ def test_sparse_path_peak_below_one_dense_matrix(small_noise_kernel_file):
     assert peak < dense_bytes, f"peak {peak / 2**20:.1f} MiB"
     assert math.isclose(mu.weights.sum(), 1.0, abs_tol=1e-12)
     assert [d for _nu, d in periodic] == [1]
+
+
+def test_ulam_build_peak_below_one_dense_matrix():
+    """ulam_discretize at K=2048 builds its rows straight into CSR."""
+    system = NoisySystem("logistic", {"r": 3.9}, "wrapped_gaussian", {"sigma": 0.002}, "clamp")
+    partition = make_uniform_partition("unit_interval", 2048)
+    tracemalloc.start()
+    try:
+        P = ulam_discretize(system, partition)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2048 * 2048 * 8, f"peak {peak / 2**20:.1f} MiB"
+    assert P.nnz * 16 < peak  # the kernel itself is traced
