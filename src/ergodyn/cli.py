@@ -22,6 +22,7 @@ import argparse
 import configparser
 import hashlib
 import io
+import math
 import sys
 import warnings
 from dataclasses import dataclass, replace
@@ -290,13 +291,20 @@ def load_config(path) -> dict:
     for section, key in (("solver", "tol"), ("checks", "tol")):
         if section in cfg:
             _positive(cfg[section][key], f"{key} in [{section}]")
+    if "solver" in cfg and cfg["solver"]["max_iter"] < 1:
+        raise ConfigError(f"max_iter in [solver] must be at least 1, got {cfg['solver']['max_iter']}")
+    for key in ("alpha", "beta"):
+        value = cfg.get("checks", {}).get(key)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{key} in [checks] must be finite, got {value!r}")
     return cfg
 
 
 def _positive(tol: float, what: str) -> float:
-    """A tolerance from the config or the command line; it must be positive (not NaN)."""
-    if not tol > 0.0:
-        raise ConfigError(f"{what} must be positive, got {tol!r}")
+    """A tolerance from the config or the command line; it must be finite and
+    positive (an infinite one would pass every check and accept any iterate)."""
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ConfigError(f"{what} must be finite and positive, got {tol!r}")
     return tol
 
 
@@ -504,10 +512,12 @@ def _run_corollary(name: str, r: _CheckRun) -> list:
 
 
 def _run_periodic(r: _CheckRun) -> list:
-    """The periodic theorem on the measures fixed by the p-step kernel, which is formed once."""
-    Q = kernel_power(r.P, r.opt("p"))
-    fixed = stationary_measures(
-        Q, _cfg_get(r.cfg, "solver", "tol"), _cfg_get(r.cfg, "solver", "max_iter"))
+    """The periodic theorem on the measures fixed by the p-step kernel. The
+    measures come from P's class solves; the limits run on Q = P^p, formed once."""
+    p = r.opt("p")
+    fixed = [nu for nu, _ in periodic_measures(
+        r.P, p, _cfg_get(r.cfg, "solver", "tol"), _cfg_get(r.cfg, "solver", "max_iter"))]
+    Q = kernel_power(r.P, p)
     return periodic_trials(Q, fixed, r.observables(), r.opt("tol"), r.opt("n_cap"))
 
 

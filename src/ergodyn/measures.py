@@ -8,6 +8,13 @@ graph period of the class, which removes the rotating spectrum exactly and
 converges geometrically (a full-history average would only converge like
 1/n and could not meet tight residual tolerances).
 
+Periodic measures come from the same solve. A closed class of period d
+splits into d cyclic classes, which the dual operator visits in turn; the
+p-th power's closed classes in it are the g = gcd(p, d) unions of cyclic
+classes taken g apart, and its ergodic measures are the class's stationary
+measure restricted to one union and renormalised (Seneta, Non-negative
+Matrices and Markov Chains, 1981, ch. 1). No power of the kernel is formed.
+
 "Almost everywhere" statements are evaluated on the support of the measure:
 a set A is mu-a.e. invariant when every supported state of A sends all its
 mass into A and every supported state outside sends none.
@@ -17,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -24,7 +32,7 @@ from scipy.sparse.csgraph import connected_components, shortest_path
 
 from . import _backend
 from .errors import ConvergenceError, InvalidArgumentError, NotStationaryError
-from .kernel import TransitionKernel, kernel_power
+from .kernel import TransitionKernel
 from .space import Measure
 
 
@@ -87,18 +95,20 @@ def closed_classes(P: TransitionKernel, edge_threshold: float = 0.0) -> list:
     return _closed_classes_on(P, np.arange(P.K), edge_threshold)
 
 
-def _graph_period(sub) -> int:
-    """Period of a strongly connected 0/1 digraph (gcd of cycle lengths).
+def _graph_period(sub) -> tuple:
+    """Period of a strongly connected 0/1 digraph (gcd of cycle lengths), with
+    each state's breadth-first level from state 0.
 
-    ``sub`` is a dense array or a SciPy sparse matrix. With breadth-first
-    levels from state 0, the period is the gcd over all edges u -> v of
-    |level[u] + 1 - level[v]|.
+    ``sub`` is a dense array or a SciPy sparse matrix. The period d is the
+    gcd over all edges u -> v of |level[u] + 1 - level[v]|, and a state's
+    cyclic class is its level mod d: every edge leads from class c to class
+    c + 1 mod d.
     """
     edges = csr_matrix(sub)
     level = shortest_path(edges, unweighted=True, indices=0).astype(np.int32)
     u = np.repeat(np.arange(sub.shape[0], dtype=np.int32), np.diff(edges.indptr))
     g = int(np.gcd.reduce(np.abs(level[u] + 1 - level[edges.indices])))
-    return g if g > 0 else 1
+    return (g if g > 0 else 1), level
 
 
 def _solve_class(sub, tol: float, max_iter: int):
@@ -106,12 +116,13 @@ def _solve_class(sub, tol: float, max_iter: int):
 
     Power iteration averaged over one graph period: the window mean kills
     the rotating eigenvalues exactly, so the averaged iterates converge
-    geometrically even for periodic classes.
+    geometrically even for periodic classes. Returns the vector, the number
+    of windows, the period and the breadth-first levels of ``_graph_period``.
     """
     m = sub.shape[0]
     if m == 1:
-        return np.ones(1), 1
-    d = _graph_period(sub > 0.0)
+        return np.ones(1), 1, 1, np.zeros(1, dtype=np.int32)
+    d, level = _graph_period(sub > 0.0)
     step = sub.T.tocsr()  # x @ sub as a CSR product; each entry sums in state order
     x = np.full(m, 1.0 / m)
     res = math.inf
@@ -125,7 +136,7 @@ def _solve_class(sub, tol: float, max_iter: int):
         avg /= avg.sum()
         res = float(np.abs(_backend.matvec(step, avg) - avg).sum())
         if res <= tol:
-            return avg, it
+            return avg, it, d, level
         x = cur
     raise ConvergenceError(
         f"class solve stalled at residual {res:.3e} after {max_iter} windows",
@@ -133,17 +144,42 @@ def _solve_class(sub, tol: float, max_iter: int):
     )
 
 
+class _ClassSolve(NamedTuple):
+    """One closed class of a kernel, solved: its sorted states, its stationary
+    vector on them, its period and each state's breadth-first level."""
+
+    states: np.ndarray
+    pi: np.ndarray
+    period: int
+    level: np.ndarray
+
+
+def _class_solves(P: TransitionKernel, tol: float, max_iter: int) -> list:
+    """Every closed class of P solved once per (tol, max_iter), cached on the
+    kernel; stationary and periodic measures are both read from it."""
+    if tol <= 0.0:
+        raise InvalidArgumentError("tol must be positive")
+    key = ("class_solves", tol, max_iter)
+    cache = P._cache
+    if key not in cache:
+        solves = []
+        for cls in closed_classes(P):
+            pi, _, d, level = _solve_class(P.restrict(cls), tol, max_iter)
+            for arr in (cls, pi, level):
+                arr.setflags(write=False)
+            solves.append(_ClassSolve(cls, pi, d, level))
+        cache[key] = solves
+    return cache[key]
+
+
 def stationary_measures(
     P: TransitionKernel, tol: float = 1e-12, max_iter: int = 100000
 ) -> list:
     """All ergodic measures fixed by the dual operator, one per closed class."""
-    if tol <= 0.0:
-        raise InvalidArgumentError("tol must be positive")
     out = []
-    for cls in closed_classes(P):
-        local, _ = _solve_class(P.restrict(cls), tol, max_iter)
+    for cls in _class_solves(P, tol, max_iter):
         weights = np.zeros(P.K)
-        weights[cls] = local
+        weights[cls.states] = cls.pi
         out.append(Measure(weights, P.partition))
     return out
 
@@ -212,20 +248,22 @@ def periodic_measures(
 ) -> list:
     """Ergodic fixed points of the p-th dual power, with minimal periods.
 
-    Solves the stationary problem for P^p and scans d = 1..p for the least
-    d with ||(L*)^d nu - nu||_1 <= tol; that minimal period always divides p.
+    Read from P's own class solves, which ``stationary_measures`` shares. A
+    closed class of period d with stationary vector pi carries g = gcd(p, d)
+    of them: pi restricted to the states whose level is r mod g, renormalised,
+    for r = 0..g-1. The dual operator moves union r onto union r + 1 mod g,
+    so each has minimal period exactly g, a divisor of p. Pairs (measure,
+    period) come back sorted by the smallest state of their support.
     """
     if p < 1:
         raise InvalidArgumentError("period must be a positive integer")
-    fixed = stationary_measures(kernel_power(P, p), tol, max_iter)
-    out = []
-    for nu in fixed:
-        w = nu.weights
-        minimal = p
-        for d in range(1, p + 1):
-            w = P.rmatvec(w)
-            if float(np.abs(w - nu.weights).sum()) <= tol:
-                minimal = d
-                break
-        out.append((nu, minimal))
-    return out
+    found = []
+    for cls in _class_solves(P, tol, max_iter):
+        g = math.gcd(int(p), cls.period)
+        for r in range(g):
+            union = cls.level % g == r
+            weights = np.zeros(P.K)
+            weights[cls.states[union]] = cls.pi[union] / cls.pi[union].sum()
+            found.append((int(cls.states[union][0]), Measure(weights, P.partition), g))
+    found.sort(key=lambda item: item[0])
+    return [(nu, g) for _, nu, g in found]

@@ -306,7 +306,7 @@ class TestInvalidConfiguration:
         assert_one_line_error(capsys)
 
     @pytest.mark.parametrize("command", ["measure", "verify"])
-    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "-inf"])
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "-inf", "inf"])
     def test_tol_not_positive_exits_2(self, tmp_path, capsys, command, tol):
         bundled("swap.kernel", tmp_path)
         code = main([
@@ -318,12 +318,32 @@ class TestInvalidConfiguration:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("section", ["solver", "checks"])
-    @pytest.mark.parametrize("tol", ["0", "nan"])
+    @pytest.mark.parametrize("tol", ["0", "nan", "inf"])
     def test_config_tol_not_positive_exits_2(self, tmp_path, capsys, section, tol):
         bundled("swap.kernel", tmp_path)
         cfg = write_config(tmp_path / "c.cfg", f"[kernel]\npath = swap.kernel\n[{section}]\ntol = {tol}\n")
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("command", ["measure", "verify"])
+    @pytest.mark.parametrize("section, line", [
+        ("solver", "tol = inf"), ("checks", "tol = inf"),
+        ("solver", "max_iter = 0"), ("solver", "max_iter = -4"),
+        ("checks", "alpha = nan"), ("checks", "beta = nan"),
+        ("checks", "alpha = inf"), ("checks", "beta = -inf"),
+    ])
+    def test_unusable_tolerance_cap_or_level_exits_2(self, tmp_path, capsys, command, section, line):
+        # an infinite tolerance passed every check, and a cap below 1 ran no window at all
+        cfg = bundled("rotation_uniform.cfg", tmp_path)
+        text = cfg.read_text()
+        if section == "checks":
+            text = text.replace("[checks]\n", f"[checks]\n{line}\n")
+        else:
+            text += f"\n[{section}]\n{line}\n"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert_one_line_error(capsys)
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("noise, key", [("uniform", "half_width"), ("wrapped_gaussian", "sigma")])
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -516,6 +536,66 @@ class TestMeasureCommand:
         assert "[periodic p=2]" in text
         assert "minimal_period_0=2" in text
         assert "minimal_period_1=2" in text
+
+    @pytest.mark.parametrize("p", [10**18, 10**23])
+    def test_huge_period_on_the_rotation(self, tmp_path, p):
+        # P^p is never formed: only gcd(p, d) enters, so a huge p is as cheap as p = 2
+        cfg = bundled("rotation_uniform.cfg", tmp_path)
+        kernel = str(DATA / "rotation_uniform.kernel")
+        assert main(["measure", "--config", str(cfg), "--kernel", kernel, "--out", str(tmp_path / "two")]) == 0
+        cfg.write_text(cfg.read_text().replace("p = 2\n", f"p = {p}\n"))
+        start = time.perf_counter()
+        assert main(["measure", "--config", str(cfg), "--kernel", kernel, "--out", str(tmp_path / "o")]) == 0
+        assert time.perf_counter() - start < 1.0
+        got = periodic_section(tmp_path / "o")
+        assert got["count"] == "1" and got["minimal_period_0"] == "1"
+        assert got["support_0"] == periodic_section(tmp_path / "two")["support_0"]
+
+    @pytest.mark.parametrize("p, count", [(3 * 10**17, 3), (10**18, 1)])
+    def test_huge_period_on_a_three_cyclic_kernel(self, tmp_path, p, count):
+        cfg = write_config(tmp_path / "c.cfg", f"[checks]\np = {p}\n")
+        kernel = str(DATA / "cyclic3_k24.kernel")
+        start = time.perf_counter()
+        assert main(["measure", "--config", cfg, "--kernel", kernel, "--out", str(tmp_path / "o")]) == 0
+        assert time.perf_counter() - start < 1.0
+        got = periodic_section(tmp_path / "o")
+        assert got["count"] == str(count)
+        assert [got[f"minimal_period_{k}"] for k in range(count)] == [str(count)] * count
+        supports = sorted(int(i) for k in range(count) for i in got[f"support_{k}"].split(","))
+        assert supports == list(range(24))
+
+    @pytest.mark.parametrize("name, config, kernel", [
+        ("pipeline_logistic_k64", "pipeline_logistic_k64.cfg", "pipeline_logistic_k64.kernel"),
+        ("doubling_gaussian_k64", "doubling_gaussian_k64.cfg", "doubling_gaussian_k64.kernel"),
+        ("rotation_uniform", "rotation_uniform.cfg", "rotation_uniform.kernel"),
+        ("swap", "swap.cfg", None),
+        ("cyclic3_k24_p2", "[checks]\np = 2\n", "cyclic3_k24.kernel"),
+        ("cyclic3_k24_p3", "[checks]\np = 3\n", "cyclic3_k24.kernel"),
+        ("cyclic3_k24_p6", "[checks]\np = 6\n", "cyclic3_k24.kernel"),
+    ])
+    def test_report_matches_golden_file(self, tmp_path, name, config, kernel):
+        # golden reports written by the measure command that solved the classes of P^p again,
+        # except the pipeline's minimal period: 1, where that command's tolerance scan printed 2
+        if "\n" in config:
+            cfg = write_config(tmp_path / "c.cfg", config)
+        elif (DATA / config).exists():
+            cfg = str(DATA / config)
+        else:  # a bundled config, next to the kernel file it may name
+            bundled("swap.kernel", tmp_path)
+            cfg = str(bundled(config, tmp_path))
+        argv = ["measure", "--config", cfg, "--out", str(tmp_path / "o")]
+        if kernel:
+            argv += ["--kernel", str(DATA / kernel)]
+        assert main(argv) == 0
+        golden = DATA / f"{name}.measure_report.txt"
+        assert (tmp_path / "o" / "measure_report.txt").read_bytes() == golden.read_bytes()
+
+
+def periodic_section(out_dir):
+    """The key=value lines of a measure report's periodic section."""
+    text = (Path(out_dir) / "measure_report.txt").read_text()
+    body = text.split("\n[periodic p=", 1)[1].split("\n", 1)[1]
+    return dict(line.split("=", 1) for line in body.splitlines() if "=" in line)
 
 
 class TestDeterminism:

@@ -8,6 +8,7 @@ periodic path forms a dense K x K array again.
 
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from ergodyn import (
     make_uniform_partition,
     ulam_discretize,
 )
+from ergodyn import cli, kernel, measures
 from ergodyn.cli import load_kernel, save_kernel
 from ergodyn.errors import InvalidKernelError
 from ergodyn.measures import (
@@ -150,7 +152,7 @@ def dense_solve_class(sub, tol, max_iter=100000):
     m = sub.shape[0]
     if m == 1:
         return np.ones(1), 1
-    d = _graph_period(sub > 0.0)
+    d, _ = _graph_period(sub > 0.0)
     x = np.full(m, 1.0 / m)
     for it in range(1, max_iter + 1):
         acc = np.zeros(m)
@@ -174,17 +176,22 @@ class TestSparseClassSolve:
                 Q = kernel_power(P, p)
                 for cls in closed_classes(Q):
                     sub = Q.restrict(cls)
-                    got, windows = _solve_class(sub, tol, 100000)
+                    got, windows, d, level = _solve_class(sub, tol, 100000)
                     want, want_windows = dense_solve_class(Q.to_dense()[np.ix_(cls, cls)], tol)
                     assert np.abs(got - want).max() <= 1e-14, (name, p)
                     assert windows == want_windows, (name, p)
+                    want_d, want_level = _graph_period(sub > 0.0)
+                    assert d == want_d and np.array_equal(level, want_level), (name, p)
 
     def test_graph_period_takes_csr(self, rng):
         for p in (1, 2, 3, 4):
             P = cyclic_kernel(rng, p, 4)
             (cls,) = closed_classes(P)
             sub = P.restrict(cls)
-            assert _graph_period(sub > 0.0) == _graph_period(sub.toarray() > 0.0) == p
+            d, level = _graph_period(sub > 0.0)
+            dense_d, dense_level = _graph_period(sub.toarray() > 0.0)
+            assert d == dense_d == p
+            assert np.array_equal(level, dense_level)
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +219,38 @@ def test_sparse_path_peak_below_one_dense_matrix(small_noise_kernel_file):
     assert peak < dense_bytes, f"peak {peak / 2**20:.1f} MiB"
     assert math.isclose(mu.weights.sum(), 1.0, abs_tol=1e-12)
     assert [d for _nu, d in periodic] == [1]
+
+
+def test_periodic_measures_reuse_the_class_solves(small_noise_kernel_file, monkeypatch):
+    """After the stationary solve, periodic(p=2) solves nothing and copies no kernel."""
+    path, _ = small_noise_kernel_file
+    P = load_kernel(path)
+    (mu,) = stationary_measures(P)
+    solves = []
+    monkeypatch.setattr(measures, "_solve_class", lambda *args: solves.append(args))
+    tracemalloc.start()
+    try:
+        periodic = periodic_measures(P, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < P.nnz * 16, f"peak {peak / 2**10:.1f} KiB"  # one copy of P's CSR
+    assert solves == []
+    (nu, d), = periodic
+    assert d == 1 and nu.weights.tobytes() == (mu.weights / mu.weights.sum()).tobytes()
+
+
+def test_measure_command_never_forms_a_power(monkeypatch, tmp_path):
+    def refuse(P, p):
+        raise AssertionError(f"kernel_power({P}, {p}) called")
+
+    monkeypatch.setattr(kernel, "kernel_power", refuse)
+    monkeypatch.setattr(cli, "kernel_power", refuse)
+    data = Path(__file__).parent / "data"
+    assert cli.main([
+        "measure", "--config", str(data / "pipeline_logistic_k64.cfg"),
+        "--kernel", str(data / "pipeline_logistic_k64.kernel"), "--out", str(tmp_path / "o"),
+    ]) == 0
 
 
 def test_ulam_build_peak_below_one_dense_matrix():

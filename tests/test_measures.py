@@ -82,7 +82,7 @@ def brute_force_invariant_sets(P, mu, tol):
 
 
 def breadth_first_period(sub):
-    """The period by an explicit breadth-first search and a gcd over edges."""
+    """The period and the levels by an explicit breadth-first search and a gcd over edges."""
     level = -np.ones(sub.shape[0], dtype=np.int64)
     level[0] = 0
     frontier = [0]
@@ -97,7 +97,7 @@ def breadth_first_period(sub):
     g = 0
     for u, v in zip(*np.nonzero(sub)):
         g = math.gcd(g, int(level[u]) + 1 - int(level[v]))
-    return g if g > 0 else 1
+    return (g if g > 0 else 1), level
 
 
 class TestGraphPeriod:
@@ -114,9 +114,14 @@ class TestGraphPeriod:
                 rng.random((n, n)) < rng.uniform(0.05, 0.6)
             )
             sub[order, np.roll(order, -1)] = True
-            got = _graph_period(sub)
-            assert got == breadth_first_period(sub)
+            got, level = _graph_period(sub)
+            want, want_level = breadth_first_period(sub)
+            assert got == want
+            assert np.array_equal(level, want_level)
             assert got % d == 0
+            # the levels mod the period are the cyclic classes: each edge moves one class on
+            u, v = np.nonzero(sub)
+            assert np.array_equal(level[v] % got, (level[u] + 1) % got)
             seen.add(got)
         assert seen >= {1, 2, 3, 4, 5}
 

@@ -26,7 +26,7 @@ from ergodyn import (
 )
 from dataclasses import replace
 
-from ergodyn import cli, kernel, measures, theorems
+from ergodyn import cli, kernel, theorems
 from ergodyn.cli import CHECK_NAMES, _cfg_get
 from ergodyn.theorems import _report, running_average_extremes
 
@@ -143,7 +143,7 @@ def test_periodic_check_forms_the_power_once(case, monkeypatch):
         return kernel_power(Q, p)
 
     kernel_power = kernel.kernel_power
-    for module in (kernel, measures, theorems, cli):
+    for module in (kernel, theorems, cli):
         monkeypatch.setattr(module, "kernel_power", counted)
     cli.run_check("periodic", P, stationary_measures(P), cfg, 1807)
     assert powers == [2]
