@@ -118,30 +118,53 @@ def ulam_rows(boundaries, samples, noise_code, param, wrap):
     cell. Returns ``(indptr, indices, data)`` holding exactly the entries that
     are not 0.0, with sorted columns; no K x K array is formed.
 
-    Each row evaluates the CDF only on its noise-support window: per wrap w,
-    the boundaries inside [min image - radius, max image + radius] (shifted
-    by -w) and the first boundary beyond each end. Every CDF value outside
-    the window is exactly 0 or 1, so each kept entry has the bits of a
-    full-width evaluation. A uniform law at least as wide as the circle
+    Rows are built a block at a time, each on its noise-support window: per
+    wrap w, the boundaries inside [min image - radius, max image + radius]
+    (shifted by -w) and the first boundary beyond each end. Every CDF value
+    outside the window is exactly 0 or 1, so each kept entry has the bits of
+    a full-width evaluation. A uniform law at least as wide as the circle
     (half_width >= 1 with wrap) is folded in closed form instead.
     """
     if wrap and noise_code == 1 and param >= 1.0:
-        rows = _wrapped_uniform_rows(boundaries, samples, param)
+        blocks = _wrapped_uniform_rows(boundaries, samples, param)
     else:
-        rows = _windowed_rows(boundaries, samples, noise_code, param, wrap)
-    return _csr_from_rows(rows, boundaries.size - 1)
-
-
-def _csr_from_rows(rows, k):
-    # rows yields (first column, values over the following columns) per row
-    indptr = np.zeros(k + 1, dtype=np.int64)
-    indices, data = [], []
-    for i, (c0, row) in enumerate(rows):
-        nz = np.flatnonzero(row)
-        indices.append(nz + c0)
-        data.append(row[nz])
-        indptr[i + 1] = indptr[i] + nz.size
+        blocks = _windowed_rows(boundaries, samples, noise_code, param, wrap)
+    counts, indices, data = [], [], []
+    for c0, rows in blocks:
+        # blocks yield each row's first column and its values over the
+        # following columns; nonzero keeps row-major order
+        r, c = np.nonzero(rows)
+        counts.append(np.bincount(r, minlength=rows.shape[0]))
+        indices.append(c + c0[r])
+        data.append(rows[r, c])
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
     return indptr, np.concatenate(indices), np.concatenate(data)
+
+
+#: Scratch entries of one block of Ulam rows: rows x samples x (widest row + 1).
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _row_blocks(widths, q):
+    """First row of each block of consecutive rows, for row widths in columns.
+
+    A block pads its rows to its widest, so it holds (rows) x q x (widest + 1)
+    scratch entries; it grows while that stays within ``_BLOCK_ENTRIES``, and
+    a row wider than the budget gets a block of its own.
+    """
+    first, widest = 0, 0
+    for i, w in enumerate(widths):
+        widest = max(widest, w)
+        if i > first and (i + 1 - first) * q * (widest + 1) > _BLOCK_ENTRIES:
+            yield first
+            first, widest = i, w
+    yield first
+
+
+def _blocks(widths, q):
+    """(first row, end row, widest row width) of each block of rows."""
+    starts = list(_row_blocks(widths.tolist(), q))
+    return list(zip(starts, starts[1:] + [widths.size], np.maximum.reduceat(widths, starts).tolist()))
 
 
 def _windowed_rows(boundaries, samples, noise_code, param, wrap):
@@ -162,35 +185,42 @@ def _windowed_rows(boundaries, samples, noise_code, param, wrap):
     live = hi > lo
     c1 = np.minimum(np.maximum(np.where(live, hi, 0).max(axis=0), 2), k)
     c0 = np.minimum(np.where(live, lo, k).min(axis=0), c1 - 2).clip(0)
-    width = int((hi - lo).max())
-    # scratch allocated once: the row loop's cost is independent of heap state
-    u, cdf = np.empty((2, q, width + 1))
-    mask = np.empty((q, width + 1), dtype=bool)
-    diff = np.empty((q, width))
-    acc_all = np.empty((q, int((c1 - c0).max())))
-    lo, hi, c0, c1 = lo.T.tolist(), hi.T.tolist(), c0.tolist(), c1.tolist()
-    for i in range(k):
-        y = samples[i][:, None]
-        acc = acc_all[:, :c1[i] - c0[i]]
+    # a block evaluates each wrap on one column range [c0 + start, c0 + stop]
+    # per row, which holds the row's slice: CDF values outside a slice are
+    # exactly 0 or 1, so the extra columns add exact zeros
+    lo, hi = lo - c0, hi - c0
+    bounds = _blocks(c1 - c0, q)
+    size = max((b - a) * q * (span + 1) for a, b, span in bounds)
+    # scratch allocated once: the loop's cost is independent of heap state
+    u, cdf, acc_all = np.empty((3, size))
+    mask = np.empty(size, dtype=bool)
+    cols = np.arange(int((c1 - c0).max()) + 1)
+    for a, b, span in bounds:
+        n = b - a
+        y = samples[a:b, :, None]
+        acc = acc_all[:n * q * span].reshape(n, q, span)
         acc.fill(0.0)
-        for w, first, last in zip(shifts.tolist(), lo[i], hi[i]):
-            if first == last:
+        for w, first, last in zip(shifts.tolist(), lo[:, a:b], hi[:, a:b]):
+            on = last > first
+            if not on.any():
                 continue
-            m = last - first
-            uw, cw = u[:, :m + 1], cdf[:, :m + 1]
-            np.subtract(boundaries[None, first:last + 1], y, out=uw)
+            start, stop = int(first[on].min()), int(last[on].max())
+            m = n * q * (stop - start + 1)
+            idx = np.minimum(c0[a:b, None] + cols[start:stop + 1], k)
+            uw = u[:m].reshape(n, q, -1)
+            cw = cdf[:m].reshape(uw.shape)
+            np.subtract(boundaries[idx][:, None, :], y, out=uw)
             uw += w
-            _noise_cdf(uw, noise_code, param, cw, mask[:, :m + 1])
-            if not wrap:
-                if first == 0:
-                    cw[:, 0] = 0.0
-                if last == k:
-                    cw[:, -1] = 1.0
-            np.subtract(cw[:, 1:], cw[:, :-1], out=diff[:, :m])
-            acc[:, first - c0[i]:last - c0[i]] += diff[:, :m]
-        row = acc.sum(axis=0)
-        row /= q
-        yield c0[i], row
+            _noise_cdf(uw, noise_code, param, cw, mask[:m].reshape(uw.shape))
+            if not wrap:  # clamp: mass below 0 and above 1 lands on the end cells
+                cw[idx[:, 0] == 0, :, 0] = 0.0
+                np.copyto(cw, 1.0, where=(idx == k)[:, None, :])
+            diff = uw[:, :, :-1]
+            np.subtract(cw[:, :, 1:], cw[:, :, :-1], out=diff)
+            acc[:, :, start:stop] += diff
+        rows = acc.sum(axis=1)
+        rows /= q
+        yield c0[a:b], rows
 
 
 def _wrapped_uniform_rows(boundaries, samples, half_width):
@@ -199,18 +229,20 @@ def _wrapped_uniform_rows(boundaries, samples, half_width):
     # that wraps onto the cell; each part is divided by d before they are
     # combined, so the row stays finite for any finite d
     a, h = boundaries[:-1], np.diff(boundaries)
-    q = samples.shape[1]
+    k, q = samples.shape
     top, bottom = samples + half_width, samples - half_width
     ftop, fbottom = np.floor(top), np.floor(bottom)
     turns = (ftop / half_width - fbottom / half_width)[:, :, None]
     top = (top - ftop)[:, :, None]
     bottom = (bottom - fbottom)[:, :, None]
-    for i in range(samples.shape[0]):
-        folded = np.clip(top[i] - a, 0.0, h) - np.clip(bottom[i] - a, 0.0, h)
-        mass = turns[i] * h + folded / half_width
-        row = mass.sum(axis=0)
+    c0 = np.zeros(k, dtype=np.int64)
+    for first, end, _ in _blocks(np.full(k, k), q):
+        rows = slice(first, end)
+        folded = np.clip(top[rows] - a, 0.0, h) - np.clip(bottom[rows] - a, 0.0, h)
+        mass = turns[rows] * h + folded / half_width
+        row = mass.sum(axis=1)
         row *= 0.5 / q
-        yield 0, row
+        yield c0[rows], row
 
 
 def _noise_cdf(u, noise_code, param, out, mask):

@@ -98,8 +98,8 @@ _WRITE_BLOCK = 8192
 def save_kernel(P: TransitionKernel, path) -> None:
     """Write a kernel file, one ``row col probability`` record per nonzero.
 
-    Records are formatted and written in blocks, so the text is never held
-    in memory as a whole.
+    Records are formatted and written in blocks, one %-format call per
+    block, so the text is never held in memory as a whole.
     """
     rows = np.repeat(np.arange(P.K), np.diff(P.indptr))
     with open(path, "w") as fh:
@@ -108,10 +108,12 @@ def save_kernel(P: TransitionKernel, path) -> None:
         fh.write(f"nnz {P.nnz}\n")
         for lo in range(0, P.nnz, _WRITE_BLOCK):
             block = slice(lo, lo + _WRITE_BLOCK)
-            fh.write("".join(
-                f"{i} {c} {p:.17g}\n"
-                for i, c, p in zip(rows[block].tolist(), P.indices[block].tolist(), P.data[block].tolist())
-            ))
+            n = min(_WRITE_BLOCK, P.nnz - lo)
+            flat = [None] * (3 * n)
+            flat[0::3] = rows[block].tolist()
+            flat[1::3] = P.indices[block].tolist()
+            flat[2::3] = P.data[block].tolist()
+            fh.write(("%d %d %.17g\n" * n) % tuple(flat))
 
 
 #: One ``row col probability`` record of a kernel file.

@@ -13,9 +13,10 @@ Row entry (i, j) of the Ulam matrix approximates
 where the noise mass is an exact CDF difference at the cell edges. On a
 uniform partition with a grid-compatible map (rotation, doubling, tent) the
 midpoint average is exact, so Lebesgue-preserving maps yield doubly
-stochastic matrices to rounding. Each row is assembled on the cells its
-noise can reach and goes straight into CSR, so the build forms no K x K
-array; only ``kernel_from_rows`` takes dense rows, from its caller.
+stochastic matrices to rounding. Rows are assembled a block at a time, each
+on the cells its noise can reach, and go straight into CSR, so the build
+forms no K x K array; only ``kernel_from_rows`` takes dense rows, from its
+caller.
 """
 
 from __future__ import annotations
@@ -284,6 +285,14 @@ def _dense_row_sums(indptr, indices, data, k: int) -> np.ndarray:
     return sums
 
 
+def _rescaled(data, indptr, sums):
+    """CSR data with each row whose sum is off 1 by more than ``SUM_EXACT_BAND`` divided by it."""
+    fix = np.abs(sums - 1.0) > SUM_EXACT_BAND
+    if np.any(fix):  # x / 1.0 == x, so the other rows keep their bits
+        data = data / np.repeat(np.where(fix, sums, 1.0), np.diff(indptr))
+    return data
+
+
 def _csr_to_kernel(indptr, indices, data, partition: Partition, what: str) -> TransitionKernel:
     """Validate CSR rows under the shared tolerance policy and build the kernel.
 
@@ -304,9 +313,7 @@ def _csr_to_kernel(indptr, indices, data, partition: Partition, what: str) -> Tr
     if worst > SUM_RENORM_BAND:
         i = int(dev.argmax())
         raise InvalidKernelError(f"{what}: row {i} sums to {float(sums[i])!r}, off by {worst:g}")
-    fix = dev > SUM_EXACT_BAND
-    if np.any(fix):  # x / 1.0 == x, so the other rows keep their bits
-        data = data / np.repeat(np.where(fix, sums, 1.0), np.diff(indptr))
+    data = _rescaled(data, indptr, sums)
     keep = data > 0.0
     if not keep.all():
         indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
@@ -344,8 +351,8 @@ def ulam_discretize(
     Every cell contributes ``quadrature_points`` midpoint sample images;
     each image spreads its noise mass over the cells through exact CDF
     differences, wrapped or clamped per the system's boundary mode. The rows
-    come from ``_backend.ulam_rows`` as CSR arrays, evaluated on each row's
-    noise-support window; no K x K array is formed.
+    come from ``_backend.ulam_rows`` as CSR arrays, evaluated a block of rows
+    at a time on each row's noise-support window; no K x K array is formed.
     """
     if quadrature_points < 1:
         raise InvalidArgumentError("quadrature_points must be positive")
@@ -363,19 +370,31 @@ def ulam_discretize(
 
 
 def kernel_power(P: TransitionKernel, p: int) -> TransitionKernel:
-    """Matrix power P^p: binary powering with SciPy sparse products on the CSR form."""
+    """Matrix power P^p: binary powering with SciPy sparse products on the CSR form.
+
+    Each product's rows that drift from 1 by more than ``SUM_EXACT_BAND``
+    are divided by their sums, so the drift cannot compound over the
+    log2(p) products of a huge ``p``. Other rows keep their bits, and
+    intermediate indices stay in product order.
+    """
     if p < 1:
         raise InvalidArgumentError("power must be a positive integer")
     if p == 1:
         return P
+
+    def product(a, b):
+        m = a @ b
+        m.data = _rescaled(m.data, m.indptr, np.asarray(m.sum(axis=1)).ravel())
+        return m
+
     base = P.csr()
     result = None
     e = int(p)
     while e:
         if e & 1:
-            result = base if result is None else result @ base
+            result = base if result is None else product(result, base)
         e >>= 1
         if e:
-            base = base @ base
+            base = product(base, base)
     result.sort_indices()
     return _csr_to_kernel(result.indptr, result.indices, result.data, P.partition, "kernel_power")

@@ -300,6 +300,54 @@ def test_ulam_rows_match_full_width_reference(rng, wrap, code, param):
     assert_same_csr(got, _sparsified(_reference_ulam_rows(boundaries, images, code, param, wrap)))
 
 
+SEAM_CASES = {
+    # rows 0 and 1 wrap across 0, so their span is the whole circle; the rest are narrow
+    "whole-circle-wrap-rows": (1, 0.05, True, 16),
+    "one-sample": (2, 0.03, True, 1),
+    "no-noise-wrap": (0, 0.0, True, 5),
+    "no-noise-clamp": (0, 0.0, False, 5),
+    # images 0.0 and 1.0 in rows 0 and 1: mass piles onto both end cells
+    "clamped-ends-uniform": (1, 0.05, False, 16),
+    "clamped-ends-gaussian": (2, 0.002, False, 3),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7])
+@pytest.mark.parametrize("case", sorted(SEAM_CASES))
+def test_ulam_row_blocks_keep_every_bit_across_seams(rng, monkeypatch, case, rows):
+    # K = 23 is a multiple of none of the block sizes, so the last block is short
+    monkeypatch.setattr(backend, "_row_blocks", lambda widths, q: range(0, len(widths), rows))
+    code, param, wrap, q = SEAM_CASES[case]
+    boundaries = np.linspace(0.0, 1.0, 24)
+    images = _clustered_images(rng, 23, q, wrap)
+    got = backend.ulam_rows(boundaries, images, code, param, wrap)
+    assert_same_csr(got, _sparsified(_reference_ulam_rows(boundaries, images, code, param, wrap)))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7])
+def test_wide_uniform_row_blocks_keep_every_bit_across_seams(rng, monkeypatch, rows):
+    boundaries = np.linspace(0.0, 1.0, 24)
+    images = rng.random((23, 4))
+    want = backend.ulam_rows(boundaries, images, 1, 1.3, True)
+    monkeypatch.setattr(backend, "_row_blocks", lambda widths, q: range(0, len(widths), rows))
+    assert_same_csr(backend.ulam_rows(boundaries, images, 1, 1.3, True), want)
+
+
+def test_row_blocks_stay_within_the_entry_budget(monkeypatch):
+    # a block holds rows x q x (widest + 1) entries; a row over budget stands alone
+    monkeypatch.setattr(backend, "_BLOCK_ENTRIES", 8)
+    assert list(backend._row_blocks([3, 3, 3, 10, 3, 1, 1, 1, 1], 1)) == [0, 2, 3, 4, 6]
+    assert list(backend._row_blocks([1, 1], 2)) == [0]
+    assert list(backend._row_blocks([1, 1], 4)) == [0, 1]
+    monkeypatch.setattr(backend, "_BLOCK_ENTRIES", 1)
+    boundaries = np.linspace(0.0, 1.0, 24)
+    images = _clustered_images(np.random.default_rng(5), 23, 4, True)
+    assert_same_csr(
+        backend.ulam_rows(boundaries, images, 2, 0.03, True),
+        _sparsified(_reference_ulam_rows(boundaries, images, 2, 0.03, True)),
+    )
+
+
 @pytest.mark.parametrize("half_width", [1.0, 1.3, 2.7, 10.5])
 def test_wide_uniform_closed_form_matches_wrap_loop(rng, half_width):
     for boundaries in (np.linspace(0.0, 1.0, 65), np.concatenate(([0.0], np.sort(rng.random(6)), [1.0]))):

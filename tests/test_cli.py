@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ergodyn import kernel_from_rows, make_uniform_partition, ulam_discretize, NoisySystem
+from ergodyn import (
+    cli, kernel_from_rows, make_uniform_partition, ulam_discretize, NoisySystem, TransitionKernel,
+)
 from ergodyn.cli import (
     config_hash, load_config, load_kernel, load_measure, main, save_kernel, save_measure,
 )
@@ -59,6 +61,26 @@ class TestKernelRoundTrip:
             cols, probs = P.row(i)
             lines += [f"{i} {c} {float(p):.17g}" for c, p in zip(cols, probs)]
         assert (tmp_path / "k.txt").read_text() == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("last_row", [[1.0], [0.25, 0.75], [0.1, 0.2, 0.7]])
+    def test_writer_blocks_keep_record_text_and_bits(self, monkeypatch, tmp_path, last_row):
+        # nnz 7, 8 and 9: below, at and above a multiple of a 4-record block
+        monkeypatch.setattr(cli, "_WRITE_BLOCK", 4)
+        rows = [[5e-324, 1.0], [1 / 3, 2 / 3], [0.1, 0.9], last_row]
+        cols = [[0, 2], [1, 3], [0, 3], list(range(4 - len(last_row), 4))]
+        indptr = np.cumsum([0] + [len(r) for r in rows])
+        P = TransitionKernel(
+            indptr, np.concatenate(cols), np.concatenate(rows), make_uniform_partition("unit_interval", 4)
+        )
+        save_kernel(P, tmp_path / "k.txt")
+        text = "".join(
+            f"{i} {c} {p:.17g}\n" for i, (cs, ps) in enumerate(zip(cols, rows)) for c, p in zip(cs, ps)
+        )
+        assert (tmp_path / "k.txt").read_text().split(f"nnz {indptr[-1]}\n")[1] == text
+        Q = load_kernel(tmp_path / "k.txt")
+        assert [a.tobytes() for a in (Q.indptr, Q.indices, Q.data)] == [
+            a.tobytes() for a in (P.indptr, P.indices, P.data)
+        ]
 
     def test_measure_round_trip(self, rng, tmp_path):
         part = make_uniform_partition("unit_interval", 9)
@@ -550,6 +572,16 @@ class TestMeasureCommand:
         got = periodic_section(tmp_path / "o")
         assert got["count"] == "1" and got["minimal_period_0"] == "1"
         assert got["support_0"] == periodic_section(tmp_path / "two")["support_0"]
+
+    @pytest.mark.parametrize("p", [10**18, 10**23])
+    def test_huge_period_check_on_the_rotation(self, tmp_path, p):
+        # P^p's products are renormalised as they form, so row sums cannot drift as (1+eps)^p
+        cfg = bundled("rotation_uniform.cfg", tmp_path)
+        cfg.write_text(cfg.read_text().replace("p = 2\n", f"p = {p}\n"))
+        kernel = str(DATA / "rotation_uniform.kernel")
+        argv = ["verify", "--config", str(cfg), "--kernel", kernel, "--checks", "periodic", "--seed", "1807"]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 0
+        assert "[summary]\npassed=1\ntotal=1\n" in (tmp_path / "o" / "verify_report.txt").read_text()
 
     @pytest.mark.parametrize("p, count", [(3 * 10**17, 3), (10**18, 1)])
     def test_huge_period_on_a_three_cyclic_kernel(self, tmp_path, p, count):
