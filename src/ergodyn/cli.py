@@ -13,7 +13,10 @@ not converge, 5 a check precondition (including stationarity) was violated.
 
 File formats are plain text and deterministic: reruns with the same seed
 and configuration are byte-identical. Floats are written with 17
-significant digits, which round-trips IEEE doubles exactly.
+significant digits, which round-trips IEEE doubles exactly. Next to each
+kernel file, ``kernel-build`` writes a binary copy of its records
+(``kernel.txt.records``), which loaders take only while its digest matches
+the text; the text stays the canonical file.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ import configparser
 import hashlib
 import io
 import math
+import os
+import stat
 import sys
 import warnings
 from dataclasses import dataclass, replace
@@ -94,9 +99,16 @@ def _fmt(x: float) -> str:
 #: Records formatted per write in ``save_kernel``.
 _WRITE_BLOCK = 8192
 
+#: One ``row col probability`` record of a kernel file.
+_RECORD = np.dtype([("row", np.int64), ("col", np.int64), ("prob", np.float64)])
+
+_DIGEST_BYTES = hashlib.sha256().digest_size
+_HASH_CHUNK = 1 << 20
+
 
 def save_kernel(P: TransitionKernel, path) -> None:
-    """Write a kernel file, one ``row col probability`` record per nonzero.
+    """Write a kernel file, one ``row col probability`` record per nonzero,
+    and its record sidecar.
 
     Records are formatted and written in blocks, one %-format call per
     block, so the text is never held in memory as a whole.
@@ -114,10 +126,99 @@ def save_kernel(P: TransitionKernel, path) -> None:
             flat[1::3] = P.indices[block].tolist()
             flat[2::3] = P.data[block].tolist()
             fh.write(("%d %d %.17g\n" * n) % tuple(flat))
+    _save_records(P, rows, path)
 
 
-#: One ``row col probability`` record of a kernel file.
-_RECORD = np.dtype([("row", np.int64), ("col", np.int64), ("prob", np.float64)])
+def _sidecar(path) -> Path:
+    """The binary record sidecar of the kernel file at path (``_save_records``)."""
+    return Path(f"{path}.records")
+
+
+def _open_regular(path, flags: int):
+    """A binary file object on path opened with flags; OSError unless path is
+    a regular file. O_NONBLOCK keeps a FIFO from blocking the open."""
+    fd = os.open(path, flags | os.O_NONBLOCK, 0o666)
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        os.close(fd)
+        raise OSError(f"{path} is not a regular file")
+    return os.fdopen(fd, "rb" if flags == os.O_RDONLY else "wb")
+
+
+def _records_header(nnz: int) -> bytes:
+    """The ``.npy`` header of a sidecar holding nnz records."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": np.lib.format.dtype_to_descr(_RECORD), "fortran_order": False, "shape": (nnz,)})
+    return buf.getvalue()
+
+
+def _file_digest(path):
+    """SHA-256 of a file's bytes, read in 1 MiB chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_HASH_CHUNK):
+            digest.update(chunk)
+    return digest
+
+
+def _binding(text, records) -> bytes:
+    """The sidecar digest: one hash of the text's and the records' hashes."""
+    return hashlib.sha256(text.digest() + records.digest()).digest()
+
+
+def _save_records(P: TransitionKernel, rows: np.ndarray, path) -> None:
+    """Write the sidecar of the kernel file just written at path.
+
+    It holds a digest that binds the text's bytes to the record bytes, then
+    the records as a ``.npy`` array of ``_RECORD``, streamed a
+    ``_WRITE_BLOCK`` at a time. The digest goes in last, so a write that
+    stops early leaves a sidecar no loader takes.
+    """
+    try:
+        fh = _open_regular(_sidecar(path), os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
+    except OSError:  # a directory or a FIFO in its place: the text is complete without it
+        return
+    records = hashlib.sha256()
+    with fh:
+        fh.write(bytes(_DIGEST_BYTES) + _records_header(P.nnz))
+        for lo in range(0, P.nnz, _WRITE_BLOCK):
+            block = slice(lo, lo + _WRITE_BLOCK)
+            rec = np.empty(min(_WRITE_BLOCK, P.nnz - lo), _RECORD)
+            rec["row"], rec["col"], rec["prob"] = rows[block], P.indices[block], P.data[block]
+            fh.write(rec)
+            records.update(rec)
+        fh.seek(0)
+        fh.write(_binding(_file_digest(path), records))
+
+
+def _sidecar_records(path, nnz: int):
+    """The records of the kernel file at path, read from its sidecar, or None.
+
+    The sidecar is taken only if it is a regular file, its size is that of
+    nnz records, its ``.npy`` header is the one ``save_kernel`` writes for
+    nnz records of ``_RECORD`` (compared as bytes, so a header is never
+    parsed before it is known), and its digest matches the text file and
+    the records read. In every other case (no sidecar, or a truncated,
+    tampered or stale one) the caller parses the text. The records are
+    read only after the size check, so no read asks for more than the file
+    holds.
+    """
+    try:
+        with _open_regular(_sidecar(path), os.O_RDONLY) as fh:
+            header = _records_header(nnz)
+            size = _DIGEST_BYTES + len(header) + nnz * _RECORD.itemsize
+            if os.fstat(fh.fileno()).st_size != size:
+                return None
+            digest = fh.read(_DIGEST_BYTES)
+            if fh.read(len(header)) != header:
+                return None
+            fh.seek(_DIGEST_BYTES)
+            records = np.load(fh, allow_pickle=False)
+        if _binding(_file_digest(path), hashlib.sha256(records)) != digest:
+            return None
+    except (OSError, ValueError):
+        return None
+    return records
 
 
 def _header_value(line: str, keyword: str) -> list:
@@ -131,8 +232,11 @@ def _header_value(line: str, keyword: str) -> list:
 def load_kernel(path) -> TransitionKernel:
     """Read a kernel file straight into CSR arrays; no K x K array is formed.
 
-    The records are parsed in chunks from the open file, so the text is
-    never held in memory as a whole.
+    The records come from the file's sidecar when ``_sidecar_records`` takes
+    it, and are parsed from the text otherwise, in chunks from the open
+    file, so the text is never held in memory as a whole. Both feed the same
+    checks, and ``%.17g`` round-trips every double, so the kernel is the
+    same either way.
     """
     try:
         with open(path) as fh:
@@ -149,9 +253,11 @@ def load_kernel(path) -> TransitionKernel:
             (domain,) = _header_value(head[2], "domain")
             boundaries = np.array([float(t) for t in _header_value(head[3], "boundaries")])
             (nnz,) = map(int, _header_value(head[4], "nnz"))
-            with warnings.catch_warnings():  # no records: the count check below reports it
-                warnings.simplefilter("ignore", UserWarning)
-                records = np.loadtxt(fh, dtype=_RECORD, comments=None, ndmin=1)
+            records = _sidecar_records(path, nnz)
+            if records is None:
+                with warnings.catch_warnings():  # no records: the count check below reports it
+                    warnings.simplefilter("ignore", UserWarning)
+                    records = np.loadtxt(fh, dtype=_RECORD, comments=None, ndmin=1)
         if records.size != nnz:
             raise ValueError(f"expected {nnz} entries, found {records.size}")
         partition = Partition(domain, boundaries)

@@ -111,6 +111,19 @@ def _graph_period(sub) -> tuple:
     return (g if g > 0 else 1), level
 
 
+def _odd_period_lcm(P: TransitionKernel) -> int:
+    """The lcm of the odd parts of the periods of P's closed classes, cached
+    on the kernel: the doubling-horizon limits start at this horizon."""
+    cache = P._cache
+    if "odd_period_lcm" not in cache:
+        lcm = 1
+        for cls in closed_classes(P):
+            d, _ = _graph_period(P.restrict(cls) > 0.0)
+            lcm = math.lcm(lcm, d // (d & -d))
+        cache["odd_period_lcm"] = lcm
+    return cache["odd_period_lcm"]
+
+
 def _solve_class(sub, tol: float, max_iter: int):
     """Stationary row vector of an irreducible row-stochastic CSR block.
 

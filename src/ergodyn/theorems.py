@@ -18,7 +18,9 @@ sup-norm difference of consecutive second-half window averages
 W_n = (1/n) sum_{j=n}^{2n-1} L^j phi on the support of the measure. The
 window average has the same limit as the full average but converges
 geometrically once the rotating part cancels, whereas the full average
-carries an O(1/n) bias that cannot reach tight tolerances.
+carries an O(1/n) bias that cannot reach tight tolerances. The rotating part
+of a class of period d cancels when d divides n, so the horizons start at
+the lcm of the odd parts of the kernel's closed-class periods.
 
 Trials: each ``*_trials`` function runs one check on every column of a
 K x T block of observable values, with its preconditions evaluated once,
@@ -41,7 +43,7 @@ from .errors import (
     PreconditionError,
 )
 from .kernel import TransitionKernel, kernel_power
-from .measures import invariance_violation, is_ergodic, require_stationary
+from .measures import _odd_period_lcm, invariance_violation, is_ergodic, require_stationary
 from .space import Measure, Observable
 from .transfer import duality_gap, duality_gaps
 
@@ -88,7 +90,7 @@ def _report(name, direction, lhs, rhs, slack, witnesses=None, iterations=0, also
 
 
 def _as_index_tuple(A) -> tuple:
-    return tuple(int(i) for i in np.asarray(A, dtype=np.int64).ravel())
+    return tuple(np.asarray(A, dtype=np.int64).ravel().tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -313,16 +315,23 @@ def _windowed_limit(P: TransitionKernel, values: np.ndarray, watches,
     in sup norm on the watched states. All columns share one sequence of
     squared powers, streamed so that only the current power is held; a
     column leaves once it has converged.
+
+    A window cancels the rotating part of a class of period d only when d
+    divides n, so n runs over L, 2L, 4L, ... with L the lcm of the odd parts
+    of P's closed-class periods: the first window is W_L, from A_L and P^L.
     """
-    power = P.to_dense()
+    n = _odd_period_lcm(P)
+    if 2 * n > n_cap:  # not even the first window fits: spare the sums up to n
+        raise ConvergenceError(
+            f"time averages not converged at horizon {n}: residual inf", residual=float("inf"))
+    power = P.to_dense() if n == 1 else np.linalg.matrix_power(P.to_dense(), n)
     limits = np.empty_like(values)
     prevs = np.empty_like(values)
     residuals = [float("inf")] * values.shape[1]
     horizons = [0] * values.shape[1]
-    avgs = [np.ascontiguousarray(col) for col in values.T]
+    avgs = [np.ascontiguousarray(col) for col in birkhoff_average(P, values, n).T]
     prev = [None] * values.shape[1]
     live = list(range(values.shape[1]))
-    n = 1
     while live and 2 * n <= n_cap:
         still = []
         for t in live:

@@ -1,5 +1,10 @@
+import io
+import os
 import shutil
+import signal
+import threading
 import time
+from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 
@@ -77,10 +82,11 @@ class TestKernelRoundTrip:
             f"{i} {c} {p:.17g}\n" for i, (cs, ps) in enumerate(zip(cols, rows)) for c, p in zip(cs, ps)
         )
         assert (tmp_path / "k.txt").read_text().split(f"nnz {indptr[-1]}\n")[1] == text
-        Q = load_kernel(tmp_path / "k.txt")
-        assert [a.tobytes() for a in (Q.indptr, Q.indices, Q.data)] == [
-            a.tobytes() for a in (P.indptr, P.indices, P.data)
-        ]
+        Q, parses = load_counting_parses(tmp_path / "k.txt", monkeypatch)  # from the sidecar blocks
+        (tmp_path / "k.txt.records").unlink()
+        R, reparses = load_counting_parses(tmp_path / "k.txt", monkeypatch)  # from the text
+        assert (parses, reparses) == (0, 1)
+        assert same_bits(Q, P) and same_bits(R, P)
 
     def test_measure_round_trip(self, rng, tmp_path):
         part = make_uniform_partition("unit_interval", 9)
@@ -90,6 +96,190 @@ class TestKernelRoundTrip:
         save_measure(mu, path)
         nu = load_measure(path, part)
         assert np.array_equal(mu.weights, nu.weights)
+
+
+def same_bits(P, Q):
+    """The two kernels' CSR arrays and boundaries agree bit for bit."""
+    pairs = [(P.indptr, Q.indptr), (P.indices, Q.indices), (P.data, Q.data),
+             (P.partition.boundaries, Q.partition.boundaries)]
+    return P.partition == Q.partition and all(
+        a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in pairs
+    )
+
+
+def load_counting_parses(path, monkeypatch):
+    """(load_kernel(path), how many times it parsed the text with np.loadtxt)."""
+    parses = []
+    loadtxt = np.loadtxt
+    with monkeypatch.context() as m:
+        m.setattr(np, "loadtxt", lambda *a, **kw: parses.append(1) or loadtxt(*a, **kw))
+        return load_kernel(path), len(parses)
+
+
+@contextmanager
+def deadline(seconds=20):
+    """Fail a step that blocks (a FIFO opened for reading waits for a writer).
+
+    The alarm goes to the main thread itself: a process-wide one may land on
+    a BLAS thread and leave the blocked call waiting."""
+    def expire(signum, frame):
+        pytest.fail(f"blocked for {seconds} s")  # not an OSError, which the loader would catch
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    timer = threading.Timer(seconds, signal.pthread_kill, (threading.get_ident(), signal.SIGALRM))
+    timer.start()
+    try:
+        yield
+    finally:
+        timer.cancel()
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _resave(records):
+    """A sidecar rewrite: the built digest, then records saved by np.save."""
+    def mutate(text, side):
+        digest = side.read_bytes()[:32]
+        buf = io.BytesIO()
+        np.save(buf, records(np.load(io.BytesIO(side.read_bytes()[32:]))), allow_pickle=True)
+        side.write_bytes(digest + buf.getvalue())
+    return mutate
+
+
+def _flip(offset):
+    def mutate(text, side):
+        data = bytearray(side.read_bytes())
+        data[offset] ^= 0x01
+        side.write_bytes(bytes(data))
+    return mutate
+
+
+def _huge_shape(text, side):
+    data = side.read_bytes()
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, {
+        "descr": np.lib.format.dtype_to_descr(cli._RECORD), "fortran_order": False, "shape": (10**12,)})
+    side.write_bytes(data[:32] + header.getvalue() + data[data.index(b"\n", 32) + 1:])
+
+
+def _replace_with(make):
+    def mutate(text, side):
+        side.unlink()
+        make(side)
+    return mutate
+
+
+#: name -> mutation of (kernel text path, sidecar path) after a build. Each
+#: leaves the text's kernel as it was built, so the loader must parse the
+#: text and return the same kernel.
+SIDECAR_FAULTS = {
+    "deleted": lambda text, side: side.unlink(),
+    "truncated": lambda text, side: side.write_bytes(side.read_bytes()[:-5]),
+    "digest_byte": _flip(0),
+    "record_byte": _flip(-1),
+    "text_edited": lambda text, side: text.write_text(text.read_text()[:-1] + " \n"),
+    "wrong_dtype": _resave(lambda r: r.astype([("row", "<i4"), ("col", "<i4"), ("prob", "<f8")])),
+    "object_array": _resave(lambda r: np.array(r.tolist(), dtype=object)),
+    "shape_1e12": _huge_shape,
+    "directory": _replace_with(Path.mkdir),
+    "fifo": _replace_with(os.mkfifo),
+}
+
+
+class TestRecordSidecar:
+    """``kernel-build`` writes ``kernel.txt.records`` next to the text; loaders
+    take its records only when its digest matches the text and the records."""
+
+    @staticmethod
+    def build(tmp_path, source):
+        out = tmp_path / "built"
+        if source.endswith(".kernel"):  # a kernel file without a system: save what it holds
+            out.mkdir()
+            save_kernel(load_kernel(DATA / source if (DATA / source).exists()
+                                    else bundled(source, tmp_path)), out / "kernel.txt")
+        else:
+            cfg = DATA / source if (DATA / source).exists() else bundled(source, tmp_path)
+            assert main(["kernel-build", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "kernel.txt.records").is_file()
+        return out / "kernel.txt", out / "kernel.txt.records"
+
+    @pytest.mark.parametrize("source", [
+        "swap.kernel", "rotation_uniform.cfg", "pipeline_logistic_k64.cfg", "doubling_gaussian_k64.cfg",
+    ])
+    def test_sidecar_kernel_is_bit_identical_to_the_parsed_text(self, tmp_path, monkeypatch, source):
+        text, side = self.build(tmp_path, source)
+        hit, parses = load_counting_parses(text, monkeypatch)
+        assert parses == 0
+        side.unlink()
+        parsed, parses = load_counting_parses(text, monkeypatch)
+        assert parses == 1
+        assert same_bits(hit, parsed)
+
+    @pytest.mark.parametrize("fault", list(SIDECAR_FAULTS))
+    def test_faulty_sidecar_falls_back_to_the_text(self, tmp_path, monkeypatch, capsys, fault):
+        text, side = self.build(tmp_path, "rotation_uniform.cfg")
+        clean = tmp_path / "clean"
+        clean.mkdir()
+        shutil.copy(text, clean / "kernel.txt")
+        reference, _ = load_counting_parses(clean / "kernel.txt", monkeypatch)
+        SIDECAR_FAULTS[fault](text, side)
+        with deadline():
+            P, parses = load_counting_parses(text, monkeypatch)
+            assert parses == 1 and same_bits(P, reference)
+            for kernel, out in ((text, "o"), (clean / "kernel.txt", "ref")):
+                for argv in (["measure"], ["verify", "--checks", "lemma1,maximal", "--trials", "3"],
+                             ["simulate"]):
+                    assert main(argv + ["--kernel", str(kernel), "--seed", "1807",
+                                        "--out", str(tmp_path / out)]) == 0
+        assert capsys.readouterr().err == ""
+        for name in ("measure_report.txt", "verify_report.txt", "trajectories.csv", "estimates.csv"):
+            assert (tmp_path / "o" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+    def test_text_edited_after_the_build_wins(self, tmp_path, monkeypatch):
+        text, side = self.build(tmp_path, "rotation_uniform.cfg")
+        lines = text.read_text().splitlines(keepends=True)
+        first, second = lines[5].split(), lines[6].split()  # two records of row 0
+        assert first[0] == second[0] == "0" and first[2] != second[2]
+        lines[5], lines[6] = (f"{first[0]} {first[1]} {second[2]}\n",
+                              f"{second[0]} {second[1]} {first[2]}\n")
+        text.write_text("".join(lines))
+        P, parses = load_counting_parses(text, monkeypatch)
+        assert parses == 1
+        assert P.data[:2].tolist() == [float(second[2]), float(first[2])]
+
+    @pytest.mark.parametrize("column, message", [(None, "duplicate entry"), ("64", "outside [0, 64)")])
+    def test_bad_record_next_to_a_stale_sidecar_exits_3(self, tmp_path, capsys, column, message):
+        text, side = self.build(tmp_path, "rotation_uniform.cfg")
+        lines = text.read_text().splitlines(keepends=True)
+        row, _, prob = lines[6].split()  # row 0's second record; None repeats its first column
+        lines[6] = f"{row} {column or lines[5].split()[1]} {prob}\n"
+        text.write_text("".join(lines))
+        errors = []
+        for _ in ("stale sidecar", "no sidecar"):
+            assert main(["measure", "--kernel", str(text), "--out", str(tmp_path / "o")]) == 3
+            errors.append(capsys.readouterr().err)
+            side.unlink(missing_ok=True)
+        assert errors[0] == errors[1] and message in errors[0]
+        assert errors[0].startswith("error: invalid data: ") and errors[0].count("\n") == 1
+
+    @pytest.mark.parametrize("make", [Path.mkdir, os.mkfifo])
+    def test_kernel_build_writes_the_text_when_the_sidecar_cannot_be(self, tmp_path, monkeypatch, make):
+        text, side = self.build(tmp_path, "rotation_uniform.cfg")
+        built = text.read_bytes()
+        _replace_with(make)(text, side)
+        cfg = bundled("rotation_uniform.cfg", tmp_path)
+        with deadline():
+            assert main(["kernel-build", "--config", str(cfg), "--out", str(text.parent)]) == 0
+        assert text.read_bytes() == built and side.exists() and not side.is_file()
+        assert load_counting_parses(text, monkeypatch)[1] == 1
+
+
+def test_loaders_write_nothing_next_to_their_input(tmp_path):
+    listing = sorted(p.name for p in DATA.iterdir())
+    for kernel in sorted(DATA.glob("*.kernel")):
+        for argv in (["measure"], ["verify", "--checks", "lemma1", "--trials", "2"], ["simulate"]):
+            out = tmp_path / kernel.stem / argv[0]
+            assert main(argv + ["--kernel", str(kernel), "--out", str(out)]) == 0
+    assert sorted(p.name for p in DATA.iterdir()) == listing
 
 
 class TestExitCodes:
@@ -595,6 +785,14 @@ class TestMeasureCommand:
         assert [got[f"minimal_period_{k}"] for k in range(count)] == [str(count)] * count
         supports = sorted(int(i) for k in range(count) for i in got[f"support_{k}"].split(","))
         assert supports == list(range(24))
+
+    @pytest.mark.parametrize("check", ["birkhoff", "ergodic_limit", "nonconvergence_empty", "periodic"])
+    def test_limit_checks_converge_on_a_three_cyclic_kernel(self, tmp_path, check):
+        # the doubling horizons run over multiples of 3, where the windows cancel the rotation
+        kernel = str(DATA / "cyclic3_k24.kernel")
+        argv = ["verify", "--kernel", kernel, "--checks", check, "--seed", "1807"]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 0
+        assert "[summary]\npassed=1\ntotal=1\n" in (tmp_path / "o" / "verify_report.txt").read_text()
 
     @pytest.mark.parametrize("name, config, kernel", [
         ("pipeline_logistic_k64", "pipeline_logistic_k64.cfg", "pipeline_logistic_k64.kernel"),

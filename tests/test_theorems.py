@@ -28,6 +28,8 @@ from ergodyn import (
     stationary_measures,
     sublevel_sets,
 )
+from ergodyn import kernel_from_rows
+from ergodyn.measures import _odd_period_lcm
 from ergodyn.theorems import running_average_extremes
 
 from conftest import (
@@ -371,12 +373,31 @@ class TestBirkhoffLimit:
         assert np.abs(P.matvec(tilde.values) - tilde.values).max() <= 1e-9
 
     def test_cap_raises(self, rng):
-        P = cyclic_kernel(rng, 3, 2)  # odd period: windows decay like 1/n
+        eps = 1e-3  # second eigenvalue 1 - 2 eps: windows shrink by 0.6 per doubling at 256
+        P = kernel_from_rows([[1.0 - eps, eps], [eps, 1.0 - eps]])
         phi = random_observable(rng, P.partition)
         mu = stationary_measures(P)[0]
         with pytest.raises(ConvergenceError) as exc:
             birkhoff_limit(P, phi, mu, 1e-12, 256)
         assert exc.value.residual is not None
+
+    @pytest.mark.parametrize("p, L", [(3, 3), (5, 5), (6, 3), (12, 3)])
+    def test_odd_period_converges_on_multiples_of_its_odd_part(self, rng, p, L):
+        P = cyclic_kernel(rng, p, 2)
+        phi = random_observable(rng, P.partition)
+        mu = stationary_measures(P)[0]
+        assert _odd_period_lcm(P) == L
+        tilde, rep = birkhoff_limit(P, phi, mu, 1e-12)
+        assert rep.passed and rep.iterations_used % (2 * L) == 0
+        assert np.abs(tilde.values - integrate(phi, mu)).max() <= 1e-10
+        assert check_nonconvergence_set_empty(P, phi, 0.05, -0.05).passed
+
+    def test_odd_part_lcm_over_classes(self, rng):
+        a, b = cyclic_kernel(rng, 3, 2).to_dense(), cyclic_kernel(rng, 5, 1).to_dense()
+        rows = np.zeros((11, 11))
+        rows[:6, :6], rows[6:, 6:] = a, b
+        assert _odd_period_lcm(kernel_from_rows(rows)) == 15
+        assert _odd_period_lcm(random_kernel(rng, 7)) == 1
 
 
 class TestErgodicLimit:
