@@ -28,14 +28,6 @@ GENERATOR_NAME = "splitmix64"
 BACKEND = "numpy"
 
 
-def mix64(z: int) -> int:
-    """splitmix64 finalizer on python ints (exact 64-bit semantics)."""
-    z = int(z) & _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return z ^ (z >> 31)
-
-
 def trajectory_seed(master_seed: int, index: int) -> int:
     """Per-trajectory seed: master xor index (the stream then scrambles it)."""
     return (int(master_seed) ^ int(index)) & _MASK64
@@ -59,23 +51,6 @@ def rmatvec(csr, x):
     return csr.T @ x
 
 
-def sample_path(indptr, indices, cumdata, start, n, seed):
-    states = np.empty(n + 1, dtype=np.int64)
-    states[0] = start
-    state = mix64(seed)
-    s = start
-    for t in range(n):
-        state = (state + _GOLD) & _MASK64
-        u = (mix64(state) >> 11) * _INV53
-        lo, hi = indptr[s], indptr[s + 1]
-        pos = int(np.searchsorted(cumdata[lo:hi], u, side="right"))
-        if pos >= hi - lo:
-            pos = hi - lo - 1
-        s = int(indices[lo + pos])
-        states[t + 1] = s
-    return states
-
-
 def _mix64_array(z):
     """splitmix64 finalizer on a uint64 array (array arithmetic wraps silently)."""
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
@@ -83,32 +58,61 @@ def _mix64_array(z):
     return z ^ (z >> np.uint64(31))
 
 
-def sample_endpoints(kernel_arrays, start, j, master_seed, n_samples):
-    """States after j steps of n_samples trajectories from one start state.
+#: Uniform draws generated per batch in ``_walk``: steps x trajectories.
+_DRAW_BLOCK = 1 << 16
 
-    Trajectory i draws from the stream seeded by master_seed xor i, exactly
-    as ``sample_path`` would. All trajectories advance together: each step
-    is one inverse-CDF bisection over the rows' CSR running sums.
+
+def _walk(kernel_arrays, start, n, master_seed, count, path=None):
+    """States of count trajectories after n steps from one start state.
+
+    Trajectory i draws from the stream seeded by master_seed xor i. All
+    trajectories advance together: each step is one inverse-CDF bisection
+    over the rows' CSR running sums, and the uniforms of a batch of steps
+    are drawn at once. With ``path``, an (n + 1, count) array, row t
+    receives the states after step t.
     """
     indptr, indices, cumdata = kernel_arrays.csr_with_cum()
-    st = _mix64_array(np.uint64(master_seed) ^ np.arange(n_samples, dtype=np.uint64))
-    states = np.full(n_samples, start, dtype=np.int64)
-    rounds = int(np.diff(indptr).max()).bit_length()
-    for _ in range(j):
-        st = st + np.uint64(_GOLD)
-        u = (_mix64_array(st) >> np.uint64(11)).astype(np.float64) * _INV53
-        # first position in the row whose running sum exceeds u; a row of
-        # length m settles within m.bit_length() halvings
-        a, hi = indptr[states], indptr[states + 1]
-        b = hi.copy()
-        for _ in range(rounds):
-            mid = (a + b) >> 1
-            go = cumdata[np.minimum(mid, cumdata.size - 1)] <= u
-            live = a < b
-            a = np.where(live & go, mid + 1, a)
-            b = np.where(live & ~go, mid, b)
-        states = indices[np.minimum(a, hi - 1)]
+    width = np.diff(indptr)
+    # a row of m entries settles within (m - 1).bit_length() halvings
+    rounds = int(width.max() - 1).bit_length()
+    st = _mix64_array(np.uint64(int(master_seed) & _MASK64) ^ np.arange(count, dtype=np.uint64))
+    states = np.full(count, start, dtype=np.int64)
+    batch = max(1, _DRAW_BLOCK // count)
+    for first in range(0, n, batch):
+        steps = np.arange(first + 1, min(n, first + batch) + 1, dtype=np.uint64)
+        draws = _mix64_array(st + steps[:, None] * np.uint64(_GOLD)) >> np.uint64(11)
+        for t, u in enumerate(draws.astype(np.float64) * _INV53, first + 1):
+            # the first position in the row whose running sum exceeds u, else
+            # the row's last: [pos, pos + left) holds it, halved each round
+            pos, left = indptr[states], width[states]
+            for _ in range(rounds):
+                half = left >> 1
+                pos += half * (cumdata[pos + half - 1] <= u)
+                left -= half
+            states = indices[pos]
+            if path is not None:
+                path[t] = states
     return states
+
+
+def sample_path(kernel_arrays, start, n, master_seed, count):
+    """States of count n-step trajectories from one start state, as a
+    (count, n + 1) array whose rows begin with ``start``.
+
+    Trajectory i draws from the stream seeded by master_seed xor i; the
+    trajectory with seed s alone is the row of ``master_seed = s, count = 1``.
+    """
+    path = np.empty((n + 1, count), dtype=np.int64)
+    path[0] = start
+    _walk(kernel_arrays, start, n, master_seed, count, path)
+    return np.ascontiguousarray(path.T)
+
+
+def sample_endpoints(kernel_arrays, start, j, master_seed, n_samples):
+    """States after j steps of n_samples trajectories from one start state;
+    trajectory i draws from the stream seeded by master_seed xor i, as in
+    ``sample_path``."""
+    return _walk(kernel_arrays, start, j, master_seed, n_samples)
 
 
 def ulam_rows(boundaries, samples, noise_code, param, wrap):

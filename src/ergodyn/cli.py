@@ -30,13 +30,14 @@ import os
 import stat
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, _backend
+from . import __version__, _backend, _format
 from .errors import (
     ConvergenceError,
     DimensionError,
@@ -64,7 +65,7 @@ from .measures import (
     require_stationary,
     stationary_measures,
 )
-from .mc import estimate_Lj_phi, sample_trajectory
+from .mc import estimate_Lj_phi, sample_trajectories
 from .space import Measure, Observable, Partition, make_uniform_partition
 from .theorems import (
     _COROLLARIES,
@@ -110,23 +111,35 @@ def save_kernel(P: TransitionKernel, path) -> None:
     """Write a kernel file, one ``row col probability`` record per nonzero,
     and its record sidecar.
 
-    Records are formatted and written in blocks, one %-format call per
-    block, so the text is never held in memory as a whole.
+    Records are formatted and written a ``_WRITE_BLOCK`` at a time, so the
+    text is never held in memory as a whole. ``_format.records`` formats a
+    block by array arithmetic; a block with a probability it cannot certify
+    is formatted by CPython's ``%`` instead, to the same bytes. The text is
+    hashed as it is written, for the sidecar's digest.
     """
     rows = np.repeat(np.arange(P.K), np.diff(P.indptr))
-    with open(path, "w") as fh:
-        fh.write(f"{KERNEL_MAGIC}\nK {P.K}\ndomain {P.partition.domain_kind}\n")
-        fh.write("boundaries " + " ".join(_fmt(b) for b in P.partition.boundaries) + "\n")
-        fh.write(f"nnz {P.nnz}\n")
+    fields = _format.int_fields(P.K)
+    text = hashlib.sha256()
+    with open(path, "wb") as fh:
+        def put(data):
+            fh.write(data)
+            text.update(data)
+
+        put(f"{KERNEL_MAGIC}\nK {P.K}\ndomain {P.partition.domain_kind}\n".encode())
+        put(("boundaries " + " ".join(_fmt(b) for b in P.partition.boundaries) + "\n").encode())
+        put(f"nnz {P.nnz}\n".encode())
         for lo in range(0, P.nnz, _WRITE_BLOCK):
             block = slice(lo, lo + _WRITE_BLOCK)
-            n = min(_WRITE_BLOCK, P.nnz - lo)
-            flat = [None] * (3 * n)
-            flat[0::3] = rows[block].tolist()
-            flat[1::3] = P.indices[block].tolist()
-            flat[2::3] = P.data[block].tolist()
-            fh.write(("%d %d %.17g\n" * n) % tuple(flat))
-    _save_records(P, rows, path)
+            data = _format.records(fields, rows[block], P.indices[block], P.data[block])
+            if data is None:
+                n = min(_WRITE_BLOCK, P.nnz - lo)
+                flat = [None] * (3 * n)
+                flat[0::3] = rows[block].tolist()
+                flat[1::3] = P.indices[block].tolist()
+                flat[2::3] = P.data[block].tolist()
+                data = (("%d %d %.17g\n" * n) % tuple(flat)).encode()
+            put(data)
+    _save_records(P, rows, path, text)
 
 
 def _sidecar(path) -> Path:
@@ -166,8 +179,9 @@ def _binding(text, records) -> bytes:
     return hashlib.sha256(text.digest() + records.digest()).digest()
 
 
-def _save_records(P: TransitionKernel, rows: np.ndarray, path) -> None:
-    """Write the sidecar of the kernel file just written at path.
+def _save_records(P: TransitionKernel, rows: np.ndarray, path, text) -> None:
+    """Write the sidecar of the kernel file just written at path, whose bytes
+    hash to ``text`` (a SHA-256 object).
 
     It holds a digest that binds the text's bytes to the record bytes, then
     the records as a ``.npy`` array of ``_RECORD``, streamed a
@@ -188,7 +202,7 @@ def _save_records(P: TransitionKernel, rows: np.ndarray, path) -> None:
             fh.write(rec)
             records.update(rec)
         fh.seek(0)
-        fh.write(_binding(_file_digest(path), records))
+        fh.write(_binding(text, records))
 
 
 def _sidecar_records(path, nnz: int):
@@ -677,9 +691,21 @@ def run_check(name, P, stationaries, cfg, master_seed) -> "CheckReport":
 # Commands
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _writing(path):
+    """Report an OSError raised while creating or writing an output at path as
+    a configuration error (exit 2): where outputs go is part of the run's
+    configuration."""
+    try:
+        yield
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e}") from None
+
+
 def _out_dir(cfg, args) -> Path:
     out = Path(getattr(args, "out", None) or _cfg_get(cfg, "output", "dir"))
-    out.mkdir(parents=True, exist_ok=True)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -692,7 +718,8 @@ def cmd_kernel_build(args) -> int:
     P = ulam_discretize(system, partition, quad)
     out = _out_dir(cfg, args)
     path = out / "kernel.txt"
-    save_kernel(P, path)
+    with _writing(path):
+        save_kernel(P, path)
     sums = np.add.reduceat(P.data, P.indptr[:-1])
     dev = float(np.abs(sums - 1.0).max())
     print(f"kernel-build: K={P.K} nnz={P.nnz} max_row_dev={dev:.3e} -> {path}")
@@ -734,7 +761,8 @@ def cmd_measure(args) -> int:
         writer.kv(f"support_{k}", ",".join(str(i) for i in np.flatnonzero(nu.weights > 0)))
     out = _out_dir(cfg, args)
     path = out / "measure_report.txt"
-    writer.save(path)
+    with _writing(path):
+        writer.save(path)
     print(f"measure: {len(ms)} stationary, {len(per)} periodic(p={p}) -> {path}")
     return 0
 
@@ -786,7 +814,8 @@ def cmd_verify(args) -> int:
     writer.kv("total", len(results))
     out = _out_dir(cfg, args)
     path = out / "verify_report.txt"
-    writer.save(path)
+    with _writing(path):
+        writer.save(path)
     print(f"verify: {n_pass}/{len(results)} checks passed -> {path}")
     return 0 if n_pass == len(results) else 1
 
@@ -806,26 +835,24 @@ def cmd_simulate(args) -> int:
     phi = _observable(cfg, P)
     out = _out_dir(cfg, args)
 
+    paths = sample_trajectories(P, start, steps, seed, n_traj)  # path t: seed xor t
     traj_path = out / "trajectories.csv"
-    with open(traj_path, "w") as fh:
+    with _writing(traj_path), open(traj_path, "w") as fh:
         fh.write("trial,step,state\n")
-        for t in range(n_traj):
-            traj = sample_trajectory(P, start, steps, _backend.trajectory_seed(seed, t))
-            for s, state in enumerate(traj.states):
-                fh.write(f"{t},{s},{state}\n")
+        for t, path in enumerate(paths.tolist()):
+            fh.write("".join(f"{t},{s},{state}\n" for s, state in enumerate(path)))
 
-    est_path = out / "estimates.csv"
+    lines = ["j,mean,stderr,exact,z\n"]
     cur = phi.values.copy()
-    with open(est_path, "w") as fh:
-        fh.write("j,mean,stderr,exact,z\n")
-        for j in range(steps + 1):
-            est = estimate_Lj_phi(P, phi, start, j, n_samples, seed)
-            exact = float(cur[start])
-            z = (est.mean - exact) / est.stderr if est.stderr > 0 else 0.0
-            fh.write(
-                f"{j},{_fmt(est.mean)},{_fmt(est.stderr)},{_fmt(exact)},{_fmt(z)}\n"
-            )
-            cur = P.matvec(cur)
+    for j in range(steps + 1):
+        est = estimate_Lj_phi(P, phi, start, j, n_samples, seed)
+        exact = float(cur[start])
+        z = (est.mean - exact) / est.stderr if est.stderr > 0 else 0.0
+        lines.append(f"{j},{_fmt(est.mean)},{_fmt(est.stderr)},{_fmt(exact)},{_fmt(z)}\n")
+        cur = P.matvec(cur)
+    est_path = out / "estimates.csv"
+    with _writing(est_path):
+        est_path.write_text("".join(lines))
     print(f"simulate: {n_traj} trajectories, {steps + 1} estimates -> {out}")
     return 0
 

@@ -248,13 +248,11 @@ class TransitionKernel:
         return self.csr()[states][:, states]
 
     def csr_with_cum(self):
+        """CSR arrays with each row's running sums in place of its entries:
+        the inverse-CDF table the samplers search (built once, then cached)."""
         cache = self._cache
         if "cumdata" not in cache:
-            # per-row running sums: the inverse-CDF table both samplers search
-            cumdata = np.empty_like(self.data)
-            for i in range(self.K):
-                lo, hi = self.indptr[i], self.indptr[i + 1]
-                cumdata[lo:hi] = np.cumsum(self.data[lo:hi])
+            cumdata = _row_cumsums(self.indptr, self.data)
             cumdata.setflags(write=False)
             cache["cumdata"] = cumdata
         return self.indptr, self.indices, cache["cumdata"]
@@ -283,6 +281,28 @@ def _dense_row_sums(indptr, indices, data, k: int) -> np.ndarray:
         view.sum(axis=1, out=sums[lo:hi])
         view[rows, indices[a:b]] = 0.0
     return sums
+
+
+def _row_cumsums(indptr, data) -> np.ndarray:
+    """Running sums within each CSR row, with the bits of ``np.cumsum`` on
+    each row alone.
+
+    A cumulative sum adds left to right, so zeros padded after a row's end
+    leave its sums unchanged. Blocks of consecutive rows (the bounded blocks
+    of the Ulam assembly) are padded with zeros to the block's widest row
+    and summed along axis 1.
+    """
+    width = np.diff(indptr)
+    cumdata = np.empty_like(data)
+    for a, b, span in _backend._blocks(width, 1):
+        rows = np.zeros((b - a, span))
+        lo, hi = indptr[a], indptr[b]
+        # entry e of row i sits at slot (i - a) * span + (e - row start)
+        slot = np.arange(lo, hi) + np.repeat(np.arange(b - a) * span - indptr[a:b], width[a:b])
+        rows.ravel()[slot] = data[lo:hi]
+        np.cumsum(rows, axis=1, out=rows)
+        cumdata[lo:hi] = rows.ravel()[slot]
+    return cumdata
 
 
 def _rescaled(data, indptr, sums):

@@ -64,15 +64,27 @@ def _check_start(P: TransitionKernel, start: int) -> int:
     return start
 
 
-def sample_trajectory(P: TransitionKernel, start: int, n: int, seed: int) -> Trajectory:
-    """Simulate n steps from a start state; deterministic in the seed."""
+def sample_trajectories(P: TransitionKernel, start: int, n: int, master_seed: int, count: int) -> np.ndarray:
+    """Simulate count n-step paths from a start state, all in one pass.
+
+    Row i of the (count, n + 1) result is the path drawn from the stream
+    seeded by master_seed xor i, so it is deterministic in the seed and
+    independent of count.
+    """
     start = _check_start(P, start)
     if n < 0:
         raise InvalidArgumentError("step count must be nonnegative")
-    indptr, indices, cumdata = P.csr_with_cum()
-    states = _backend.sample_path(
-        indptr, indices, cumdata, start, int(n), np.uint64(int(seed) & ((1 << 64) - 1))
-    )
+    if count < 1:
+        raise InvalidArgumentError("trajectory count must be positive")
+    return _backend.sample_path(P, start, int(n), int(master_seed), int(count))
+
+
+def sample_trajectory(P: TransitionKernel, start: int, n: int, seed: int) -> Trajectory:
+    """Simulate n steps from a start state; deterministic in the seed.
+
+    This is the one-path case of ``sample_trajectories``: seed xor 0 is seed.
+    """
+    states = sample_trajectories(P, start, n, seed, 1)[0]
     return Trajectory(start, states, int(seed))
 
 

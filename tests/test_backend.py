@@ -191,6 +191,30 @@ def test_samplers_match_golden(spec, seed):
     assert (est.mean.hex(), est.stderr.hex()) == (mean, stderr)
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _mix64(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _scalar_path(indptr, indices, cumdata, start, n, seed):
+    # one trajectory at a time: python-int splitmix64 and a searchsorted per step
+    states = [start]
+    state = _mix64(seed & _MASK64)
+    s = start
+    for _ in range(n):
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        u = (_mix64(state) >> 11) * (1.0 / 9007199254740992.0)
+        lo, hi = indptr[s], indptr[s + 1]
+        pos = min(int(np.searchsorted(cumdata[lo:hi], u, side="right")), hi - lo - 1)
+        s = int(indices[lo + pos])
+        states.append(s)
+    return np.array(states)
+
+
 def test_endpoints_match_single_paths(rng):
     # the batched bisection and the per-path searchsorted draw the same states
     for _ in range(10):
@@ -201,10 +225,27 @@ def test_endpoints_match_single_paths(rng):
         master = int(rng.integers(0, 2**63)) * 2 + int(rng.integers(0, 2))
         j = int(rng.integers(0, 9))
         ends = backend.sample_endpoints(P, start, j, master, 64)
+        paths = backend.sample_path(P, start, j, master, 64)
         for i in range(64):
             seed = backend.trajectory_seed(master, i)
-            path = backend.sample_path(indptr, indices, cumdata, start, j, seed)
+            path = _scalar_path(indptr, indices, cumdata, start, j, seed)
             assert ends[i] == path[-1]
+            assert np.array_equal(paths[i], path)
+            assert np.array_equal(sample_trajectory(P, start, j, seed).states, path)
+
+
+@pytest.mark.parametrize("draw_block", [1, 5, 64])
+def test_draw_batches_do_not_change_paths(rng, monkeypatch, draw_block):
+    # uniforms drawn a batch of steps at a time: one step, a few, or all of them
+    P = random_kernel(rng, 17, density=0.4)
+    expected = backend.sample_path(P, 2, 25, 99, 4)
+    monkeypatch.setattr(backend, "_DRAW_BLOCK", draw_block)
+    assert np.array_equal(backend.sample_path(P, 2, 25, 99, 4), expected)
+    assert np.array_equal(backend.sample_endpoints(P, 2, 25, 99, 4), expected[:, -1])
+    indptr, indices, cumdata = P.csr_with_cum()
+    for i in range(4):
+        seed = backend.trajectory_seed(99, i)
+        assert np.array_equal(_scalar_path(indptr, indices, cumdata, 2, 25, seed), expected[i])
 
 
 def test_trajectories_match_across_processes(rng, tmp_path):

@@ -376,6 +376,35 @@ def assert_one_line_error(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+class TestOutputErrors:
+    """An output location that cannot be written exits 2 with a one-line error."""
+
+    @pytest.mark.parametrize("command", ["kernel-build", "measure", "verify", "simulate"])
+    def test_out_naming_a_regular_file_exits_2(self, tmp_path, capsys, command):
+        cfg = bundled("rotation_uniform.cfg", tmp_path)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        argv = [command, "--config", str(cfg), "--out", str(blocker)]
+        if command != "kernel-build":
+            argv += ["--kernel", str(bundled("swap.kernel", tmp_path)), "--trials", "2"]
+        assert main(argv) == 2
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("command, output", [
+        ("kernel-build", "kernel.txt"), ("measure", "measure_report.txt"),
+        ("verify", "verify_report.txt"), ("simulate", "estimates.csv"),
+    ])
+    def test_output_file_that_cannot_be_written_exits_2(self, tmp_path, capsys, command, output):
+        cfg = bundled("rotation_uniform.cfg", tmp_path)
+        out = tmp_path / "out"
+        (out / output).mkdir(parents=True)  # a directory where the file goes
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command != "kernel-build":
+            argv += ["--kernel", str(bundled("swap.kernel", tmp_path)), "--trials", "2"]
+        assert main(argv) == 2
+        assert_one_line_error(capsys)
+
+
 class TestInvalidData:
     def test_kernel_header_k_disagrees_with_boundaries_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.kernel"

@@ -191,3 +191,29 @@ class TestKernelPower:
     def test_power_one_returns_same_kernel(self):
         P = swap_kernel()
         assert kernel_power(P, 1) is P
+
+
+class TestRowCumsums:
+    def _per_row(self, P):
+        return np.concatenate([np.cumsum(P.row(i)[1]) for i in range(P.K)])
+
+    @pytest.mark.parametrize("k, density", [(1, 1.0), (7, 0.6), (60, 0.05), (300, 0.3)])
+    def test_matches_per_row_cumsum(self, rng, k, density):
+        P = random_kernel(rng, k, density)
+        _, _, cumdata = P.csr_with_cum()
+        assert np.array_equal(cumdata, self._per_row(P))
+        assert P.csr_with_cum()[2] is cumdata  # cached
+
+    def test_full_row_among_sparse_rows(self, rng, monkeypatch):
+        # a full row wider than the block budget gets a block of its own
+        import ergodyn._backend as backend
+
+        monkeypatch.setattr(backend, "_BLOCK_ENTRIES", 64)
+        k = 200
+        rows = np.eye(k)[rng.permutation(k)] * 0.5 + np.eye(k) * 0.5
+        rows[k // 2] = rng.random(k) + 0.01
+        rows[k // 2] /= rows[k // 2].sum()
+        P = kernel_from_rows(rows)
+        assert np.diff(P.indptr).max() == k
+        assert np.array_equal(P.csr_with_cum()[2], self._per_row(P))
+

@@ -10,6 +10,7 @@ from ergodyn import (
     sample_trajectory,
 )
 from ergodyn._backend import trajectory_seed
+from ergodyn.mc import sample_trajectories
 
 from conftest import identity_kernel, random_kernel, swap_kernel, two_state_chain
 
@@ -54,6 +55,22 @@ class TestSampleTrajectory:
         P = random_kernel(rng, 4)
         traj = sample_trajectory(P, 0, 5, seed=(1 << 63) + 17)
         assert traj.states.size == 6
+
+
+class TestSampleTrajectories:
+    def test_row_i_is_the_path_of_seed_master_xor_i(self, rng):
+        P = random_kernel(rng, 11, density=0.5)
+        master = (1 << 64) - 3
+        paths = sample_trajectories(P, 4, 30, master, 6)
+        assert paths.shape == (6, 31)
+        for i in range(6):
+            single = sample_trajectory(P, 4, 30, trajectory_seed(master, i)).states
+            assert np.array_equal(paths[i], single)
+
+    def test_count_must_be_positive(self, rng):
+        P = random_kernel(rng, 4)
+        with pytest.raises(InvalidArgumentError):
+            sample_trajectories(P, 0, 3, 1, 0)
 
 
 class TestEstimateLjPhi:
