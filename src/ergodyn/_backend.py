@@ -58,18 +58,18 @@ def _mix64_array(z):
     return z ^ (z >> np.uint64(31))
 
 
-#: Uniform draws generated per batch in ``_walk``: steps x trajectories.
+#: Uniform draws generated per batch in ``walk``: steps x trajectories.
 _DRAW_BLOCK = 1 << 16
 
 
-def _walk(kernel_arrays, start, n, master_seed, count, path=None):
-    """States of count trajectories after n steps from one start state.
+def walk(kernel_arrays, start, n, master_seed, count):
+    """States of count trajectories from one start state, yielded after each
+    of steps 1..n; only one step's states are held at a time.
 
     Trajectory i draws from the stream seeded by master_seed xor i. All
     trajectories advance together: each step is one inverse-CDF bisection
     over the rows' CSR running sums, and the uniforms of a batch of steps
-    are drawn at once. With ``path``, an (n + 1, count) array, row t
-    receives the states after step t.
+    are drawn at once.
     """
     indptr, indices, cumdata = kernel_arrays.csr_with_cum()
     width = np.diff(indptr)
@@ -81,7 +81,7 @@ def _walk(kernel_arrays, start, n, master_seed, count, path=None):
     for first in range(0, n, batch):
         steps = np.arange(first + 1, min(n, first + batch) + 1, dtype=np.uint64)
         draws = _mix64_array(st + steps[:, None] * np.uint64(_GOLD)) >> np.uint64(11)
-        for t, u in enumerate(draws.astype(np.float64) * _INV53, first + 1):
+        for u in draws.astype(np.float64) * _INV53:
             # the first position in the row whose running sum exceeds u, else
             # the row's last: [pos, pos + left) holds it, halved each round
             pos, left = indptr[states], width[states]
@@ -90,9 +90,7 @@ def _walk(kernel_arrays, start, n, master_seed, count, path=None):
                 pos += half * (cumdata[pos + half - 1] <= u)
                 left -= half
             states = indices[pos]
-            if path is not None:
-                path[t] = states
-    return states
+            yield states
 
 
 def sample_path(kernel_arrays, start, n, master_seed, count):
@@ -104,7 +102,8 @@ def sample_path(kernel_arrays, start, n, master_seed, count):
     """
     path = np.empty((n + 1, count), dtype=np.int64)
     path[0] = start
-    _walk(kernel_arrays, start, n, master_seed, count, path)
+    for t, states in enumerate(walk(kernel_arrays, start, n, master_seed, count), 1):
+        path[t] = states
     return np.ascontiguousarray(path.T)
 
 
@@ -112,7 +111,10 @@ def sample_endpoints(kernel_arrays, start, j, master_seed, n_samples):
     """States after j steps of n_samples trajectories from one start state;
     trajectory i draws from the stream seeded by master_seed xor i, as in
     ``sample_path``."""
-    return _walk(kernel_arrays, start, j, master_seed, n_samples)
+    states = np.full(n_samples, start, dtype=np.int64)
+    for states in walk(kernel_arrays, start, j, master_seed, n_samples):
+        pass
+    return states
 
 
 def ulam_rows(boundaries, samples, noise_code, param, wrap):

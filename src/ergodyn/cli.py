@@ -65,7 +65,7 @@ from .measures import (
     require_stationary,
     stationary_measures,
 )
-from .mc import estimate_Lj_phi, sample_trajectories
+from .mc import estimate_Lj_phi_steps, sample_trajectories
 from .space import Measure, Observable, Partition, make_uniform_partition
 from .theorems import (
     _COROLLARIES,
@@ -235,6 +235,20 @@ def _sidecar_records(path, nnz: int):
     return records
 
 
+def _ascii_lines(fh):
+    """The remaining lines of a text file, each checked to be ASCII, as a
+    kernel file written by ``save_kernel`` is.
+
+    NumPy's ``loadtxt`` can crash the interpreter on some characters outside
+    the Basic Multilingual Plane in a numeric field (NumPy 2.4: a
+    segmentation fault on U+E093A), so no such character may reach it.
+    """
+    for line in fh:
+        if not line.isascii():
+            raise ValueError("a record holds a non-ASCII character")
+        yield line
+
+
 def _header_value(line: str, keyword: str) -> list:
     """The values of a header line ``keyword value ...``."""
     tokens = line.split()
@@ -271,7 +285,7 @@ def load_kernel(path) -> TransitionKernel:
             if records is None:
                 with warnings.catch_warnings():  # no records: the count check below reports it
                     warnings.simplefilter("ignore", UserWarning)
-                    records = np.loadtxt(fh, dtype=_RECORD, comments=None, ndmin=1)
+                    records = np.loadtxt(_ascii_lines(fh), dtype=_RECORD, comments=None, ndmin=1)
         if records.size != nnz:
             raise ValueError(f"expected {nnz} entries, found {records.size}")
         partition = Partition(domain, boundaries)
@@ -844,8 +858,7 @@ def cmd_simulate(args) -> int:
 
     lines = ["j,mean,stderr,exact,z\n"]
     cur = phi.values.copy()
-    for j in range(steps + 1):
-        est = estimate_Lj_phi(P, phi, start, j, n_samples, seed)
+    for j, est in enumerate(estimate_Lj_phi_steps(P, phi, start, steps, n_samples, seed)):
         exact = float(cur[start])
         z = (est.mean - exact) / est.stderr if est.stderr > 0 else 0.0
         lines.append(f"{j},{_fmt(est.mean)},{_fmt(est.stderr)},{_fmt(exact)},{_fmt(z)}\n")

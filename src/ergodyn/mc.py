@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -88,6 +89,34 @@ def sample_trajectory(P: TransitionKernel, start: int, n: int, seed: int) -> Tra
     return Trajectory(start, states, int(seed))
 
 
+def _check_estimate_args(P: TransitionKernel, phi: Observable, start: int, j: int, n_samples: int):
+    if phi.partition != P.partition:
+        raise DimensionError("observable and kernel live on different partitions")
+    start = _check_start(P, start)
+    if j < 0:
+        raise InvalidArgumentError("j must be nonnegative")
+    if n_samples < 1:
+        raise InvalidArgumentError("n_samples must be positive")
+    return start
+
+
+def _estimate(values: np.ndarray, ends: np.ndarray) -> Estimate:
+    """Mean and standard error of values[ends], one sample per endpoint.
+
+    Both sums are ``math.fsum``, which is exact and so independent of order:
+    each distinct endpoint's squared deviation is computed once and repeated
+    by its count, with the bits of squaring every sample.
+    """
+    n = ends.size
+    mean = math.fsum(values[ends]) / n
+    if n == 1:
+        return Estimate(mean, 0.0, n)
+    states, counts = np.unique(ends, return_counts=True)
+    squares = [(v - mean) ** 2 for v in values[states]]
+    var = math.fsum(chain.from_iterable(map(repeat, squares, counts.tolist()))) / (n - 1)
+    return Estimate(mean, math.sqrt(var / n), n)
+
+
 def estimate_Lj_phi(
     P: TransitionKernel,
     phi: Observable,
@@ -103,22 +132,29 @@ def estimate_Lj_phi(
     is accumulated with compensated summation, so it is independent of
     aggregation order.
     """
-    if phi.partition != P.partition:
-        raise DimensionError("observable and kernel live on different partitions")
-    start = _check_start(P, start)
-    if j < 0:
-        raise InvalidArgumentError("j must be nonnegative")
-    if n_samples < 1:
-        raise InvalidArgumentError("n_samples must be positive")
+    start = _check_estimate_args(P, phi, start, j, n_samples)
     ends = _backend.sample_endpoints(P, start, int(j), int(seed), int(n_samples))
-    vals = phi.values[ends]
-    mean = math.fsum(vals) / n_samples
-    if n_samples == 1:
-        stderr = 0.0
-    else:
-        var = math.fsum((v - mean) ** 2 for v in vals) / (n_samples - 1)
-        stderr = math.sqrt(var / n_samples)
-    return Estimate(mean, stderr, n_samples)
+    return _estimate(phi.values, ends)
+
+
+def estimate_Lj_phi_steps(
+    P: TransitionKernel,
+    phi: Observable,
+    start: int,
+    steps: int,
+    n_samples: int,
+    seed: int,
+) -> list:
+    """``estimate_Lj_phi`` for every j = 0..steps, from one walk of ``steps``
+    steps: the step-j states of the walk are the j-step endpoints, with the
+    same seeds, so entry j equals ``estimate_Lj_phi(..., j, ...)`` bit for bit.
+    """
+    start = _check_estimate_args(P, phi, start, steps, n_samples)
+    ends = np.full(int(n_samples), start, dtype=np.int64)
+    estimates = [_estimate(phi.values, ends)]
+    for ends in _backend.walk(P, start, int(steps), int(seed), int(n_samples)):
+        estimates.append(_estimate(phi.values, ends))
+    return estimates
 
 
 def empirical_time_average(traj: Trajectory, phi: Observable) -> float:

@@ -88,11 +88,19 @@ def closed_classes(P: TransitionKernel, edge_threshold: float = 0.0) -> list:
 
     The digraph has an edge i -> j when P_ij exceeds edge_threshold (use a
     small positive value for kernels polluted by quadrature noise). Classes
-    come back sorted by their smallest state.
+    come back sorted by their smallest state, as read-only arrays computed
+    once per kernel and threshold.
     """
     if not (0.0 <= edge_threshold < 1.0):
         raise InvalidArgumentError("edge_threshold must lie in [0, 1)")
-    return _closed_classes_on(P, np.arange(P.K), edge_threshold)
+    key = ("closed_classes", float(edge_threshold))
+    cache = P._cache
+    if key not in cache:
+        classes = _closed_classes_on(P, np.arange(P.K), edge_threshold)
+        for cls in classes:
+            cls.setflags(write=False)
+        cache[key] = classes
+    return list(cache[key])
 
 
 def _graph_period(sub) -> tuple:
@@ -131,6 +139,10 @@ def _solve_class(sub, tol: float, max_iter: int):
     the rotating eigenvalues exactly, so the averaged iterates converge
     geometrically even for periodic classes. Returns the vector, the number
     of windows, the period and the breadth-first levels of ``_graph_period``.
+
+    A period-1 window whose mean sums to exactly 1.0 leaves the iterate's
+    bits unchanged, so its residual reuses the product the window has just
+    taken instead of taking it again.
     """
     m = sub.shape[0]
     if m == 1:
@@ -146,8 +158,10 @@ def _solve_class(sub, tol: float, max_iter: int):
             acc += cur
             cur = _backend.matvec(step, cur)
         avg = acc / d
-        avg /= avg.sum()
-        res = float(np.abs(_backend.matvec(step, avg) - avg).sum())
+        total = avg.sum()
+        avg /= total
+        moved = cur if d == 1 and total == 1.0 else _backend.matvec(step, avg)
+        res = float(np.abs(moved - avg).sum())
         if res <= tol:
             return avg, it, d, level
         x = cur

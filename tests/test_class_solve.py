@@ -1,0 +1,123 @@
+"""The class solve reuses work without changing a bit.
+
+``_two_product_solve`` is the class solve as it was before a period-1 window
+reused its own product for the residual: it takes two products per window.
+The solve must return the same vector, window count, period and levels on
+the oracle's drawn kernels and on every kernel under ``tests/data``, with
+fewer products. Closed classes are computed once per kernel and threshold.
+"""
+
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+from ergodyn import _backend, closed_classes, measures
+from ergodyn.cli import load_kernel
+from ergodyn.errors import ConvergenceError
+from ergodyn.measures import _class_solves, _graph_period, _solve_class
+
+from test_oracle import SOLVER_TOL, float_kernel, rational_kernels
+
+DATA = Path(__file__).parent / "data"
+KERNELS = sorted(DATA.glob("*.kernel"))
+
+
+def _two_product_solve(sub, tol, max_iter):
+    """The class solve with one product for the window and one for the residual."""
+    m = sub.shape[0]
+    if m == 1:
+        return np.ones(1), 1, 1, np.zeros(1, dtype=np.int32)
+    d, level = _graph_period(sub > 0.0)
+    step = sub.T.tocsr()
+    x = np.full(m, 1.0 / m)
+    res = math.inf
+    for it in range(1, max_iter + 1):
+        acc = np.zeros(m)
+        cur = x
+        for _ in range(d):
+            acc += cur
+            cur = _backend.matvec(step, cur)
+        avg = acc / d
+        avg /= avg.sum()
+        res = float(np.abs(_backend.matvec(step, avg) - avg).sum())
+        if res <= tol:
+            return avg, it, d, level
+        x = cur
+    raise ConvergenceError(f"class solve stalled at residual {res:.3e}", residual=res)
+
+
+def assert_same_solves(P, tol, max_iter=100000):
+    for cls in closed_classes(P):
+        sub = P.restrict(cls)
+        pi, windows, d, level = _solve_class(sub, tol, max_iter)
+        want_pi, want_windows, want_d, want_level = _two_product_solve(sub, tol, max_iter)
+        assert pi.tobytes() == want_pi.tobytes()
+        assert (windows, d) == (want_windows, want_d)
+        assert level.tobytes() == want_level.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_kernels())
+def test_drawn_kernels_solve_as_before(P):
+    K = float_kernel(P)
+    for tol in (1e-12, SOLVER_TOL):
+        assert_same_solves(K, tol)
+
+
+@pytest.mark.parametrize("path", KERNELS, ids=lambda p: p.name)
+def test_data_kernels_solve_as_before(path):
+    assert_same_solves(load_kernel(path), 1e-12)
+
+
+def test_pipeline_solve_takes_fewer_than_two_products_per_window(monkeypatch):
+    P = load_kernel(DATA / "pipeline_logistic_k64.kernel")
+    (cls,) = closed_classes(P)
+    calls = []
+    matvec = _backend.matvec
+
+    def counted(csr, x):
+        calls.append(1)
+        return matvec(csr, x)
+
+    monkeypatch.setattr(_backend, "matvec", counted)
+    _, windows, d, _ = _solve_class(P.restrict(cls), 1e-12, 100000)
+    assert d == 1
+    assert len(calls) < 2 * windows
+
+
+class TestClosedClassesCache:
+    def test_second_call_returns_the_same_read_only_arrays(self):
+        P = load_kernel(DATA / "cyclic3_k24.kernel")
+        first, second = closed_classes(P), closed_classes(P)
+        assert len(first) == len(second) >= 1
+        for a, b in zip(first, second):
+            assert a is b
+            assert not a.flags.writeable
+        second.clear()  # the caller's list is its own
+        assert len(closed_classes(P)) == len(first)
+
+    def test_each_threshold_has_its_own_entry(self):
+        P = load_kernel(DATA / "pipeline_logistic_k64.kernel")
+        loose, strict = closed_classes(P, 0.0), closed_classes(P, 1e-14)
+        assert ("closed_classes", 0.0) in P._cache
+        assert ("closed_classes", 1e-14) in P._cache
+        assert closed_classes(P, 1e-14)[0] is strict[0]
+        assert closed_classes(P, 0.0)[0] is loose[0]
+
+    def test_class_solve_and_period_lcm_share_the_classes(self, monkeypatch):
+        P = load_kernel(DATA / "cyclic3_k24.kernel")
+        calls = []
+        find = measures._closed_classes_on
+
+        def counted(*args):
+            calls.append(1)
+            return find(*args)
+
+        monkeypatch.setattr(measures, "_closed_classes_on", counted)
+        _class_solves(P, 1e-12, 100000)
+        measures._odd_period_lcm(P)
+        closed_classes(P)
+        assert len(calls) == 1

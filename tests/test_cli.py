@@ -18,7 +18,8 @@ from ergodyn import (
 from ergodyn.cli import (
     config_hash, load_config, load_kernel, load_measure, main, save_kernel, save_measure,
 )
-from ergodyn.space import Measure
+from ergodyn.mc import estimate_Lj_phi
+from ergodyn.space import Measure, Observable
 
 from conftest import random_kernel
 
@@ -890,6 +891,22 @@ class TestDeterminism:
         for name in ("trajectories.csv", "estimates.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize("steps", [0, 1, 5])
+    def test_simulate_estimates_equal_estimate_Lj_phi(self, tmp_path, steps):
+        shutil.copy(DATA / "pipeline_logistic_k64.kernel", tmp_path / "k.kernel")
+        cfg = write_config(
+            tmp_path / "c.cfg",
+            f"[kernel]\npath = k.kernel\n[mc]\nstart = 17\nsteps = {steps}\nn_samples = 900\n",
+        )
+        assert main(["simulate", "--config", cfg, "--seed", "77", "--out", str(tmp_path / "o")]) == 0
+        P = load_kernel(tmp_path / "k.kernel")
+        phi = Observable(P.partition.midpoints(), P.partition)
+        rows = (tmp_path / "o" / "estimates.csv").read_text().splitlines()[1:]
+        assert len(rows) == steps + 1
+        for j, row in enumerate(rows):
+            est = estimate_Lj_phi(P, phi, 17, j, 900, 77)
+            assert row.split(",")[:3] == [str(j), cli._fmt(est.mean), cli._fmt(est.stderr)]
+
     def test_simulate_identity_rows(self, tmp_path):
         save_kernel(kernel_from_rows(np.eye(2)), tmp_path / "k.txt")
         cfg = write_config(
@@ -1008,6 +1025,15 @@ def _main_on(argv, files):
 def test_mutated_kernel_file_exits_2_or_3(text):
     code = _main_on(["measure", "--kernel", "{d}/k.txt", "--out", "{d}/o"], {"k.txt": text})
     assert code in (2, 3)
+
+
+@pytest.mark.parametrize("record", ["\U000e093a 0 1", "0 \U000e093a 1", "0 1 \U000e093a",
+                                    "\u00e9 0 1", "0 1 1\u00a0"])
+def test_non_ascii_record_exits_3_before_parsing(tmp_path, capsys, record):
+    # NumPy's loadtxt can crash the interpreter on U+E093A in a numeric field
+    (tmp_path / "k.txt").write_text(SWAP_HEADER + f"nnz 2\n{record}\n1 0 1\n")
+    assert main(["measure", "--kernel", str(tmp_path / "k.txt"), "--out", str(tmp_path / "o")]) == 3
+    assert "a record holds a non-ASCII character" in capsys.readouterr().err
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,6 +6,7 @@ within rounding. Memory guards fail if the Ulam build or the load -> stationary 
 periodic path forms a dense K x K array again.
 """
 
+import itertools
 import math
 import tracemalloc
 from pathlib import Path
@@ -119,6 +120,104 @@ class TestIngestionBits:
         P = ulam_discretize(system, make_uniform_partition("unit_interval", 300))
         save_kernel(P, tmp_path / "k.txt")
         assert_same_bits(load_kernel(tmp_path / "k.txt"), (P.indptr, P.indices, P.data))
+
+
+def scatter_row_sums(indptr, indices, data, k):
+    """Row sums with the bits of ``dense.sum(axis=1)``, every row scattered
+    into a K-wide scratch: the loader's sum before rows far inside the band
+    kept a sum over their nonzeros."""
+    sums = np.empty(k)
+    block = max(1, (1 << 16) // k)
+    scratch = np.zeros((block, k))
+    for lo in range(0, k, block):
+        hi = min(lo + block, k)
+        a, b = indptr[lo], indptr[hi]
+        rows = np.repeat(np.arange(hi - lo), np.diff(indptr[lo:hi + 1]))
+        view = scratch[:hi - lo]
+        view[rows, indices[a:b]] = data[a:b]
+        view.sum(axis=1, out=sums[lo:hi])
+        view[rows, indices[a:b]] = 0.0
+    return sums
+
+
+def near_edge_row(rng, k, w, target):
+    """A row of w entries of mixed magnitudes in k slots, scaled to sum to about target."""
+    v = rng.random(w) ** 4 + 1e-3
+    row = np.zeros(k)
+    row[rng.choice(k, w, replace=False)] = v / v.sum() * target
+    return row
+
+
+def crosses(row, edge):
+    """The sum over the row's nonzeros alone and its dense sum lie on opposite sides of 1 +- edge."""
+    cheap = np.add.reduceat(row[row != 0.0], [0])[0]
+    return (abs(cheap - 1.0) > edge) != (abs(row.sum() - 1.0) > edge)
+
+
+def edge_rows(rng, k, edge):
+    """Rows of width 3, 17 and k whose sums lie a few ulps either side of 1 +- edge.
+
+    Per width and side: one row per target 1 +- edge + m ulps, m = -3..3, and
+    two rows that ``crosses`` the edge.
+    """
+    rows = []
+    for sign in (-1.0, 1.0):
+        for w in (3, 17, k):
+            targets = 1.0 + sign * edge + np.arange(-3, 4) * 2.0**-52
+            rows += [near_edge_row(rng, k, w, t) for t in targets]
+            draws = (near_edge_row(rng, k, w, rng.choice(targets)) for _ in range(2000))
+            rows += list(itertools.islice((row for row in draws if crosses(row, edge)), 2))
+    return np.array(rows)
+
+
+def csr_arrays(rows):
+    mask = rows != 0.0
+    return np.concatenate(([0], np.cumsum(mask.sum(axis=1)))), np.nonzero(mask)[1], rows[mask]
+
+
+class TestRowSumsAtBandEdges:
+    """Cheap row sums take every decision the scatter sum takes, and rows off
+    the band get its bits."""
+
+    K = 64
+
+    def outcome(self, rows):
+        try:
+            P = kernel_from_rows(rows)
+        except InvalidKernelError as e:
+            return str(e)
+        return P.indptr.tobytes(), P.indices.tobytes(), P.data.tobytes()
+
+    def assert_edge_straddled(self, rows, edge):
+        dev = np.abs(rows.sum(axis=1) - 1.0) - edge
+        assert ((dev > 0.0) & (dev <= 8e-16)).any()
+        assert ((dev <= 0.0) & (dev >= -8e-16)).any()
+        assert sum(crosses(row, edge) for row in rows) >= 12
+
+    def test_exact_band_edge(self, rng, monkeypatch):
+        near = edge_rows(rng, self.K, SUM_EXACT_BAND)
+        rows = np.vstack((near, np.eye(self.K)[near.shape[0]:]))
+        arrays = csr_arrays(rows)
+        want = scatter_row_sums(*arrays, self.K)
+        got = kernel._row_sums(*arrays, self.K)
+        self.assert_edge_straddled(near, SUM_EXACT_BAND)
+        off = np.abs(want - 1.0) > SUM_EXACT_BAND
+        assert np.array_equal(np.abs(got - 1.0) > SUM_EXACT_BAND, off)
+        assert got[off].tobytes() == want[off].tobytes()
+        new = self.outcome(rows)
+        monkeypatch.setattr(kernel, "_row_sums", scatter_row_sums)
+        assert new == self.outcome(rows)
+
+    def test_renormalisation_band_edge(self, rng, monkeypatch):
+        near = edge_rows(rng, self.K, SUM_RENORM_BAND)
+        self.assert_edge_straddled(near, SUM_RENORM_BAND)
+        matrices = [np.vstack((np.eye(self.K)[:i], row, np.eye(self.K)[i + 1:]))
+                    for i, row in enumerate(near)]
+        new = [self.outcome(rows) for rows in matrices]
+        monkeypatch.setattr(kernel, "_row_sums", scatter_row_sums)
+        assert new == [self.outcome(rows) for rows in matrices]
+        rejected = sum(isinstance(o, str) for o in new)
+        assert 0 < rejected < len(new)
 
 
 def dense_power(P, p):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from ergodyn import (
     sample_trajectory,
 )
 from ergodyn._backend import trajectory_seed
-from ergodyn.mc import sample_trajectories
+from ergodyn.mc import _estimate, estimate_Lj_phi_steps, sample_trajectories
 
 from conftest import identity_kernel, random_kernel, swap_kernel, two_state_chain
 
@@ -142,6 +144,42 @@ class TestEstimateLjPhi:
         a = estimate_Lj_phi(P, phi, 0, 5, 5000, seed=7)
         b = estimate_Lj_phi(P, phi, 0, 5, 5000, seed=7)
         assert (a.mean, a.stderr) == (b.mean, b.stderr)
+
+
+def per_sample_estimate(values, ends):
+    """Mean and standard error with the deviation of every sample squared on its own."""
+    vals = values[ends]
+    n = vals.size
+    mean = math.fsum(vals) / n
+    if n == 1:
+        return mean, 0.0
+    var = math.fsum((v - mean) ** 2 for v in vals) / (n - 1)
+    return mean, math.sqrt(var / n)
+
+
+class TestEstimateFromOneWalk:
+    @pytest.mark.parametrize("n", [1, 2, 7, 5000])
+    def test_distinct_values_match_per_sample_squares(self, rng, n):
+        values = rng.normal(0.0, 1e3, 40) * 10.0 ** rng.integers(-8, 8, 40)
+        ends = rng.integers(0, 40, n)
+        est = _estimate(values, ends)
+        assert (est.mean, est.stderr) == per_sample_estimate(values, ends)
+
+    @pytest.mark.parametrize("steps", [0, 1, 5])
+    def test_every_step_equals_its_own_walk(self, rng, steps):
+        P = random_kernel(rng, 9, density=0.6)
+        phi = Observable(rng.uniform(-1, 1, 9), P.partition)
+        got = estimate_Lj_phi_steps(P, phi, 3, steps, 700, seed=2**64 - 5)
+        assert len(got) == steps + 1
+        for j, est in enumerate(got):
+            assert est == estimate_Lj_phi(P, phi, 3, j, 700, seed=2**64 - 5)
+
+    def test_rejects_what_estimate_Lj_phi_rejects(self, rng):
+        P = random_kernel(rng, 4)
+        phi = Observable(np.zeros(4), P.partition)
+        for args in ((4, 2, 10), (0, -1, 10), (0, 2, 0)):
+            with pytest.raises(InvalidArgumentError):
+                estimate_Lj_phi_steps(P, phi, *args, seed=1)
 
 
 class TestEmpiricalTimeAverage:
