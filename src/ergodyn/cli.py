@@ -80,7 +80,6 @@ from .theorems import (
     maximal_trials,
     nonconvergence_trials,
     periodic_trials,
-    running_average_extremes,
 )
 from .transfer import stationarity_residual
 
@@ -264,7 +263,8 @@ def load_kernel(path) -> TransitionKernel:
     it, and are parsed from the text otherwise, in chunks from the open
     file, so the text is never held in memory as a whole. Both feed the same
     checks, and ``%.17g`` round-trips every double, so the kernel is the
-    same either way.
+    same either way. Records in the row-major order ``save_kernel`` writes
+    are taken as they come; others are sorted first.
     """
     try:
         with open(path) as fh:
@@ -302,15 +302,16 @@ def load_kernel(path) -> TransitionKernel:
     if outside.any():
         i = int(outside.argmax())
         raise InvalidKernelError(f"kernel file {path}: entry {r[i]} {c[i]} outside [0, {k})")
-    key = r * k + c
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    repeated = key[1:] == key[:-1]
-    if repeated.any():
-        dup = int(key[int(repeated.argmax())])
-        raise InvalidKernelError(f"kernel file {path}: duplicate entry {dup // k} {dup % k}")
+    key, prob = r * k + c, records["prob"]
+    if not (np.diff(key) > 0).all():  # not in the row-major order save_kernel writes
+        order = np.argsort(key, kind="stable")
+        key, c, prob = key[order], c[order], prob[order]
+        repeated = key[1:] == key[:-1]
+        if repeated.any():
+            dup = int(key[int(repeated.argmax())])
+            raise InvalidKernelError(f"kernel file {path}: duplicate entry {dup // k} {dup % k}")
     indptr = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=k))))
-    return _csr_to_kernel(indptr, c[order], records["prob"][order], partition, f"kernel file {path}")
+    return _csr_to_kernel(indptr, c, prob, partition, f"kernel file {path}")
 
 
 def save_measure(mu: Measure, path) -> None:
@@ -635,15 +636,10 @@ def _run_duality(r: _CheckRun) -> list:
 
 
 def _run_corollary(name: str, r: _CheckRun) -> list:
-    """corollary_c or corollary_b on every closed class; its side (extremes,
-    level key, default level) comes from ``theorems._COROLLARIES``."""
-    direction, key, bound, offset = _COROLLARIES[name][:4]
+    """corollary_c or corollary_b on every closed class, at the level its
+    key in ``theorems._COROLLARIES`` sets, or at the default level."""
     values = r.observables(max(1, r.trials // max(1, len(r.classes))))
-    hi, lo = running_average_extremes(r.P, values, r.opt("n_max"))
-    extremes = hi if direction == "ge" else lo
-    levels = [[r.opt(key, float(bound(extremes[A, t])) + offset) for A in r.classes]
-              for t in range(values.shape[1])]
-    return corollary_trials(name, r.P, r.mix, values, extremes, r.classes, levels,
+    return corollary_trials(name, r.P, r.mix, values, r.classes, r.opt(_COROLLARIES[name][1]),
                             r.opt("n_max"), r.opt("tol"))
 
 
@@ -917,6 +913,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (ConfigError, InvalidArgumentError) as e:
         print(f"error: invalid configuration: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:  # a configured size the machine cannot allocate
+        print(f"error: invalid configuration: {e or 'out of memory'}", file=sys.stderr)
         return 2
     except (InvalidKernelError, InvalidMeasureError, DimensionError) as e:
         print(f"error: invalid data: {e}", file=sys.stderr)

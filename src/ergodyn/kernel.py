@@ -176,6 +176,11 @@ class TransitionKernel:
     partition: Partition
 
     def __post_init__(self):
+        """The one validator of kernel arrays: CSR structure, columns strictly
+        increasing within each row, finite nonnegative entries, and the
+        shared tolerance policy. Rows off 1 by more than ``SUM_EXACT_BAND``
+        are divided by their sums, by more than ``SUM_RENORM_BAND``
+        rejected; entries that are zero afterwards are dropped."""
         indptr = np.ascontiguousarray(self.indptr, dtype=np.int64)
         indices = np.ascontiguousarray(self.indices, dtype=np.int64)
         data = np.ascontiguousarray(self.data, dtype=np.float64)
@@ -186,13 +191,29 @@ class TransitionKernel:
             raise InvalidKernelError("indices and data length mismatch")
         if indices.size and (indices.min() < 0 or indices.max() >= k):
             raise InvalidKernelError("column index out of range")
-        if np.any(np.diff(indptr) < 1):
-            raise InvalidKernelError("every row needs at least one transition")
-        if np.any(data < 0.0) or not np.all(np.isfinite(data)):
-            raise InvalidKernelError("entries must be finite and nonnegative")
-        sums = np.add.reduceat(data, indptr[:-1])
-        if np.max(np.abs(sums - 1.0)) > 1e-12:
-            raise InvalidKernelError("row sums must equal 1 within 1e-12")
+        empty = np.diff(indptr) < 1
+        if empty.any():
+            raise InvalidKernelError(f"row {int(empty.argmax())} has no transitions")
+        unordered = np.diff(indices) <= 0
+        unordered[indptr[1:-1] - 1] = False  # the step into the next row may go down
+        if unordered.any():
+            e = int(unordered.argmax()) + 1
+            i = int(np.searchsorted(indptr, e, side="right")) - 1
+            raise InvalidKernelError(f"row {i}: column {indices[e]} repeated or out of order")
+        if not np.all(np.isfinite(data)):
+            raise InvalidKernelError("non-finite entry")
+        if np.any(data < 0.0):
+            raise InvalidKernelError(f"negative entry {data.min()}")
+        sums = _row_sums(indptr, indices, data, k)
+        dev = np.abs(sums - 1.0)
+        if dev.max() > SUM_RENORM_BAND:
+            i = int(dev.argmax())
+            raise InvalidKernelError(f"row {i} sums to {float(sums[i])!r}, off by {dev[i]:g}")
+        data = _rescaled(data, indptr, sums)
+        keep = data > 0.0
+        if not keep.all():
+            indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+            indices, data = indices[keep], data[keep]
         for name, arr in (("indptr", indptr), ("indices", indices), ("data", data)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -258,35 +279,10 @@ class TransitionKernel:
         return self.indptr, self.indices, cache["cumdata"]
 
 
-#: Entries of the scratch block that ``_dense_row_sums`` scatters rows into.
-_SCRATCH_ENTRIES = 1 << 16
-
-
-def _dense_row_sums(indptr, indices, data, k: int) -> np.ndarray:
-    """Sums of CSR rows of width k with the bits of ``dense.sum(axis=1)``.
-
-    NumPy sums a dense row pairwise over all K slots, so a sum over the
-    nonzeros alone can differ in the last bit. Blocks of rows are scattered
-    into a bounded scratch array and summed there instead.
-    """
-    n = indptr.size - 1
-    sums = np.empty(n)
-    block = max(1, _SCRATCH_ENTRIES // k)
-    scratch = np.zeros((block, k))
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        a, b = indptr[lo], indptr[hi]
-        rows = np.repeat(np.arange(hi - lo), np.diff(indptr[lo:hi + 1]))
-        view = scratch[:hi - lo]
-        view[rows, indices[a:b]] = data[a:b]
-        view.sum(axis=1, out=sums[lo:hi])
-        view[rows, indices[a:b]] = 0.0
-    return sums
-
-
 def _row_sums(indptr, indices, data, k: int) -> np.ndarray:
-    """Row sums of a CSR matrix of nonnegative entries that take every
-    decision ``dense.sum(axis=1)`` takes under the tolerance policy.
+    """Row sums of a CSR matrix of nonnegative entries, with no empty row,
+    that take every decision ``dense.sum(axis=1)`` takes under the tolerance
+    policy.
 
     Any order of summing w nonnegative terms lies within a relative
     (w - 1) u / (1 - (w - 1) u) of the exact sum, u = 2^-53 (Higham, Accuracy
@@ -296,19 +292,15 @@ def _row_sums(indptr, indices, data, k: int) -> np.ndarray:
     A row whose cheap sum stays inside ``SUM_EXACT_BAND`` by that margin is
     inside it on the dense sum too and keeps the cheap sum. Every other row,
     near the band's edge or beyond it, where its sum is a divisor or appears
-    in an error message, gets the dense sum's bits from ``_dense_row_sums``.
+    in an error message, is scattered into a K-slot row of zeros and summed
+    there, with the dense sum's bits.
     """
     width = np.diff(indptr)
-    sums = np.zeros(width.size)
-    filled = np.flatnonzero(width)
-    if filled.size:  # an empty row sums to 0.0 either way
-        sums[filled] = np.add.reduceat(data, indptr[filled])
-    near = np.flatnonzero(np.abs(sums - 1.0) + width * 2.0**-51 * sums > SUM_EXACT_BAND)
-    if near.size:
-        w = width[near]
-        sub = np.concatenate(([0], np.cumsum(w)))
-        take = np.arange(sub[-1]) + np.repeat(indptr[near] - sub[:-1], w)
-        sums[near] = _dense_row_sums(sub, indices[take], data[take], k)
+    sums = np.add.reduceat(data, indptr[:-1])
+    for i in np.flatnonzero(np.abs(sums - 1.0) + width * 2.0**-51 * sums > SUM_EXACT_BAND):
+        row = np.zeros(k)
+        row[indices[indptr[i]:indptr[i + 1]]] = data[indptr[i]:indptr[i + 1]]
+        sums[i] = row.sum()
     return sums
 
 
@@ -343,39 +335,21 @@ def _rescaled(data, indptr, sums):
 
 
 def _csr_to_kernel(indptr, indices, data, partition: Partition, what: str) -> TransitionKernel:
-    """Validate CSR rows under the shared tolerance policy and build the kernel.
-
-    Every producer ends here. Columns must be sorted and unique within each
-    row. Rows off 1 by more than 1e-13 are renormalised, by more than 1e-9
-    rejected; entries that are zero afterwards are dropped.
-    """
-    indptr = np.asarray(indptr, dtype=np.int64)
-    data = np.asarray(data, dtype=np.float64)
-    k = partition.cell_count
-    if not np.all(np.isfinite(data)):
-        raise InvalidKernelError(f"{what}: non-finite entry")
-    if np.any(data < 0.0):
-        raise InvalidKernelError(f"{what}: negative entry {data.min()}")
-    sums = _row_sums(indptr, indices, data, k)
-    dev = np.abs(sums - 1.0)
-    worst = dev.max() if dev.size else 0.0
-    if worst > SUM_RENORM_BAND:
-        i = int(dev.argmax())
-        raise InvalidKernelError(f"{what}: row {i} sums to {float(sums[i])!r}, off by {worst:g}")
-    data = _rescaled(data, indptr, sums)
-    keep = data > 0.0
-    if not keep.all():
-        indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
-        indices, data = indices[keep], data[keep]
-    return TransitionKernel(indptr, indices, data, partition)
+    """The kernel of CSR arrays, which its constructor validates; every
+    producer ends here, and a rejection names the producer ``what`` first."""
+    try:
+        return TransitionKernel(indptr, indices, data, partition)
+    except InvalidKernelError as e:
+        raise InvalidKernelError(f"{what}: {e}") from None
 
 
 def kernel_from_rows(rows, partition: Partition | None = None) -> TransitionKernel:
     """Ingest a square nonnegative matrix as a transition kernel.
 
-    Rows off 1 by at most 1e-9 are renormalised; farther off is rejected.
-    Without an explicit partition a uniform unit-interval partition of
-    matching size is attached.
+    The nonzeros of each row, in column order, go to the ``TransitionKernel``
+    validator: rows off 1 by more than 1e-13 are renormalised, by more than
+    1e-9 rejected. Without an explicit partition a uniform unit-interval
+    partition of matching size is attached.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:

@@ -209,41 +209,39 @@ _COROLLARIES = {
 }
 
 
-def corollary_trials(name: str, P: TransitionKernel, mu: Measure, values: np.ndarray,
-                     extremes: np.ndarray, sets, levels,
+def corollary_trials(name: str, P: TransitionKernel, mu: Measure, values: np.ndarray, sets,
+                     level: float | None = None,
                      n_max: int = DEFAULT_N_MAX, tol: float = DEFAULT_TOL) -> list:
     """Corollary c or b for each column t of a K x T block and each set.
 
-    For ``corollary_c`` extremes holds the running-average maxima of values
-    and levels[t][j] the alpha of column t on sets[j]; for ``corollary_b``
-    the minima and beta. Reports come column by column, sets in order.
+    ``corollary_c`` bounds the running-average maxima of values by alpha,
+    ``corollary_b`` the minima by beta. ``level`` is that alpha or beta for
+    every column and set; None takes the default level of
+    ``_COROLLARIES`` per column and set. Reports come column by column,
+    sets in order.
     """
-    direction, _, _, _, condition, what = _COROLLARIES[name]
+    direction, _, bound, offset, condition, what = _COROLLARIES[name]
     inside = np.greater if direction == "ge" else np.less
     require_stationary(P, mu, tol)
+    hi, lo = running_average_extremes(P, values, n_max)
+    extremes = hi if direction == "ge" else lo
     sets = [np.asarray(A, dtype=np.int64) for A in sets]
     violations = [invariance_violation(P, mu, A) for A in sets]
     reports = []
     for t, v in enumerate(values.T):
-        for A, viol, level in zip(sets, violations, levels[t]):
+        for A, viol in zip(sets, violations):
             if viol > tol:
                 raise PreconditionError(
                     f"A is not a.e. invariant: criterion violation {viol:.3e}",
                     name="invariant_set",
                 )
-            if not inside(extremes[A, t], level).all():
+            at = float(bound(extremes[A, t])) + offset if level is None else level
+            if not inside(extremes[A, t], at).all():
                 raise PreconditionError(f"A is not contained in the {what}", name=condition)
             lhs = float(v[A] @ mu.weights[A])
-            rhs = level * float(mu.weights[A].sum())
+            rhs = at * float(mu.weights[A].sum())
             reports.append(_report(name, direction, lhs, rhs, tol, _as_index_tuple(A), n_max))
     return reports
-
-
-def _corollary(name, P, mu, phi, level, A, n_max, tol):
-    values = phi.values[:, None]
-    hi, lo = running_average_extremes(P, values, n_max)
-    extremes = hi if _COROLLARIES[name][0] == "ge" else lo
-    return corollary_trials(name, P, mu, values, extremes, [A], [[level]], n_max, tol)[0]
 
 
 def check_corollary_c(
@@ -256,7 +254,7 @@ def check_corollary_c(
     tol: float = DEFAULT_TOL,
 ) -> CheckReport:
     """integral_A phi dmu >= alpha * mu(A) for invariant A inside C_alpha."""
-    return _corollary("corollary_c", P, mu, phi, alpha, A, n_max, tol)
+    return corollary_trials("corollary_c", P, mu, phi.values[:, None], [A], alpha, n_max, tol)[0]
 
 
 def check_corollary_b(
@@ -269,7 +267,7 @@ def check_corollary_b(
     tol: float = DEFAULT_TOL,
 ) -> CheckReport:
     """integral_A phi dmu <= beta * mu(A) for invariant A inside B_beta."""
-    return _corollary("corollary_b", P, mu, phi, beta, A, n_max, tol)
+    return corollary_trials("corollary_b", P, mu, phi.values[:, None], [A], beta, n_max, tol)[0]
 
 
 def check_corollary_inequalities(

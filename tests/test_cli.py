@@ -599,6 +599,19 @@ class TestInvalidConfiguration:
         assert_one_line_error(capsys)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, body", [
+        ("simulate", "[kernel]\npath = swap.kernel\n[mc]\nn_samples = 1000000000000000\n"),
+        ("kernel-build", "[system]\nmap = doubling\n[partition]\ndomain = circle\n"
+                         "cells = 1000000000000000\n"),
+    ], ids=["n_samples", "cells"])
+    def test_size_beyond_memory_exits_2(self, tmp_path, capsys, command, body):
+        # 10**15 eight-byte slots exceed any address space: the allocation fails at once
+        bundled("swap.kernel", tmp_path)
+        cfg = write_config(tmp_path / "c.cfg", body)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration: ") and err.count("\n") == 1, err
+
     def test_wrapped_gaussian_beyond_the_limit_exits_2(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "c.cfg",

@@ -6,6 +6,7 @@ from ergodyn import (
     InvalidArgumentError,
     InvalidKernelError,
     NoisySystem,
+    TransitionKernel,
     kernel_from_rows,
     kernel_power,
     make_uniform_partition,
@@ -55,6 +56,41 @@ class TestKernelFromRows:
     def test_zero_entries_dropped(self):
         P = kernel_from_rows([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.25, 0.25, 0.5]])
         assert P.nnz == 6
+
+
+class TestValidator:
+    """The TransitionKernel constructor validates CSR arrays under the same
+    policy as every producer."""
+
+    @pytest.mark.parametrize("cols, row", [([1, 1, 0], 0), ([1, 0, 0], 0), ([1, 1, 0], 1)])
+    def test_repeated_or_unsorted_column_rejected(self, cols, row):
+        indptr = [0, 2, 3] if row == 0 else [0, 1, 3]
+        with pytest.raises(InvalidKernelError, match=f"row {row}: column"):
+            TransitionKernel(indptr, cols, [0.5, 0.5, 1.0], make_uniform_partition("unit_interval", 2))
+
+    def test_empty_row_named(self):
+        with pytest.raises(InvalidKernelError, match="row 0 has no transitions"):
+            TransitionKernel([0, 0, 1], [1], [1.0], make_uniform_partition("unit_interval", 2))
+
+    def test_drift_inside_the_band_matches_kernel_from_rows(self, rng):
+        k = 40
+        rows = rng.random((k, k)) * (rng.random((k, k)) < 0.3) + np.eye(k)
+        rows /= rows.sum(axis=1, keepdims=True)
+        devs = rng.uniform(2e-13, 9e-10, k) * rng.choice([-1.0, 1.0], k)
+        devs[::4] = 0.0
+        rows *= (1.0 + devs)[:, None]
+        mask = rows != 0.0
+        indptr = np.concatenate(([0], np.cumsum(mask.sum(axis=1))))
+        P = TransitionKernel(indptr, np.nonzero(mask)[1], rows[mask], make_uniform_partition("unit_interval", k))
+        Q = kernel_from_rows(rows)
+        for name in ("indptr", "indices", "data"):
+            assert getattr(P, name).tobytes() == getattr(Q, name).tobytes()
+        assert not np.array_equal(P.data, rows[mask])  # the drifting rows were renormalised
+
+    def test_drift_beyond_the_band_rejected(self):
+        with pytest.raises(InvalidKernelError, match="row 1 sums to"):
+            TransitionKernel([0, 1, 2], [0, 1], [1.0, 1.0 + 2e-9],
+                             make_uniform_partition("unit_interval", 2))
 
 
 class TestUlamDiscretize:
