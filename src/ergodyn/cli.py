@@ -263,8 +263,7 @@ def load_kernel(path) -> TransitionKernel:
     it, and are parsed from the text otherwise, in chunks from the open
     file, so the text is never held in memory as a whole. Both feed the same
     checks, and ``%.17g`` round-trips every double, so the kernel is the
-    same either way. Records in the row-major order ``save_kernel`` writes
-    are taken as they come; others are sorted first.
+    same either way.
     """
     try:
         with open(path) as fh:
@@ -302,16 +301,15 @@ def load_kernel(path) -> TransitionKernel:
     if outside.any():
         i = int(outside.argmax())
         raise InvalidKernelError(f"kernel file {path}: entry {r[i]} {c[i]} outside [0, {k})")
-    key, prob = r * k + c, records["prob"]
-    if not (np.diff(key) > 0).all():  # not in the row-major order save_kernel writes
-        order = np.argsort(key, kind="stable")
-        key, c, prob = key[order], c[order], prob[order]
-        repeated = key[1:] == key[:-1]
-        if repeated.any():
-            dup = int(key[int(repeated.argmax())])
-            raise InvalidKernelError(f"kernel file {path}: duplicate entry {dup // k} {dup % k}")
+    key = r * k + c
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    repeated = key[1:] == key[:-1]
+    if repeated.any():
+        dup = int(key[int(repeated.argmax())])
+        raise InvalidKernelError(f"kernel file {path}: duplicate entry {dup // k} {dup % k}")
     indptr = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=k))))
-    return _csr_to_kernel(indptr, c, prob, partition, f"kernel file {path}")
+    return _csr_to_kernel(indptr, c[order], records["prob"][order], partition, f"kernel file {path}")
 
 
 def save_measure(mu: Measure, path) -> None:
@@ -843,15 +841,8 @@ def cmd_simulate(args) -> int:
         n_traj = _trial_count(int(_cfg_get(cfg, "mc", "trajectories")), "trajectories in [mc]")
     n_samples = int(_cfg_get(cfg, "mc", "n_samples"))
     phi = _observable(cfg, P)
-    out = _out_dir(cfg, args)
 
     paths = sample_trajectories(P, start, steps, seed, n_traj)  # path t: seed xor t
-    traj_path = out / "trajectories.csv"
-    with _writing(traj_path), open(traj_path, "w") as fh:
-        fh.write("trial,step,state\n")
-        for t, path in enumerate(paths.tolist()):
-            fh.write("".join(f"{t},{s},{state}\n" for s, state in enumerate(path)))
-
     lines = ["j,mean,stderr,exact,z\n"]
     cur = phi.values.copy()
     for j, est in enumerate(estimate_Lj_phi_steps(P, phi, start, steps, n_samples, seed)):
@@ -859,6 +850,13 @@ def cmd_simulate(args) -> int:
         z = (est.mean - exact) / est.stderr if est.stderr > 0 else 0.0
         lines.append(f"{j},{_fmt(est.mean)},{_fmt(est.stderr)},{_fmt(exact)},{_fmt(z)}\n")
         cur = P.matvec(cur)
+
+    out = _out_dir(cfg, args)  # after every draw: a size beyond memory leaves no output
+    traj_path = out / "trajectories.csv"
+    with _writing(traj_path), open(traj_path, "w") as fh:
+        fh.write("trial,step,state\n")
+        for t, path in enumerate(paths.tolist()):
+            fh.write("".join(f"{t},{s},{state}\n" for s, state in enumerate(path)))
     est_path = out / "estimates.csv"
     with _writing(est_path):
         est_path.write_text("".join(lines))

@@ -194,7 +194,7 @@ class TransitionKernel:
         empty = np.diff(indptr) < 1
         if empty.any():
             raise InvalidKernelError(f"row {int(empty.argmax())} has no transitions")
-        unordered = np.diff(indices) <= 0
+        unordered = indices[1:] <= indices[:-1]
         unordered[indptr[1:-1] - 1] = False  # the step into the next row may go down
         if unordered.any():
             e = int(unordered.argmax()) + 1

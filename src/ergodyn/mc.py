@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -102,16 +103,17 @@ def _check_estimate_args(P: TransitionKernel, phi: Observable, start: int, j: in
 def _estimate(values: np.ndarray, ends: np.ndarray) -> Estimate:
     """Mean and standard error of values[ends], one sample per endpoint.
 
-    Both sums are ``math.fsum``, which is exact and so independent of order;
-    it reads a list of floats faster than an array. Each deviation is
-    squared by one rounded product (``np.square``).
+    Both sums are ``math.fsum``, which is exact and so independent of order:
+    each distinct endpoint's squared deviation is computed once and repeated
+    by its count, with the bits of squaring every sample.
     """
-    x = values[ends]
-    n = x.size
-    mean = math.fsum(x.tolist()) / n
+    n = ends.size
+    mean = math.fsum(values[ends]) / n
     if n == 1:
         return Estimate(mean, 0.0, n)
-    var = math.fsum(np.square(x - mean).tolist()) / (n - 1)
+    states, counts = np.unique(ends, return_counts=True)
+    squares = [(v - mean) ** 2 for v in values[states]]
+    var = math.fsum(chain.from_iterable(map(repeat, squares, counts.tolist()))) / (n - 1)
     return Estimate(mean, math.sqrt(var / n), n)
 
 

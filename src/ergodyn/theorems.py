@@ -254,7 +254,8 @@ def check_corollary_c(
     tol: float = DEFAULT_TOL,
 ) -> CheckReport:
     """integral_A phi dmu >= alpha * mu(A) for invariant A inside C_alpha."""
-    return corollary_trials("corollary_c", P, mu, phi.values[:, None], [A], alpha, n_max, tol)[0]
+    level = float(alpha)  # a number: None would ask corollary_trials for the default level
+    return corollary_trials("corollary_c", P, mu, phi.values[:, None], [A], level, n_max, tol)[0]
 
 
 def check_corollary_b(
@@ -267,7 +268,8 @@ def check_corollary_b(
     tol: float = DEFAULT_TOL,
 ) -> CheckReport:
     """integral_A phi dmu <= beta * mu(A) for invariant A inside B_beta."""
-    return corollary_trials("corollary_b", P, mu, phi.values[:, None], [A], beta, n_max, tol)[0]
+    level = float(beta)  # a number: None would ask corollary_trials for the default level
+    return corollary_trials("corollary_b", P, mu, phi.values[:, None], [A], level, n_max, tol)[0]
 
 
 def check_corollary_inequalities(

@@ -611,6 +611,7 @@ class TestInvalidConfiguration:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: invalid configuration: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "o").exists()
 
     def test_wrapped_gaussian_beyond_the_limit_exits_2(self, tmp_path, capsys):
         cfg = write_config(

@@ -153,7 +153,7 @@ def per_sample_estimate(values, ends):
     mean = math.fsum(vals) / n
     if n == 1:
         return mean, 0.0
-    var = math.fsum((v - mean) * (v - mean) for v in vals) / (n - 1)
+    var = math.fsum((v - mean) ** 2 for v in vals) / (n - 1)
     return mean, math.sqrt(var / n)
 
 

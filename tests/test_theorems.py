@@ -271,6 +271,16 @@ class TestCorollaries:
             check_corollary_c(P, mu, phi, 5.0, [0], 8, 1e-10)
         assert exc.value.name == "subset_of_c_alpha"
 
+    def test_level_is_required(self):
+        # None is corollary_trials' default level; the public checks take a number
+        P = identity_kernel(2)
+        mu = Measure([0.5, 0.5], P.partition)
+        phi = Observable([1.0, -2.0], P.partition)
+        with pytest.raises(TypeError):
+            check_corollary_c(P, mu, phi, None, [0], 8, 1e-10)
+        with pytest.raises(TypeError):
+            check_corollary_b(P, mu, phi, None, [0], 8, 1e-10)
+
     def test_invariance_precondition_enforced(self):
         P = swap_kernel()
         mu = Measure([0.5, 0.5], P.partition)
