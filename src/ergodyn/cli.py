@@ -99,8 +99,9 @@ def _fmt(x: float) -> str:
 #: Records formatted per write in ``save_kernel``.
 _WRITE_BLOCK = 8192
 
-#: One ``row col probability`` record of a kernel file.
-_RECORD = np.dtype([("row", np.int64), ("col", np.int64), ("prob", np.float64)])
+#: One ``row col probability`` record of a kernel file, in the sidecar's
+#: byte order (little-endian on every host).
+_RECORD = np.dtype([("row", "<i8"), ("col", "<i8"), ("prob", "<f8")])
 
 _DIGEST_BYTES = hashlib.sha256().digest_size
 _HASH_CHUNK = 1 << 20
@@ -108,18 +109,21 @@ _HASH_CHUNK = 1 << 20
 
 def save_kernel(P: TransitionKernel, path) -> None:
     """Write a kernel file, one ``row col probability`` record per nonzero,
-    and its record sidecar.
+    and its record sidecar, in one pass over the records.
 
-    Records are formatted and written a ``_WRITE_BLOCK`` at a time, so the
-    text is never held in memory as a whole. ``_format.records`` formats a
-    block by array arithmetic; a block with a probability it cannot certify
-    is formatted by CPython's ``%`` instead, to the same bytes. The text is
-    hashed as it is written, for the sidecar's digest.
+    Each ``_WRITE_BLOCK`` of records goes to the text and to the sidecar
+    from the same slices, so neither file is held in memory as a whole.
+    ``_format.records`` formats a block by array arithmetic; a block with a
+    probability it cannot certify is formatted by CPython's ``%`` instead,
+    to the same bytes. The sidecar is a digest that binds the text's bytes
+    to the record bytes, then the nnz records as raw ``_RECORD``. Both files
+    are hashed as they are written and the digest goes in last, so a write
+    that stops early leaves a sidecar no loader takes.
     """
     rows = np.repeat(np.arange(P.K), np.diff(P.indptr))
     fields = _format.int_fields(P.K)
-    text = hashlib.sha256()
-    with open(path, "wb") as fh:
+    text, records = hashlib.sha256(), hashlib.sha256()
+    with open(path, "wb") as fh, _sidecar_sink(path) as side:
         def put(data):
             fh.write(data)
             text.update(data)
@@ -127,22 +131,26 @@ def save_kernel(P: TransitionKernel, path) -> None:
         put(f"{KERNEL_MAGIC}\nK {P.K}\ndomain {P.partition.domain_kind}\n".encode())
         put(("boundaries " + " ".join(_fmt(b) for b in P.partition.boundaries) + "\n").encode())
         put(f"nnz {P.nnz}\n".encode())
+        side.write(bytes(_DIGEST_BYTES))
         for lo in range(0, P.nnz, _WRITE_BLOCK):
             block = slice(lo, lo + _WRITE_BLOCK)
-            data = _format.records(fields, rows[block], P.indices[block], P.data[block])
+            r, c, x = rows[block], P.indices[block], P.data[block]
+            data = _format.records(fields, r, c, x)
             if data is None:
-                n = min(_WRITE_BLOCK, P.nnz - lo)
-                flat = [None] * (3 * n)
-                flat[0::3] = rows[block].tolist()
-                flat[1::3] = P.indices[block].tolist()
-                flat[2::3] = P.data[block].tolist()
-                data = (("%d %d %.17g\n" * n) % tuple(flat)).encode()
+                flat = [None] * (3 * r.size)
+                flat[0::3], flat[1::3], flat[2::3] = r.tolist(), c.tolist(), x.tolist()
+                data = (("%d %d %.17g\n" * r.size) % tuple(flat)).encode()
             put(data)
-    _save_records(P, rows, path, text)
+            rec = np.empty(r.size, _RECORD)
+            rec["row"], rec["col"], rec["prob"] = r, c, x
+            side.write(rec)
+            records.update(rec)
+        side.seek(0)
+        side.write(_binding(text, records))
 
 
 def _sidecar(path) -> Path:
-    """The binary record sidecar of the kernel file at path (``_save_records``)."""
+    """The binary record sidecar of the kernel file at path (``save_kernel``)."""
     return Path(f"{path}.records")
 
 
@@ -156,12 +164,14 @@ def _open_regular(path, flags: int):
     return os.fdopen(fd, "rb" if flags == os.O_RDONLY else "wb")
 
 
-def _records_header(nnz: int) -> bytes:
-    """The ``.npy`` header of a sidecar holding nnz records."""
-    buf = io.BytesIO()
-    np.lib.format.write_array_header_1_0(
-        buf, {"descr": np.lib.format.dtype_to_descr(_RECORD), "fortran_order": False, "shape": (nnz,)})
-    return buf.getvalue()
+def _sidecar_sink(path):
+    """The sidecar of the kernel file at path, opened for writing; the null
+    device when it cannot be (a directory or a FIFO in its place), as the
+    text is complete without it."""
+    try:
+        return _open_regular(_sidecar(path), os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
+    except OSError:
+        return open(os.devnull, "wb")
 
 
 def _file_digest(path):
@@ -178,55 +188,22 @@ def _binding(text, records) -> bytes:
     return hashlib.sha256(text.digest() + records.digest()).digest()
 
 
-def _save_records(P: TransitionKernel, rows: np.ndarray, path, text) -> None:
-    """Write the sidecar of the kernel file just written at path, whose bytes
-    hash to ``text`` (a SHA-256 object).
-
-    It holds a digest that binds the text's bytes to the record bytes, then
-    the records as a ``.npy`` array of ``_RECORD``, streamed a
-    ``_WRITE_BLOCK`` at a time. The digest goes in last, so a write that
-    stops early leaves a sidecar no loader takes.
-    """
-    try:
-        fh = _open_regular(_sidecar(path), os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
-    except OSError:  # a directory or a FIFO in its place: the text is complete without it
-        return
-    records = hashlib.sha256()
-    with fh:
-        fh.write(bytes(_DIGEST_BYTES) + _records_header(P.nnz))
-        for lo in range(0, P.nnz, _WRITE_BLOCK):
-            block = slice(lo, lo + _WRITE_BLOCK)
-            rec = np.empty(min(_WRITE_BLOCK, P.nnz - lo), _RECORD)
-            rec["row"], rec["col"], rec["prob"] = rows[block], P.indices[block], P.data[block]
-            fh.write(rec)
-            records.update(rec)
-        fh.seek(0)
-        fh.write(_binding(text, records))
-
-
 def _sidecar_records(path, nnz: int):
     """The records of the kernel file at path, read from its sidecar, or None.
 
     The sidecar is taken only if it is a regular file, its size is that of
-    nnz records, its ``.npy`` header is the one ``save_kernel`` writes for
-    nnz records of ``_RECORD`` (compared as bytes, so a header is never
-    parsed before it is known), and its digest matches the text file and
-    the records read. In every other case (no sidecar, or a truncated,
-    tampered or stale one) the caller parses the text. The records are
+    a digest and nnz records, and its digest matches the text file and the
+    records read. In every other case (no sidecar, or a truncated, tampered,
+    stale or older-layout one) the caller parses the text. The records are
     read only after the size check, so no read asks for more than the file
     holds.
     """
     try:
         with _open_regular(_sidecar(path), os.O_RDONLY) as fh:
-            header = _records_header(nnz)
-            size = _DIGEST_BYTES + len(header) + nnz * _RECORD.itemsize
-            if os.fstat(fh.fileno()).st_size != size:
+            if os.fstat(fh.fileno()).st_size != _DIGEST_BYTES + nnz * _RECORD.itemsize:
                 return None
             digest = fh.read(_DIGEST_BYTES)
-            if fh.read(len(header)) != header:
-                return None
-            fh.seek(_DIGEST_BYTES)
-            records = np.load(fh, allow_pickle=False)
+            records = np.fromfile(fh, _RECORD, nnz)
         if _binding(_file_digest(path), hashlib.sha256(records)) != digest:
             return None
     except (OSError, ValueError):
@@ -390,8 +367,8 @@ def load_config(path) -> dict:
     parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path)
-    except configparser.Error as e:
-        raise ConfigError(f"cannot parse config {path}: {e}") from None
+    except configparser.Error as e:  # its message spans lines; the error is one
+        raise ConfigError(f"cannot parse config {path}: {' '.join(str(e).split())}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     cfg: dict = {}
@@ -516,7 +493,7 @@ def _system_from_config(cfg) -> tuple[NoisySystem, Partition, int]:
 
 
 def _obtain_kernel(cfg, args, config_dir: Path) -> TransitionKernel:
-    if getattr(args, "kernel", None):
+    if args.kernel:
         return load_kernel(args.kernel)
     if "kernel" in cfg:
         if "path" not in cfg["kernel"]:
@@ -569,16 +546,6 @@ class ReportWriter:
 # verify drivers
 # ---------------------------------------------------------------------------
 
-def _random_observables(rng, partition, n) -> np.ndarray:
-    """n random observables, drawn in order, as the columns of a K x n block."""
-    return np.column_stack([rng.uniform(-1.0, 1.0, partition.cell_count) for _ in range(n)])
-
-
-def _random_measure(rng, partition) -> Measure:
-    w = rng.random(partition.cell_count) + 1e-3
-    return Measure(w / w.sum(), partition)
-
-
 def _mixture_measure(measures) -> Measure:
     w = sum(m.weights for m in measures) / len(measures)
     return Measure(w, measures[0].partition)
@@ -614,8 +581,21 @@ class _CheckRun:
         value = _cfg_get(self.cfg, "checks", key)
         return default if value is None else value
 
+    def uniform(self, *shape) -> np.ndarray:
+        """A block of uniform [0, 1) draws, in one call. A shape too large to
+        allocate fails at once: MemoryError, or ValueError past the address
+        space; both are a configuration error (exit 2)."""
+        try:
+            return self.rng.random(shape)
+        except ValueError as e:
+            raise ConfigError(f"trials {self.trials} is too large to draw: {e}") from None
+
     def observables(self, n=None) -> np.ndarray:
-        return _random_observables(self.rng, self.P.partition, self.trials if n is None else n)
+        """n (default: the trial count) observables uniform on [-1, 1), drawn
+        in order, as the columns of a K x n block. 2r - 1 has the bits of
+        ``rng.uniform(-1, 1)``, which computes -1 + 2r."""
+        values = self.uniform(self.trials if n is None else n, self.P.K)
+        return np.ascontiguousarray((2.0 * values - 1.0).T)
 
     @cached_property
     def mix(self) -> Measure:
@@ -627,10 +607,13 @@ class _CheckRun:
 
 
 def _run_duality(r: _CheckRun) -> list:
-    draws = [(r.rng.uniform(-1.0, 1.0, r.P.K), _random_measure(r.rng, r.P.partition).weights)
-             for _ in range(r.trials)]
-    values, weights = (np.column_stack(block) for block in zip(*draws))
-    return duality_trials(r.P, values, weights)
+    """Each trial draws an observable uniform on [-1, 1), then a measure of
+    weights uniform on [1e-3, 1 + 1e-3), normalised."""
+    draws = r.uniform(r.trials, 2, r.P.K)
+    values = 2.0 * draws[:, 0] - 1.0
+    weights = draws[:, 1] + 1e-3
+    weights /= weights.sum(axis=1, keepdims=True)
+    return duality_trials(r.P, np.ascontiguousarray(values.T), np.ascontiguousarray(weights.T))
 
 
 def _run_corollary(name: str, r: _CheckRun) -> list:
@@ -684,8 +667,8 @@ def run_check(name, P, stationaries, cfg, master_seed) -> "CheckReport":
     ``CHECKS`` holds each check's runner and whether its trials are capped;
     each report carries its ``ge``/``le`` direction, by which ``_worst``
     ranks the trials. Check i draws from SeedSequence([master_seed, i]). The
-    trials run together: their random inputs are drawn in trial order and
-    stacked as the columns of one K x T block, and the check's
+    trials run together: their random inputs are drawn in one call, in
+    trial order, as the columns of one K x T block, and the check's
     preconditions are evaluated once, before any trial.
     """
     expensive, run = CHECKS[name]
@@ -711,7 +694,7 @@ def _writing(path):
 
 
 def _out_dir(cfg, args) -> Path:
-    out = Path(getattr(args, "out", None) or _cfg_get(cfg, "output", "dir"))
+    out = Path(args.out or _cfg_get(cfg, "output", "dir"))
     with _writing(out):
         out.mkdir(parents=True, exist_ok=True)
     return out
@@ -739,7 +722,9 @@ def cmd_measure(args) -> int:
     config_dir = Path(args.config).parent if args.config else Path.cwd()
     P = _obtain_kernel(cfg, args, config_dir)
     seed = _master_seed(cfg, args)
-    tol = _positive(args.tol, "--tol") if args.tol is not None else _cfg_get(cfg, "solver", "tol")
+    if args.tol is not None:
+        cfg.setdefault("solver", {})["tol"] = _positive(args.tol, "--tol")
+    tol = _cfg_get(cfg, "solver", "tol")
     max_iter = int(_cfg_get(cfg, "solver", "max_iter"))
     p = int(_cfg_get(cfg, "checks", "p"))
     ms = stationary_measures(P, tol, max_iter)
@@ -836,9 +821,8 @@ def cmd_simulate(args) -> int:
     start = int(_cfg_get(cfg, "mc", "start"))
     steps = int(_cfg_get(cfg, "mc", "steps"))
     if args.trials is not None:
-        n_traj = _trial_count(args.trials, "--trials")
-    else:
-        n_traj = _trial_count(int(_cfg_get(cfg, "mc", "trajectories")), "trajectories in [mc]")
+        cfg.setdefault("mc", {})["trajectories"] = _trial_count(args.trials, "--trials")
+    n_traj = _trial_count(int(_cfg_get(cfg, "mc", "trajectories")), "trajectories in [mc]")
     n_samples = int(_cfg_get(cfg, "mc", "n_samples"))
     phi = _observable(cfg, P)
 
@@ -870,6 +854,31 @@ def integer(text: str) -> int:
     return int(text, 0)
 
 
+#: flag -> argparse options, in help order.
+_FLAGS = {
+    "--config": {"help": "run configuration file (INI)"},
+    "--out": {"help": "output directory"},
+    "--seed": {"type": integer, "help": "master seed (u64)"},
+    "--kernel": {"help": "kernel file path (overrides config)"},
+    "--tol": {"type": float, "help": "solver tolerance (measure) or check tolerance (verify)"},
+    "--measure": {"help": "measure file to use/decompose"},
+    "--n-max": {"type": int, "help": "sup truncation horizon"},
+    "--trials": {"type": int, "help": "randomized trial count"},
+    "--checks": {"help": "comma list of check names or 'all'"},
+}
+
+#: command -> (runner, help, the flags it reads). A flag that sets a config
+#: key writes it into the config before the config is hashed.
+_COMMANDS = {
+    "kernel-build": (cmd_kernel_build, "discretize a configured system", ("--config", "--out", "--seed")),
+    "measure": (cmd_measure, "solve stationary/periodic measures",
+                ("--config", "--out", "--seed", "--kernel", "--tol", "--measure")),
+    "verify": (cmd_verify, "run theorem checks", tuple(_FLAGS)),
+    "simulate": (cmd_simulate, "sample trajectories and estimates",
+                 ("--config", "--out", "--seed", "--kernel", "--trials")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ergodyn",
@@ -877,29 +886,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=f"ergodyn {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="run configuration file (INI)")
-    common.add_argument("--kernel", help="kernel file path (overrides config)")
-    common.add_argument("--out", help="output directory")
-    common.add_argument("--seed", type=integer, default=None, help="master seed (u64)")
-    common.add_argument("--tol", type=float, default=None, help="check tolerance")
-    common.add_argument("--n-max", dest="n_max", type=int, default=None, help="sup truncation horizon")
-    common.add_argument("--trials", type=int, default=None, help="randomized trial count")
-    common.add_argument("--measure", help="measure file to use/decompose")
-    common.add_argument("--checks", help="comma list of check names or 'all'")
-    sub.add_parser("kernel-build", parents=[common], help="discretize a configured system")
-    sub.add_parser("measure", parents=[common], help="solve stationary/periodic measures")
-    sub.add_parser("verify", parents=[common], help="run theorem checks")
-    sub.add_parser("simulate", parents=[common], help="sample trajectories and estimates")
+    for command, (_, summary, flags) in _COMMANDS.items():
+        parser = sub.add_parser(command, help=summary)
+        for flag in flags:
+            parser.add_argument(flag, **_FLAGS[flag])
     return ap
-
-
-_COMMANDS = {
-    "kernel-build": cmd_kernel_build,
-    "measure": cmd_measure,
-    "verify": cmd_verify,
-    "simulate": cmd_simulate,
-}
 
 
 def main(argv=None) -> int:
@@ -908,7 +899,7 @@ def main(argv=None) -> int:
     except SystemExit as e:  # argparse exits 0 after --help/--version, 2 on bad usage
         return e.code
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (ConfigError, InvalidArgumentError) as e:
         print(f"error: invalid configuration: {e}", file=sys.stderr)
         return 2

@@ -137,12 +137,11 @@ def deadline(seconds=20):
 
 
 def _resave(records):
-    """A sidecar rewrite: the built digest, then records saved by np.save."""
+    """A sidecar rewrite: the built digest, then the built records mapped by
+    ``records`` and written raw."""
     def mutate(text, side):
-        digest = side.read_bytes()[:32]
-        buf = io.BytesIO()
-        np.save(buf, records(np.load(io.BytesIO(side.read_bytes()[32:]))), allow_pickle=True)
-        side.write_bytes(digest + buf.getvalue())
+        data = side.read_bytes()
+        side.write_bytes(data[:32] + records(np.frombuffer(data[32:], cli._RECORD)).tobytes())
     return mutate
 
 
@@ -179,7 +178,7 @@ SIDECAR_FAULTS = {
     "record_byte": _flip(-1),
     "text_edited": lambda text, side: text.write_text(text.read_text()[:-1] + " \n"),
     "wrong_dtype": _resave(lambda r: r.astype([("row", "<i4"), ("col", "<i4"), ("prob", "<f8")])),
-    "object_array": _resave(lambda r: np.array(r.tolist(), dtype=object)),
+    "byte_swapped": _resave(lambda r: r.astype([("row", ">i8"), ("col", ">i8"), ("prob", ">f8")])),
     "shape_1e12": _huge_shape,
     "directory": _replace_with(Path.mkdir),
     "fifo": _replace_with(os.mkfifo),
@@ -234,6 +233,18 @@ class TestRecordSidecar:
         assert capsys.readouterr().err == ""
         for name in ("measure_report.txt", "verify_report.txt", "trajectories.csv", "estimates.csv"):
             assert (tmp_path / "o" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+    def test_npy_layout_sidecar_is_not_taken(self, tmp_path, monkeypatch):
+        # the earlier layout: a digest that binds the text to the records, an
+        # .npy header, then the same records
+        text, side = self.build(tmp_path, "rotation_uniform.cfg")
+        records = np.frombuffer(side.read_bytes()[32:], cli._RECORD)
+        buf = io.BytesIO()
+        np.save(buf, records)
+        side.write_bytes(cli._binding(cli._file_digest(text), cli.hashlib.sha256(records)) + buf.getvalue())
+        P, parses = load_counting_parses(text, monkeypatch)
+        assert parses == 1
+        assert P.data.tobytes() == records["prob"].tobytes()
 
     def test_text_edited_after_the_build_wins(self, tmp_path, monkeypatch):
         text, side = self.build(tmp_path, "rotation_uniform.cfg")
@@ -300,6 +311,23 @@ class TestExitCodes:
             "--out", str(tmp_path / "out"),
         ])
         assert code == 0
+
+    def test_verify_with_a_stationary_measure_file(self, tmp_path):
+        kernel = str(bundled("swap.kernel", tmp_path))
+        save_measure(Measure([0.5, 0.5], load_kernel(kernel).partition), tmp_path / "m.txt")
+        argv = ["verify", "--kernel", kernel, "--measure", str(tmp_path / "m.txt"), "--seed", "1807"]
+        assert main(argv + ["--trials", "5", "--out", str(tmp_path / "o")]) == 0
+        assert "[summary]\npassed=12\ntotal=12\n" in (tmp_path / "o" / "verify_report.txt").read_text()
+
+    @pytest.mark.parametrize("check", ["birkhoff", "ergodic_limit", "periodic", "nonconvergence_empty"])
+    def test_first_limit_window_past_n_cap_exits_4(self, tmp_path, capsys, check):
+        # a period-3 class: the first window spans 2 * 3 steps, past a cap of 5
+        cfg = write_config(tmp_path / "c.cfg", "[checks]\nn_cap = 5\n")
+        argv = ["verify", "--config", cfg, "--kernel", str(DATA / "cyclic3_k24.kernel"), "--checks", check]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err == (
+            "error: no convergence: time averages not converged at horizon 3: residual inf\n")
+        assert not (tmp_path / "o").exists()
 
     def test_corrupt_kernel_exits_3(self, tmp_path):
         bad = tmp_path / "bad.kernel"
@@ -387,7 +415,9 @@ class TestOutputErrors:
         blocker.write_text("")
         argv = [command, "--config", str(cfg), "--out", str(blocker)]
         if command != "kernel-build":
-            argv += ["--kernel", str(bundled("swap.kernel", tmp_path)), "--trials", "2"]
+            argv += ["--kernel", str(bundled("swap.kernel", tmp_path))]
+        if command in ("verify", "simulate"):
+            argv += ["--trials", "2"]
         assert main(argv) == 2
         assert_one_line_error(capsys)
 
@@ -401,7 +431,9 @@ class TestOutputErrors:
         (out / output).mkdir(parents=True)  # a directory where the file goes
         argv = [command, "--config", str(cfg), "--out", str(out)]
         if command != "kernel-build":
-            argv += ["--kernel", str(bundled("swap.kernel", tmp_path)), "--trials", "2"]
+            argv += ["--kernel", str(bundled("swap.kernel", tmp_path))]
+        if command in ("verify", "simulate"):
+            argv += ["--trials", "2"]
         assert main(argv) == 2
         assert_one_line_error(capsys)
 
@@ -442,6 +474,7 @@ class TestInvalidData:
 
 
     @pytest.mark.parametrize("line_no, replacement", [
+        (0, "ergodyn-kernel 2"),
         (1, "X 2"),
         (2, "foo unit_interval"),
         (3, "bar 0 0.5 1"),
@@ -603,9 +636,13 @@ class TestInvalidConfiguration:
         ("simulate", "[kernel]\npath = swap.kernel\n[mc]\nn_samples = 1000000000000000\n"),
         ("kernel-build", "[system]\nmap = doubling\n[partition]\ndomain = circle\n"
                          "cells = 1000000000000000\n"),
-    ], ids=["n_samples", "cells"])
+        ("verify", "[kernel]\npath = swap.kernel\n[checks]\nnames = duality\ntrials = 1000000000000000\n"),
+        ("verify", "[kernel]\npath = swap.kernel\n[checks]\nnames = corollary_c\n"
+                   "trials = 4611686018427387904\n"),
+    ], ids=["n_samples", "cells", "trials", "trials_past_address_space"])
     def test_size_beyond_memory_exits_2(self, tmp_path, capsys, command, body):
-        # 10**15 eight-byte slots exceed any address space: the allocation fails at once
+        # 10**15 eight-byte slots exceed any address space: the allocation fails at once.
+        # A check draws its whole trial block in one call, before any trial runs.
         bundled("swap.kernel", tmp_path)
         cfg = write_config(tmp_path / "c.cfg", body)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -624,6 +661,7 @@ class TestInvalidConfiguration:
         assert err.startswith("error: ") and err.count("\n") == 1 and "exceeds 10" in err, err
 
     @pytest.mark.parametrize("system", [
+        "noise = none",
         "map = tent",
         "map = rotation",
         "map = piecewise_linear\nbreakpoints = 0.5",
@@ -638,7 +676,8 @@ class TestInvalidConfiguration:
         assert main(["kernel-build", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert_one_line_error(capsys)
 
-    @pytest.mark.parametrize("checks", [",", " , ", "lemma1,lemma1", "duality,lemma1,duality"])
+    @pytest.mark.parametrize("checks", [",", " , ", "lemma1,lemma1", "duality,lemma1,duality",
+                                        "lemma1,nosuch"])
     def test_empty_or_repeated_check_list_exits_2(self, tmp_path, capsys, checks):
         bundled("swap.kernel", tmp_path)
         code = main([
@@ -648,6 +687,32 @@ class TestInvalidConfiguration:
         assert code == 2
         assert_one_line_error(capsys)
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, body, message", [
+        ("kernel-build", "[partition]\ndomain = circle\ncells = many\n",
+         "key 'cells' in [partition]: cannot parse 'many'"),
+        ("kernel-build", "no section header\n", "cannot parse config"),
+        ("kernel-build", "[system]\nmap = doubling\n[partition]\ndomain = circle\n",
+         "section [partition] needs 'domain' and 'cells'"),
+        ("measure", "[kernel]\n", "section [kernel] needs a 'path' key"),
+        ("measure", "[checks]\np = 2\n", "no kernel source"),
+        ("simulate", "", "no kernel source"),
+    ])
+    def test_incomplete_config_exits_2(self, tmp_path, capsys, command, body, message):
+        cfg = write_config(tmp_path / "c.cfg", body)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration: ") and err.count("\n") == 1, err
+        assert message in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["kernel-build", "measure", "verify", "simulate"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, command):
+        (tmp_path / "dir.cfg").mkdir()
+        for cfg in (tmp_path / "missing.cfg", tmp_path / "dir.cfg"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: invalid configuration: cannot read config file {cfg}\n"
 
     def test_config_repeated_check_names_exit_2(self, tmp_path, capsys):
         bundled("swap.kernel", tmp_path)
@@ -695,6 +760,69 @@ class TestArgumentParsing:
     def test_seed_error_names_the_type(self, capsys):
         assert main(["verify", "--seed", "abc"]) == 2
         assert "invalid integer value: 'abc'" in capsys.readouterr().err
+
+
+#: command -> the flags it takes; every command takes --config, --out and --seed.
+FLAGS = {
+    "kernel-build": {"--config", "--out", "--seed"},
+    "measure": {"--config", "--out", "--seed", "--kernel", "--tol", "--measure"},
+    "verify": {"--config", "--out", "--seed", "--kernel", "--tol", "--measure",
+               "--n-max", "--trials", "--checks"},
+    "simulate": {"--config", "--out", "--seed", "--kernel", "--trials"},
+}
+
+
+def report_hash(out_dir, name):
+    """The config_hash line of a report."""
+    return [ln for ln in (Path(out_dir) / name).read_text().splitlines() if ln.startswith("config_hash=")]
+
+
+class TestCommandFlags:
+    """Each command takes only the flags it reads, and a flag that sets a
+    config key enters the report's config hash."""
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_each_command_takes_only_its_flags(self, capsys, command):
+        for flag in sorted(set().union(*FLAGS.values())):
+            if flag in FLAGS[command]:
+                cli.build_parser().parse_args([command, flag, "1"])
+            else:
+                assert main([command, flag, "1"]) == 2
+                assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--tol", "-5", "--n-max", "0", "--checks", "nonsense", "--measure", "nofile"],
+        ["kernel-build", "--kernel", "nofile", "--trials", "-3", "--tol", "nan"],
+    ])
+    def test_flags_a_command_ignored_are_usage_errors(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_measure_tol_enters_the_config_hash(self, tmp_path):
+        kernel = str(bundled("swap.kernel", tmp_path))
+        hashes = []
+        for sub, tol in (("default", []), ("a", ["--tol", "1e-3"]), ("b", ["--tol", "1e-6"])):
+            assert main(["measure", "--kernel", kernel, "--out", str(tmp_path / sub)] + tol) == 0
+            hashes += report_hash(tmp_path / sub, "measure_report.txt")
+        assert len(set(hashes)) == 3
+
+    @pytest.mark.parametrize("command, flag, section, key, value", [
+        ("measure", "--tol", "solver", "tol", "1e-6"),
+        ("verify", "--tol", "checks", "tol", "1e-6"),
+        ("verify", "--n-max", "checks", "n_max", "7"),
+        ("verify", "--trials", "checks", "trials", "3"),
+    ])
+    def test_flag_gives_the_report_of_its_config_key(self, tmp_path, command, flag, section, key, value):
+        bundled("swap.kernel", tmp_path)
+        base = f"[kernel]\npath = swap.kernel\n[{section}]\n"
+        argv = [command, "--seed", "1807", "--config"]
+        assert main(argv + [write_config(tmp_path / "a.cfg", base), flag, value,
+                            "--out", str(tmp_path / "a")]) == 0
+        assert main(argv + [write_config(tmp_path / "b.cfg", base + f"{key} = {value}\n"),
+                            "--out", str(tmp_path / "b")]) == 0
+        name = f"{command}_report.txt"
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 class TestKernelBuild:

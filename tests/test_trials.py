@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ergodyn import (
+    Measure,
     Observable,
     check_corollary_b,
     check_corollary_c,
@@ -33,6 +34,12 @@ from ergodyn.theorems import _report, running_average_extremes
 from conftest import random_kernel, reducible_kernel
 
 
+def random_measure(rng, partition):
+    """A duality trial's measure, drawn as the trials were drawn one by one."""
+    w = rng.random(partition.cell_count) + 1e-3
+    return Measure(w / w.sum(), partition)
+
+
 def per_trial_reports(name, P, stationaries, cfg, seed):
     """run_check's trial reports, from its trials run one at a time through
     the public single-observable checks, drawing from the same stream in the
@@ -56,7 +63,7 @@ def per_trial_reports(name, P, stationaries, cfg, seed):
     if name == "duality":
         for _ in range(trials):
             phi = draw()
-            reports.append(check_duality(P, phi, cli._random_measure(rng, part)))
+            reports.append(check_duality(P, phi, random_measure(rng, part)))
     elif name == "lemma1":
         reports = [check_lemma1(P, draw()) for _ in range(trials)]
     elif name == "lemma2":
