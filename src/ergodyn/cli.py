@@ -403,8 +403,10 @@ def load_config(path) -> dict:
     for section, key in (("solver", "tol"), ("checks", "tol")):
         if section in cfg:
             _positive(cfg[section][key], f"{key} in [{section}]")
-    if "solver" in cfg and cfg["solver"]["max_iter"] < 1:
-        raise ConfigError(f"max_iter in [solver] must be at least 1, got {cfg['solver']['max_iter']}")
+    # no limit window (horizon 2n, n >= 1) fits under an n_cap below 2 on any kernel
+    for section, key, least in (("solver", "max_iter", 1), ("checks", "n_max", 1), ("checks", "n_cap", 2)):
+        if section in cfg:
+            _at_least(cfg[section][key], least, f"{key} in [{section}]")
     for key in ("alpha", "beta"):
         value = cfg.get("checks", {}).get(key)
         if value is not None and not math.isfinite(value):
@@ -433,10 +435,10 @@ def _master_seed(cfg, args) -> int:
     return seed
 
 
-def _trial_count(n: int, what: str) -> int:
-    """A trial count from the command line or the config; it must be at least 1."""
-    if n < 1:
-        raise ConfigError(f"{what} must be at least 1, got {n}")
+def _at_least(n: int, least: int, what: str) -> int:
+    """A count from the command line or the config; it must be at least ``least``."""
+    if n < least:
+        raise ConfigError(f"{what} must be at least {least}, got {n}")
     return n
 
 
@@ -767,11 +769,11 @@ def cmd_verify(args) -> int:
     seed = _master_seed(cfg, args)
     if args.trials is not None:
         cfg.setdefault("checks", {})["trials"] = args.trials
-    _trial_count(_cfg_get(cfg, "checks", "trials"), "trials")
+    _at_least(_cfg_get(cfg, "checks", "trials"), 1, "trials")
     if args.tol is not None:
         cfg.setdefault("checks", {})["tol"] = _positive(args.tol, "--tol")
     if args.n_max is not None:
-        cfg.setdefault("checks", {})["n_max"] = args.n_max
+        cfg.setdefault("checks", {})["n_max"] = _at_least(args.n_max, 1, "--n-max")
     names = args.checks or _cfg_get(cfg, "checks", "names")
     requested = [t.strip() for t in names.split(",") if t.strip()]
     if requested == ["all"]:
@@ -821,8 +823,8 @@ def cmd_simulate(args) -> int:
     start = int(_cfg_get(cfg, "mc", "start"))
     steps = int(_cfg_get(cfg, "mc", "steps"))
     if args.trials is not None:
-        cfg.setdefault("mc", {})["trajectories"] = _trial_count(args.trials, "--trials")
-    n_traj = _trial_count(int(_cfg_get(cfg, "mc", "trajectories")), "trajectories in [mc]")
+        cfg.setdefault("mc", {})["trajectories"] = _at_least(args.trials, 1, "--trials")
+    n_traj = _at_least(int(_cfg_get(cfg, "mc", "trajectories")), 1, "trajectories in [mc]")
     n_samples = int(_cfg_get(cfg, "mc", "n_samples"))
     phi = _observable(cfg, P)
 

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
 
 from . import _backend
 from .errors import ConvergenceError, InvalidArgumentError, NotStationaryError
@@ -64,6 +62,8 @@ def support(mu: Measure, threshold: float = 0.0) -> np.ndarray:
 
 def _closed_classes_on(P, states, edge_threshold):
     """Closed strongly connected classes of the digraph restricted to sorted states."""
+    from scipy.sparse.csgraph import connected_components
+
     states = np.asarray(states, dtype=np.int64)
     adj = P.csr() if states.size == P.K else P.restrict(states)
     if edge_threshold > 0.0:
@@ -112,6 +112,9 @@ def _graph_period(sub) -> tuple:
     cyclic class is its level mod d: every edge leads from class c to class
     c + 1 mod d.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
     edges = csr_matrix(sub)
     level = shortest_path(edges, unweighted=True, indices=0).astype(np.int32)
     u = np.repeat(np.arange(sub.shape[0], dtype=np.int32), np.diff(edges.indptr))

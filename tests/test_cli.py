@@ -604,11 +604,12 @@ class TestInvalidConfiguration:
     @pytest.mark.parametrize("section, line", [
         ("solver", "tol = inf"), ("checks", "tol = inf"),
         ("solver", "max_iter = 0"), ("solver", "max_iter = -4"),
+        ("checks", "n_max = 0"), ("checks", "n_cap = 1"), ("checks", "n_cap = -5"),
         ("checks", "alpha = nan"), ("checks", "beta = nan"),
         ("checks", "alpha = inf"), ("checks", "beta = -inf"),
     ])
     def test_unusable_tolerance_cap_or_level_exits_2(self, tmp_path, capsys, command, section, line):
-        # an infinite tolerance passed every check, and a cap below 1 ran no window at all
+        # an infinite tolerance passed every check, and a cap below its least ran no window at all
         cfg = bundled("rotation_uniform.cfg", tmp_path)
         text = cfg.read_text()
         if section == "checks":
@@ -619,6 +620,36 @@ class TestInvalidConfiguration:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert_one_line_error(capsys)
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("checks, line, message", [
+        ("birkhoff", "n_cap = -5", "n_cap in [checks] must be at least 2, got -5"),
+        ("lemma1", "n_max = 0", "n_max in [checks] must be at least 1, got 0"),
+    ])
+    def test_config_horizon_below_its_least_exits_2(self, tmp_path, capsys, checks, line, message):
+        # no limit window fits under the cap, and lemma1 reads no n_max: both are still
+        # configuration errors, not a failed solve or a pass
+        bundled("swap.kernel", tmp_path)
+        cfg = bundled("swap.cfg", tmp_path)
+        cfg.write_text(cfg.read_text().replace("[checks]\n", f"[checks]\n{line}\n"))
+        argv = ["verify", "--config", str(cfg), "--checks", checks, "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: invalid configuration: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("checks", ["lemma1", "maximal"])
+    @pytest.mark.parametrize("n_max", ["0", "-2"])
+    def test_verify_n_max_below_one_exits_2(self, tmp_path, capsys, checks, n_max):
+        bundled("swap.kernel", tmp_path)
+        argv = ["verify", "--kernel", str(tmp_path / "swap.kernel"), "--checks", checks, "--n-max", n_max]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid configuration: --n-max must be at least 1, got {n_max}\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_least_horizons_are_accepted(self, tmp_path):
+        cfg = write_config(tmp_path / "c.cfg", "[kernel]\npath = k.txt\n[checks]\nn_max = 1\nn_cap = 2\n")
+        checks = load_config(cfg)["checks"]
+        assert (checks["n_max"], checks["n_cap"]) == (1, 2)
 
     @pytest.mark.parametrize("noise, key", [("uniform", "half_width"), ("wrapped_gaussian", "sigma")])
     @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -7,7 +7,9 @@ their periods from the closed walks of length at most the class size, and
 the stationary measures by Gauss-Jordan elimination. For p = 1..6 it forms
 the exact P^p, solves its closed classes the same way and finds each
 measure's least d with (L*)^d nu = nu. Nothing here uses the cyclic-class
-shortcut that ``periodic_measures`` takes.
+shortcut that ``periodic_measures`` takes. The pointwise theorem names the
+limit of time averages: on a closed class c it is the constant pi_c(phi),
+periodic classes included, which the oracle sums exactly.
 """
 
 from fractions import Fraction
@@ -16,8 +18,9 @@ from math import gcd
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from ergodyn import closed_classes, kernel_from_rows, periodic_measures, stationary_measures
+from ergodyn import Measure, closed_classes, kernel_from_rows, periodic_measures, stationary_measures
 from ergodyn.measures import _class_solves
+from ergodyn.theorems import DEFAULT_TOL, birkhoff_trials
 
 MAX_STATES = 8
 #: Weights agree with the exact values within this bound.
@@ -26,6 +29,8 @@ WEIGHT_TOL = 1e-12
 #: default 1e-12 a slowly mixing class left a weight 1.08e-12 off. Solving to
 #: 1e-14 keeps every weight within WEIGHT_TOL.
 SOLVER_TOL = 1e-14
+#: Observables per limit block.
+LIMIT_COLUMNS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +235,31 @@ def test_periodic_measures(P):
             assert support(nu.weights) == support(exact), p
             assert d == exact_d, p
             assert_weights_close(nu.weights, exact)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_kernels(), st.integers(0, 2**32 - 1))
+def test_birkhoff_limits_are_the_class_averages(P, seed):
+    """On each closed class c the limit is pi_c(phi), under c's own measure
+    and under the mixture of all classes' measures, within 10 tol: the bound
+    the limit's invariance condition uses."""
+    classes = exact_closed_classes(P)
+    K = float_kernel(P)
+    values = np.random.default_rng(seed).uniform(-1.0, 1.0, (len(P), LIMIT_COLUMNS))
+    averages = []  # exact pi_c(phi) per class and column
+    for cls in classes:
+        pi = exact_stationary(P, cls)
+        averages.append([float(sum(pi[x] * Fraction(v) for x, v in zip(cls, values[cls, t])))
+                         for t in range(LIMIT_COLUMNS)])
+    measures = stationary_measures(K, SOLVER_TOL)
+    mix = Measure(sum(mu.weights for mu in measures) / len(measures), K.partition)
+    runs = [(mu, [k]) for k, mu in enumerate(measures)] + [(mix, range(len(classes)))]
+    for mu, watched in runs:
+        limits, reports = birkhoff_trials(K, mu, values, DEFAULT_TOL)
+        assert all(r.passed for r in reports)
+        for k in watched:
+            err = np.abs(limits[classes[k]] - np.array(averages[k])).max()
+            assert err <= 10.0 * DEFAULT_TOL, (k, err / DEFAULT_TOL)
 
 
 def test_drawn_kernels_cover_every_period():
