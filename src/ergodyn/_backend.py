@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 
+from .errors import InvalidArgumentError
+
 _MASK64 = (1 << 64) - 1
 _GOLD = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -26,6 +28,14 @@ GENERATOR_NAME = "splitmix64"
 
 #: Compute path, recorded in report metadata.
 BACKEND = "numpy"
+
+
+def require_addressable(what: str, *shape) -> None:
+    """Reject a shape whose array of 8-byte entries would not fit in the
+    address space, where NumPy raises a bare ValueError (or an ``arange``
+    past int64 comes back empty); one merely beyond memory is a MemoryError."""
+    if math.prod(int(n) for n in shape) * 8 > np.iinfo(np.intp).max:
+        raise InvalidArgumentError(f"{what} is past the address space")
 
 
 def trajectory_seed(master_seed: int, index: int) -> int:

@@ -340,7 +340,6 @@ _SCHEMA = {
         "n_cap": (int, 2**20),
         "trials": (int, 100),
         "tol": (float, 1e-10),
-        "edge_threshold": (float, 1e-14),
     },
     "mc": {
         "start": (int, 0),
@@ -403,8 +402,8 @@ def load_config(path) -> dict:
     for section, key in (("solver", "tol"), ("checks", "tol")):
         if section in cfg:
             _positive(cfg[section][key], f"{key} in [{section}]")
-    # no limit window (horizon 2n, n >= 1) fits under an n_cap below 2 on any kernel
-    for section, key, least in (("solver", "max_iter", 1), ("checks", "n_max", 1), ("checks", "n_cap", 2)):
+    # a converged limit needs windows at horizons 2L and 4L (L >= 1): none fits under n_cap < 4
+    for section, key, least in (("solver", "max_iter", 1), ("checks", "n_max", 1), ("checks", "n_cap", 4)):
         if section in cfg:
             _at_least(cfg[section][key], least, f"{key} in [{section}]")
     for key in ("alpha", "beta"):
@@ -585,12 +584,10 @@ class _CheckRun:
 
     def uniform(self, *shape) -> np.ndarray:
         """A block of uniform [0, 1) draws, in one call. A shape too large to
-        allocate fails at once: MemoryError, or ValueError past the address
-        space; both are a configuration error (exit 2)."""
-        try:
-            return self.rng.random(shape)
-        except ValueError as e:
-            raise ConfigError(f"trials {self.trials} is too large to draw: {e}") from None
+        allocate fails at once, before any draw: past the address space with
+        InvalidArgumentError, beyond memory with MemoryError (both exit 2)."""
+        _backend.require_addressable(f"trials {self.trials}", *shape)
+        return self.rng.random(shape)
 
     def observables(self, n=None) -> np.ndarray:
         """n (default: the trial count) observables uniform on [-1, 1), drawn
@@ -605,7 +602,7 @@ class _CheckRun:
 
     @cached_property
     def classes(self) -> list:
-        return closed_classes(self.P, self.opt("edge_threshold"))
+        return closed_classes(self.P)
 
 
 def _run_duality(r: _CheckRun) -> list:

@@ -381,6 +381,7 @@ def ulam_discretize(
         raise InvalidArgumentError("quadrature_points must be positive")
     b = partition.boundaries
     k = partition.cell_count
+    _backend.require_addressable(f"quadrature_points {quadrature_points}", k, quadrature_points)
     offs = (np.arange(quadrature_points) + 0.5) / quadrature_points
     pts = b[:-1, None] + np.diff(b)[:, None] * offs[None, :]
     raw = system.map_values(pts.ravel()).reshape(k, quadrature_points)

@@ -77,6 +77,7 @@ def sample_trajectories(P: TransitionKernel, start: int, n: int, master_seed: in
         raise InvalidArgumentError("step count must be nonnegative")
     if count < 1:
         raise InvalidArgumentError("trajectory count must be positive")
+    _backend.require_addressable(f"{n} steps x {count} trajectories", n + 1, count)
     return _backend.sample_path(P, start, int(n), int(master_seed), int(count))
 
 
@@ -97,6 +98,7 @@ def _check_estimate_args(P: TransitionKernel, phi: Observable, start: int, j: in
         raise InvalidArgumentError("j must be nonnegative")
     if n_samples < 1:
         raise InvalidArgumentError("n_samples must be positive")
+    _backend.require_addressable(f"n_samples {n_samples}", n_samples)
     return start
 
 

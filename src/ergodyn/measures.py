@@ -60,57 +60,30 @@ def support(mu: Measure, threshold: float = 0.0) -> np.ndarray:
     return np.flatnonzero(mu.weights > threshold)
 
 
-def _closed_classes_on(P, states, edge_threshold):
+def _closed_classes_on(P, states):
     """Closed strongly connected classes of the digraph restricted to sorted states."""
     from scipy.sparse.csgraph import connected_components
 
     states = np.asarray(states, dtype=np.int64)
     adj = P.csr() if states.size == P.K else P.restrict(states)
-    if edge_threshold > 0.0:
-        adj = adj.copy()
-        adj.data[adj.data <= edge_threshold] = 0.0
-        adj.eliminate_zeros()
     n_comp, labels = connected_components(adj, directed=True, connection="strong")
     source = np.repeat(labels, np.diff(adj.indptr))
     is_closed = np.ones(n_comp, dtype=bool)
     is_closed[source[source != labels[adj.indices]]] = False
-    classes = [
-        states[np.flatnonzero(labels == comp)]
-        for comp in range(n_comp)
-        if is_closed[comp]
-    ]
+    classes = [states[labels == comp] for comp in np.flatnonzero(is_closed)]
     classes.sort(key=lambda cls: int(cls.min()))
     return classes
 
 
-def closed_classes(P: TransitionKernel, edge_threshold: float = 0.0) -> list:
-    """Closed communicating classes: strongly connected, no outgoing edge.
-
-    The digraph has an edge i -> j when P_ij exceeds edge_threshold (use a
-    small positive value for kernels polluted by quadrature noise). Classes
-    come back sorted by their smallest state, as read-only arrays computed
-    once per kernel and threshold.
-    """
-    if not (0.0 <= edge_threshold < 1.0):
-        raise InvalidArgumentError("edge_threshold must lie in [0, 1)")
-    key = ("closed_classes", float(edge_threshold))
-    cache = P._cache
-    if key not in cache:
-        classes = _closed_classes_on(P, np.arange(P.K), edge_threshold)
-        for cls in classes:
-            cls.setflags(write=False)
-        cache[key] = classes
-    return list(cache[key])
-
-
 def _graph_period(sub) -> tuple:
-    """Period of a strongly connected 0/1 digraph (gcd of cycle lengths), with
+    """Period of a strongly connected digraph (gcd of cycle lengths), with
     each state's breadth-first level from state 0.
 
-    ``sub`` is a dense array or a SciPy sparse matrix. The period d is the
-    gcd over all edges u -> v of |level[u] + 1 - level[v]|, and a state's
-    cyclic class is its level mod d: every edge leads from class c to class
-    c + 1 mod d.
+    ``sub`` is a dense 0/1 array or a SciPy sparse matrix whose stored
+    entries are the edges (a kernel's CSR stores no zero). The period d is
+    the gcd over all edges u -> v of |level[u] + 1 - level[v]|, and a
+    state's cyclic class is its level mod d: every edge leads from class c
+    to class c + 1 mod d.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import shortest_path
@@ -122,26 +95,53 @@ def _graph_period(sub) -> tuple:
     return (g if g > 0 else 1), level
 
 
-def _odd_period_lcm(P: TransitionKernel) -> int:
-    """The lcm of the odd parts of the periods of P's closed classes, cached
-    on the kernel: the doubling-horizon limits start at this horizon."""
+class _ClosedClass(NamedTuple):
+    """One closed class of a kernel: its sorted states, its period, each
+    state's breadth-first level (``_graph_period``) and, once solved, its
+    stationary vector on its states."""
+
+    states: np.ndarray
+    period: int
+    level: np.ndarray
+    pi: np.ndarray | None = None
+
+
+def _class_structure(P: TransitionKernel) -> list:
+    """Every closed class of P's support graph (an edge i -> j wherever
+    P_ij > 0), with its period and levels: found once per kernel and cached
+    on it as read-only arrays, sorted by smallest state."""
     cache = P._cache
-    if "odd_period_lcm" not in cache:
-        lcm = 1
-        for cls in closed_classes(P):
-            d, _ = _graph_period(P.restrict(cls) > 0.0)
-            lcm = math.lcm(lcm, d // (d & -d))
-        cache["odd_period_lcm"] = lcm
-    return cache["odd_period_lcm"]
+    if "classes" not in cache:
+        structure = []
+        for cls in _closed_classes_on(P, np.arange(P.K)):
+            d, level = _graph_period(P.restrict(cls))
+            for arr in (cls, level):
+                arr.setflags(write=False)
+            structure.append(_ClosedClass(cls, d, level))
+        cache["classes"] = structure
+    return cache["classes"]
 
 
-def _solve_class(sub, tol: float, max_iter: int):
-    """Stationary row vector of an irreducible row-stochastic CSR block.
+def closed_classes(P: TransitionKernel) -> list:
+    """Closed communicating classes of P's support graph (strongly connected,
+    no outgoing edge), sorted by smallest state, as read-only arrays found
+    once per kernel."""
+    return [cls.states for cls in _class_structure(P)]
 
-    Power iteration averaged over one graph period: the window mean kills
-    the rotating eigenvalues exactly, so the averaged iterates converge
-    geometrically even for periodic classes. Returns the vector, the number
-    of windows, the period and the breadth-first levels of ``_graph_period``.
+
+def _odd_period_lcm(P: TransitionKernel) -> int:
+    """The lcm of the odd parts of the periods of P's closed classes: the
+    doubling-horizon limits start at this horizon."""
+    return math.lcm(*(cls.period // (cls.period & -cls.period) for cls in _class_structure(P)))
+
+
+def _solve_class(sub, d: int, tol: float, max_iter: int):
+    """Stationary row vector of an irreducible row-stochastic CSR block of
+    period d, and the number of windows it took.
+
+    Power iteration averaged over one period: the window mean kills the
+    rotating eigenvalues exactly, so the averaged iterates converge
+    geometrically even for periodic classes.
 
     A period-1 window whose mean sums to exactly 1.0 leaves the iterate's
     bits unchanged, so its residual reuses the product the window has just
@@ -149,8 +149,7 @@ def _solve_class(sub, tol: float, max_iter: int):
     """
     m = sub.shape[0]
     if m == 1:
-        return np.ones(1), 1, 1, np.zeros(1, dtype=np.int32)
-    d, level = _graph_period(sub > 0.0)
+        return np.ones(1), 1
     step = sub.T.tocsr()  # x @ sub as a CSR product; each entry sums in state order
     x = np.full(m, 1.0 / m)
     res = math.inf
@@ -166,22 +165,12 @@ def _solve_class(sub, tol: float, max_iter: int):
         moved = cur if d == 1 and total == 1.0 else _backend.matvec(step, avg)
         res = float(np.abs(moved - avg).sum())
         if res <= tol:
-            return avg, it, d, level
+            return avg, it
         x = cur
     raise ConvergenceError(
         f"class solve stalled at residual {res:.3e} after {max_iter} windows",
         residual=res,
     )
-
-
-class _ClassSolve(NamedTuple):
-    """One closed class of a kernel, solved: its sorted states, its stationary
-    vector on them, its period and each state's breadth-first level."""
-
-    states: np.ndarray
-    pi: np.ndarray
-    period: int
-    level: np.ndarray
 
 
 def _class_solves(P: TransitionKernel, tol: float, max_iter: int) -> list:
@@ -193,11 +182,10 @@ def _class_solves(P: TransitionKernel, tol: float, max_iter: int) -> list:
     cache = P._cache
     if key not in cache:
         solves = []
-        for cls in closed_classes(P):
-            pi, _, d, level = _solve_class(P.restrict(cls), tol, max_iter)
-            for arr in (cls, pi, level):
-                arr.setflags(write=False)
-            solves.append(_ClassSolve(cls, pi, d, level))
+        for cls in _class_structure(P):
+            pi, _ = _solve_class(P.restrict(cls.states), cls.period, tol, max_iter)
+            pi.setflags(write=False)
+            solves.append(cls._replace(pi=pi))
         cache[key] = solves
     return cache[key]
 
@@ -244,7 +232,7 @@ def invariant_sets(P: TransitionKernel, mu: Measure, tol: float = 1e-10) -> Inva
     a union of them modulo mu-null differences.
     """
     require_stationary(P, mu, tol)
-    gens = _closed_classes_on(P, support(mu), 0.0)
+    gens = _closed_classes_on(P, support(mu))
     return InvariantSetReport(tuple(gens), 2 ** len(gens))
 
 

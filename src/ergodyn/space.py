@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _backend
 from .errors import (
     DimensionError,
     InvalidArgumentError,
@@ -152,6 +153,7 @@ def make_uniform_partition(domain_kind: str, cell_count: int) -> Partition:
     """
     if cell_count < 1:
         raise InvalidArgumentError("cell_count must be a positive integer")
+    _backend.require_addressable(f"cell_count {cell_count}", cell_count + 1)
     boundaries = np.arange(int(cell_count) + 1, dtype=np.float64) / float(cell_count)
     boundaries[-1] = 1.0
     return Partition(domain_kind, boundaries)

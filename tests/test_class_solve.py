@@ -2,9 +2,10 @@
 
 ``_two_product_solve`` is the class solve as it was before a period-1 window
 reused its own product for the residual: it takes two products per window.
-The solve must return the same vector, window count, period and levels on
-the oracle's drawn kernels and on every kernel under ``tests/data``, with
-fewer products. Closed classes are computed once per kernel and threshold.
+The solve must return the same vector and window count on the oracle's
+drawn kernels and on every kernel under ``tests/data``, with fewer products,
+and the cached class structure must give the period and levels that the
+reference finds. Each closed class and its period are found once per kernel.
 """
 
 import math
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from ergodyn import _backend, closed_classes, measures
 from ergodyn.cli import load_kernel
 from ergodyn.errors import ConvergenceError
-from ergodyn.measures import _class_solves, _graph_period, _solve_class
+from ergodyn.measures import _class_solves, _class_structure, _graph_period, _solve_class
 
 from test_oracle import SOLVER_TOL, float_kernel, rational_kernels
 
@@ -50,13 +51,13 @@ def _two_product_solve(sub, tol, max_iter):
 
 
 def assert_same_solves(P, tol, max_iter=100000):
-    for cls in closed_classes(P):
-        sub = P.restrict(cls)
-        pi, windows, d, level = _solve_class(sub, tol, max_iter)
+    for cls in _class_structure(P):
+        sub = P.restrict(cls.states)
+        pi, windows = _solve_class(sub, cls.period, tol, max_iter)
         want_pi, want_windows, want_d, want_level = _two_product_solve(sub, tol, max_iter)
         assert pi.tobytes() == want_pi.tobytes()
-        assert (windows, d) == (want_windows, want_d)
-        assert level.tobytes() == want_level.tobytes()
+        assert (windows, cls.period) == (want_windows, want_d)
+        assert cls.level.tobytes() == want_level.tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -74,7 +75,7 @@ def test_data_kernels_solve_as_before(path):
 
 def test_pipeline_solve_takes_fewer_than_two_products_per_window(monkeypatch):
     P = load_kernel(DATA / "pipeline_logistic_k64.kernel")
-    (cls,) = closed_classes(P)
+    (cls,) = _class_structure(P)
     calls = []
     matvec = _backend.matvec
 
@@ -83,8 +84,8 @@ def test_pipeline_solve_takes_fewer_than_two_products_per_window(monkeypatch):
         return matvec(csr, x)
 
     monkeypatch.setattr(_backend, "matvec", counted)
-    _, windows, d, _ = _solve_class(P.restrict(cls), 1e-12, 100000)
-    assert d == 1
+    assert cls.period == 1
+    _, windows = _solve_class(P.restrict(cls.states), cls.period, 1e-12, 100000)
     assert len(calls) < 2 * windows
 
 
@@ -98,14 +99,6 @@ class TestClosedClassesCache:
             assert not a.flags.writeable
         second.clear()  # the caller's list is its own
         assert len(closed_classes(P)) == len(first)
-
-    def test_each_threshold_has_its_own_entry(self):
-        P = load_kernel(DATA / "pipeline_logistic_k64.kernel")
-        loose, strict = closed_classes(P, 0.0), closed_classes(P, 1e-14)
-        assert ("closed_classes", 0.0) in P._cache
-        assert ("closed_classes", 1e-14) in P._cache
-        assert closed_classes(P, 1e-14)[0] is strict[0]
-        assert closed_classes(P, 0.0)[0] is loose[0]
 
     def test_class_solve_and_period_lcm_share_the_classes(self, monkeypatch):
         P = load_kernel(DATA / "cyclic3_k24.kernel")
@@ -121,3 +114,33 @@ class TestClosedClassesCache:
         measures._odd_period_lcm(P)
         closed_classes(P)
         assert len(calls) == 1
+
+
+def count_period_searches(monkeypatch, P) -> int:
+    """``_graph_period`` calls made by the class solve, the limit horizon and
+    ``closed_classes`` on a fresh kernel."""
+    calls = []
+    search = measures._graph_period
+
+    def counted(sub):
+        calls.append(1)
+        return search(sub)
+
+    monkeypatch.setattr(measures, "_graph_period", counted)
+    _class_solves(P, 1e-12, 100000)
+    measures._odd_period_lcm(P)
+    closed_classes(P)
+    return len(calls)
+
+
+def test_each_period_is_searched_once(monkeypatch):
+    P = load_kernel(DATA / "cyclic3_k24.kernel")
+    assert count_period_searches(monkeypatch, P) == len(closed_classes(P))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_kernels())
+def test_each_period_of_a_drawn_kernel_is_searched_once(P):
+    K = float_kernel(P)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert count_period_searches(monkeypatch, K) == len(closed_classes(K))

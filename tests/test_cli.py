@@ -13,11 +13,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ergodyn import (
-    cli, kernel_from_rows, make_uniform_partition, ulam_discretize, NoisySystem, TransitionKernel,
+    cli, kernel_from_rows, make_uniform_partition, measures, ulam_discretize, NoisySystem,
+    TransitionKernel,
 )
 from ergodyn.cli import (
     config_hash, load_config, load_kernel, load_measure, main, save_kernel, save_measure,
 )
+from ergodyn.kernel import MAP_PARAMS, NOISE_PARAMS
 from ergodyn.mc import estimate_Lj_phi
 from ergodyn.space import Measure, Observable
 
@@ -397,6 +399,46 @@ class TestExitCodes:
         assert "passed=false" in text
 
 
+#: Valid kernels with an entry of 1e-16 inside a closed class {0, 1}; the
+#: second adds the swap {2, 3} as a second class.
+TINY_EDGE_KERNELS = {
+    "one_class_k3": "K 3\ndomain unit_interval\nboundaries 0 0.33333333333333331 0.66666666666666663 1\n"
+                    "nnz 5\n0 0 0.99999999999999989\n0 1 1.0000000000000001e-16\n1 0 1\n"
+                    "2 1 0.5\n2 2 0.5\n",
+    "two_classes_k4": "K 4\ndomain unit_interval\nboundaries 0 0.25 0.5 0.75 1\n"
+                      "nnz 5\n0 0 0.99999999999999989\n0 1 1.0000000000000001e-16\n1 0 1\n"
+                      "2 3 1\n3 2 1\n",
+}
+
+
+class TestOneClassStructure:
+    """measure and every verify check read the closed classes of the exact
+    support graph, found once per kernel."""
+
+    @pytest.mark.parametrize("name", TINY_EDGE_KERNELS)
+    def test_tiny_edge_inside_a_class_verifies(self, tmp_path, name):
+        # with classes taken above a threshold of 1e-14, state 0 alone was "closed" and every
+        # check over the classes found it not invariant (exit 5)
+        kernel = tmp_path / "k.txt"
+        kernel.write_text("ergodyn-kernel 1\n" + TINY_EDGE_KERNELS[name])
+        argv = ["verify", "--kernel", str(kernel), "--checks", "all", "--seed", "1807"]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 0
+
+    def test_verify_finds_the_classes_once(self, tmp_path, monkeypatch):
+        calls = []
+        find = measures._closed_classes_on
+
+        def counted(*args):
+            calls.append(1)
+            return find(*args)
+
+        monkeypatch.setattr(measures, "_closed_classes_on", counted)
+        argv = ["verify", "--kernel", str(DATA / "cyclic3_k24.kernel"),
+                "--checks", "corollary_c,localization,levelsets", "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        assert len(calls) == 1
+
+
 SWAP_HEADER = "ergodyn-kernel 1\nK 2\ndomain unit_interval\nboundaries 0 0.5 1\n"
 
 
@@ -622,12 +664,14 @@ class TestInvalidConfiguration:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("checks, line, message", [
-        ("birkhoff", "n_cap = -5", "n_cap in [checks] must be at least 2, got -5"),
+        ("birkhoff", "n_cap = -5", "n_cap in [checks] must be at least 4, got -5"),
+        ("birkhoff", "n_cap = 2", "n_cap in [checks] must be at least 4, got 2"),
+        ("birkhoff", "n_cap = 3", "n_cap in [checks] must be at least 4, got 3"),
         ("lemma1", "n_max = 0", "n_max in [checks] must be at least 1, got 0"),
     ])
     def test_config_horizon_below_its_least_exits_2(self, tmp_path, capsys, checks, line, message):
-        # no limit window fits under the cap, and lemma1 reads no n_max: both are still
-        # configuration errors, not a failed solve or a pass
+        # no limit converges under the cap (that needs windows at horizons 2L and 4L), and
+        # lemma1 reads no n_max: both are still configuration errors, not a failed solve or a pass
         bundled("swap.kernel", tmp_path)
         cfg = bundled("swap.cfg", tmp_path)
         cfg.write_text(cfg.read_text().replace("[checks]\n", f"[checks]\n{line}\n"))
@@ -647,9 +691,9 @@ class TestInvalidConfiguration:
         assert not (tmp_path / "o").exists()
 
     def test_least_horizons_are_accepted(self, tmp_path):
-        cfg = write_config(tmp_path / "c.cfg", "[kernel]\npath = k.txt\n[checks]\nn_max = 1\nn_cap = 2\n")
+        cfg = write_config(tmp_path / "c.cfg", "[kernel]\npath = k.txt\n[checks]\nn_max = 1\nn_cap = 4\n")
         checks = load_config(cfg)["checks"]
-        assert (checks["n_max"], checks["n_cap"]) == (1, 2)
+        assert (checks["n_max"], checks["n_cap"]) == (1, 4)
 
     @pytest.mark.parametrize("noise, key", [("uniform", "half_width"), ("wrapped_gaussian", "sigma")])
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -670,9 +714,21 @@ class TestInvalidConfiguration:
         ("verify", "[kernel]\npath = swap.kernel\n[checks]\nnames = duality\ntrials = 1000000000000000\n"),
         ("verify", "[kernel]\npath = swap.kernel\n[checks]\nnames = corollary_c\n"
                    "trials = 4611686018427387904\n"),
-    ], ids=["n_samples", "cells", "trials", "trials_past_address_space"])
+        *[(command, body.format(n=n)) for n in (2**62, 2**63) for command, body in (
+            ("kernel-build", "[system]\nmap = doubling\nquadrature = {n}\n"
+                             "[partition]\ndomain = circle\ncells = 16\n"),
+            ("kernel-build", "[system]\nmap = doubling\n[partition]\ndomain = circle\ncells = {n}\n"),
+            ("simulate", "[kernel]\npath = swap.kernel\n[mc]\nsteps = {n}\n"),
+            ("simulate", "[kernel]\npath = swap.kernel\n[mc]\ntrajectories = {n}\n"),
+            ("simulate", "[kernel]\npath = swap.kernel\n[mc]\nn_samples = {n}\n"),
+        )],
+    ], ids=["n_samples", "cells", "trials", "trials_past_address_space"] + [
+        f"{key}_2^{e}" for e in (62, 63) for key in ("quadrature", "cells", "steps", "trajectories", "n_samples")
+    ])
     def test_size_beyond_memory_exits_2(self, tmp_path, capsys, command, body):
-        # 10**15 eight-byte slots exceed any address space: the allocation fails at once.
+        # 10**15 eight-byte slots exceed any memory: the allocation fails at once. 2^62 and
+        # 2^63 slots exceed the address space, where NumPy raises ValueError or, for an
+        # arange past int64, returns an empty array; they are rejected before any allocation.
         # A check draws its whole trial block in one call, before any trial runs.
         bundled("swap.kernel", tmp_path)
         cfg = write_config(tmp_path / "c.cfg", body)
@@ -761,6 +817,16 @@ class TestInvalidConfiguration:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "unknown key 'formats'" in capsys.readouterr().err
 
+    def test_edge_threshold_is_an_unknown_key(self, tmp_path, capsys):
+        # the closed classes are those of the exact support graph; no threshold splits them
+        bundled("swap.kernel", tmp_path)
+        cfg = write_config(
+            tmp_path / "c.cfg", "[kernel]\npath = swap.kernel\n[checks]\nedge_threshold = 1e-14\n"
+        )
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid configuration: unknown key 'edge_threshold' in section [checks]\n")
+
     def test_largest_u64_seed_accepted(self, tmp_path):
         bundled("swap.kernel", tmp_path)
         code = main([
@@ -768,6 +834,73 @@ class TestInvalidConfiguration:
             "--out", str(tmp_path / "o"),
         ])
         assert code == 0
+
+
+COMMANDS = ("kernel-build", "measure", "verify", "simulate")
+#: Values that no key of each kind parses.
+UNPARSEABLE = {int: ("many", "1.5"), float: ("many", "1,5"), "floats": ("0.5 many",)}
+NON_FINITE = ("nan", "inf", "-inf", "1e400")
+#: A valid value of each numeric [system] key, for the map or noise law that takes it.
+SYSTEM_VALUES = {"alpha": "0.37", "r": "3.9", "breakpoints": "0.5", "slopes": "2 -2",
+                 "half_width": "0.1", "sigma": "0.01"}
+
+
+def schema_keys(*kinds, sections=None):
+    """(section, key) of every ``_SCHEMA`` key of the given kinds."""
+    return [(section, key) for section, keys in cli._SCHEMA.items() for key, (kind, _) in keys.items()
+            if kind in kinds and (sections is None or section in sections)]
+
+
+def system_config(key, value):
+    """A kernel-build config that builds with SYSTEM_VALUES and differs from
+    that one only in ``key = value``."""
+    maps = [name for name, params in MAP_PARAMS.items() if key in params] or ["doubling"]
+    noises = [name for name, (_, params) in NOISE_PARAMS.items() if key in params]
+    lines = [f"map = {maps[0]}"] + [f"noise = {noise}" for noise in noises[:1]]
+    params = MAP_PARAMS[maps[0]] if key in MAP_PARAMS[maps[0]] else (key,)
+    lines += [f"{k} = {value if k == key else SYSTEM_VALUES[k]}" for k in params]
+    return "[system]\n" + "\n".join(lines) + "\n[partition]\ndomain = circle\ncells = 16\n"
+
+
+class TestConfigFromSchema:
+    """Every numeric key of ``_SCHEMA`` rejects a value it cannot use with
+    exit 2 and one line, in each command that reads it."""
+
+    @pytest.mark.parametrize("section, key, raw", [
+        (section, key, raw) for kind, values in UNPARSEABLE.items()
+        for section, key in schema_keys(kind) for raw in values
+    ])
+    def test_unparseable_value_exits_2(self, tmp_path, capsys, section, key, raw):
+        cfg = write_config(tmp_path / "c.cfg", f"[{section}]\n{key} = {raw}\n")
+        for command in COMMANDS:
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2, command
+            assert capsys.readouterr().err == (
+                f"error: invalid configuration: key {key!r} in [{section}]: cannot parse {raw!r}\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("section, key", schema_keys(float, "floats", sections=("solver", "checks")))
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_value_exits_2_at_load(self, tmp_path, capsys, section, key, value):
+        cfg = write_config(tmp_path / "c.cfg", f"[{section}]\n{key} = {value}\n")
+        for command in COMMANDS:
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2, command
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: invalid configuration: {key} in [{section}] must be finite")
+            assert err.count("\n") == 1 and "Traceback" not in err, err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key", [key for _, key in schema_keys(float, "floats", sections=("system",))])
+    def test_non_finite_system_value_exits_2(self, tmp_path, capsys, key):
+        argv = ["kernel-build", "--config", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "o")]
+        write_config(tmp_path / "c.cfg", system_config(key, SYSTEM_VALUES[key]))
+        assert main(argv) == 0  # the same config with a usable value builds
+        shutil.rmtree(tmp_path / "o")
+        capsys.readouterr()
+        for value in NON_FINITE:
+            write_config(tmp_path / "c.cfg", system_config(key, value))
+            assert main(argv) == 2, value
+            assert_one_line_error(capsys)
+            assert not (tmp_path / "o").exists()
 
 
 class TestArgumentParsing:
@@ -1046,7 +1179,7 @@ class TestDeterminism:
         assert a == b
 
     @pytest.mark.parametrize("name, digest", [
-        ("swap.cfg", "54c2cbab43e6c5fa"), ("rotation_uniform.cfg", "27475df60e5139d0"),
+        ("swap.cfg", "23695ca0e2518943"), ("rotation_uniform.cfg", "0bbe85b30bda9f0a"),
     ])
     def test_bundled_config_hash(self, name, digest):
         # the schema's defaults are part of the resolved config, so this pins them

@@ -25,6 +25,7 @@ from ergodyn import cli, kernel, measures
 from ergodyn.cli import load_kernel, save_kernel
 from ergodyn.errors import InvalidKernelError
 from ergodyn.measures import (
+    _class_structure,
     _graph_period,
     _solve_class,
     closed_classes,
@@ -273,14 +274,15 @@ class TestSparseClassSolve:
         for name, P in conftest_kernels(rng).items():
             for p in (1, 2, 3):
                 Q = kernel_power(P, p)
-                for cls in closed_classes(Q):
-                    sub = Q.restrict(cls)
-                    got, windows, d, level = _solve_class(sub, tol, 100000)
-                    want, want_windows = dense_solve_class(Q.to_dense()[np.ix_(cls, cls)], tol)
+                for cls in _class_structure(Q):
+                    sub = Q.restrict(cls.states)
+                    got, windows = _solve_class(sub, cls.period, tol, 100000)
+                    idx = np.ix_(cls.states, cls.states)
+                    want, want_windows = dense_solve_class(Q.to_dense()[idx], tol)
                     assert np.abs(got - want).max() <= 1e-14, (name, p)
                     assert windows == want_windows, (name, p)
                     want_d, want_level = _graph_period(sub > 0.0)
-                    assert d == want_d and np.array_equal(level, want_level), (name, p)
+                    assert cls.period == want_d and np.array_equal(cls.level, want_level), (name, p)
 
     def test_graph_period_takes_csr(self, rng):
         for p in (1, 2, 3, 4):

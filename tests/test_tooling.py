@@ -1,13 +1,16 @@
-"""The benchmark names parts of the package; they must exist and agree.
+"""The benchmark and the README name parts of the package; they must exist
+and agree.
 
 ``perfbench/tracing.py`` patches every function it lists by module and name.
 A rename inside ``src/`` would otherwise leave a traced run without the span,
 silently. ``perfbench/run.py`` keeps its own copy of the check order. Both
-are read from the files, so these tests need no import of the benchmark.
+are read from the files, so these tests need no import of the benchmark. The
+README's configuration table lists the keys of ``cli._SCHEMA``.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ import pytest
 from ergodyn import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+README = PERFBENCH.parent / "README.md"
 
 
 def _literals(path, names) -> dict:
@@ -45,3 +49,28 @@ def test_benchmark_check_order_matches_cli():
     # perfbench/run.py keeps its own copy, as it cannot import the package before
     # pinning threads; the order also seeds each check's RNG stream
     assert _literals(PERFBENCH / "run.py", ("CHECK_NAMES",))["CHECK_NAMES"] == cli.CHECK_NAMES
+
+
+def _readme_config_keys() -> dict:
+    """Section -> keys of the README's configuration table, in table order.
+
+    A row with an empty Section cell continues the section above it. Each
+    comma-separated item of the Key cell names its first backticked word;
+    text in parentheses, such as `wrap`, is no key.
+    """
+    lines = README.read_text().splitlines()
+    start = lines.index("| Section | Key | Type | Default |") + 2
+    keys, section = {}, None
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        section = cells[0].strip("`[]") or section
+        for item in re.sub(r"\([^)]*\)", "", cells[1]).split(","):
+            keys.setdefault(section, []).append(re.search(r"`([^`]+)`", item).group(1))
+    return keys
+
+
+def test_readme_config_table_lists_the_schema():
+    want = {section: list(keys) for section, keys in cli._SCHEMA.items()}
+    assert _readme_config_keys() == want

@@ -54,7 +54,7 @@ def per_trial_reports(name, P, stationaries, cfg, seed):
     p = int(_cfg_get(cfg, "checks", "p"))
     part = P.partition
     mix = cli._mixture_measure(stationaries)
-    classes = closed_classes(P, float(_cfg_get(cfg, "checks", "edge_threshold")))
+    classes = closed_classes(P)
 
     def draw():
         return Observable(rng.uniform(-1.0, 1.0, P.K), part)
