@@ -69,6 +69,7 @@ from .mc import estimate_Lj_phi_steps, sample_trajectories
 from .space import Measure, Observable, Partition, make_uniform_partition
 from .theorems import (
     _COROLLARIES,
+    _windowed_limit,
     birkhoff_trials,
     check_levelset_invariance,
     corollary_trials,
@@ -78,7 +79,9 @@ from .theorems import (
     lemma2_trials,
     localization_trials,
     maximal_trials,
+    nonconvergence_tol,
     nonconvergence_trials,
+    partial_sum_extremes,
     periodic_trials,
 )
 from .transfer import stationarity_residual
@@ -406,6 +409,8 @@ def load_config(path) -> dict:
     for section, key, least in (("solver", "max_iter", 1), ("checks", "n_max", 1), ("checks", "n_cap", 4)):
         if section in cfg:
             _at_least(cfg[section][key], least, f"{key} in [{section}]")
+    if "checks" in cfg:
+        _within_cap(cfg["checks"]["n_max"], cfg["checks"]["n_cap"], "n_max in [checks]")
     for key in ("alpha", "beta"):
         value = cfg.get("checks", {}).get(key)
         if value is not None and not math.isfinite(value):
@@ -439,6 +444,14 @@ def _at_least(n: int, least: int, what: str) -> int:
     if n < least:
         raise ConfigError(f"{what} must be at least {least}, got {n}")
     return n
+
+
+def _within_cap(n_max: int, n_cap: int, what: str) -> int:
+    """The partial-sum horizon n_max; it may not pass the horizon cap n_cap,
+    so that one key bounds every horizon a check runs."""
+    if n_max > n_cap:
+        raise ConfigError(f"{what} must be at most n_cap ({n_cap}), got {n_max}")
+    return n_max
 
 
 def _observable(cfg, P: TransitionKernel) -> Observable:
@@ -568,14 +581,16 @@ def _worst(reports):
 
 @dataclass
 class _CheckRun:
-    """What a check's runner draws on; the mixture measure and the closed
-    classes are computed only by the checks that use them."""
+    """One check's part of a verify run: its random stream and trial count,
+    and the run whose shared work it reads. The mixture measure and the
+    closed classes are computed only by the checks that use them."""
 
     P: TransitionKernel
     stationaries: list
     cfg: dict
     rng: np.random.Generator
     trials: int
+    shared: "_Verify"
 
     def opt(self, key, default=None):
         """A [checks] setting; ``default`` stands in for a key without a value."""
@@ -605,6 +620,117 @@ class _CheckRun:
         return closed_classes(self.P)
 
 
+class _SharedWork:
+    """Work that several checks read: done on the first read, over everything
+    asked for by then, and dropped once the last check that asked has read
+    its share, so it holds no memory past its readers."""
+
+    def __init__(self):
+        self._readers, self._result = 0, None
+
+    def share(self, compute, take):
+        """Count one more reader; returns a callable that gives
+        ``take(compute())``, with compute called once for all readers. Only
+        the callables hold compute, so the run that owns this work is freed
+        as soon as its checks are."""
+        self._readers += 1
+
+        def read():
+            if self._result is None:
+                self._result = compute()
+            result = self._result
+            self._readers -= 1
+            if not self._readers:
+                self._result = None
+            return take(result)
+        return read
+
+
+class _Verify:
+    """The named checks of one verify run, with the work they share done once.
+
+    Two pieces of work are shared: one stream of partial sums over one K x T
+    block, drawn from maximal's stream, which ``maximal`` and both
+    corollaries read; and one doubling-horizon pass on P over the columns of
+    ``birkhoff``, ``ergodic_limit`` and ``nonconvergence_empty``. ``reports``
+    plans every check, in the order named, then finishes them in that order. A
+    plan asks for the check's columns and returns a callable that finishes
+    the check; the first check to read a piece of work runs it, over every
+    column asked for. A check raises as it would on its own: a plan that
+    raises stops the planning, and its error comes once the checks before it
+    have finished; a shared pass raises for no column, and each check raises
+    for its own.
+    """
+
+    def __init__(self, P, stationaries, cfg, master_seed):
+        self.P, self.stationaries, self.cfg, self.master_seed = P, stationaries, cfg, master_seed
+        self._sum_columns = 0
+        self._sums = _SharedWork()
+        self._limit_columns = []  # (values, watch, tol), one entry per check
+        self._limits = _SharedWork()
+
+    def check(self, name) -> _CheckRun:
+        """Check name's run: SeedSequence([master_seed, i]) for its index i in
+        ``CHECKS``, and its trial count, capped at 20 for an expensive check."""
+        seed = np.random.SeedSequence(
+            [int(self.master_seed) & _backend._MASK64, CHECK_NAMES.index(name)])
+        trials = _cfg_get(self.cfg, "checks", "trials")
+        trials = min(trials, 20) if CHECKS[name][0] else trials
+        rng = np.random.default_rng(seed)
+        return _CheckRun(self.P, self.stationaries, self.cfg, rng, trials, self)
+
+    def reports(self, names):
+        """Yield (name, trial reports) for each check named, in order."""
+        plans, failure = [], None
+        for name in names:
+            try:
+                plans.append((name, CHECKS[name][1](self.check(name))))
+            except Exception as e:  # raised in its turn, after the checks before it
+                failure = e
+                break
+        for name, finish in plans:
+            yield name, finish()
+        if failure is not None:
+            raise failure
+
+    def partial_sums(self, n: int):
+        """A callable that gives the first n columns of the partial-sum block
+        and of its ``partial_sum_extremes``: (values, (max S_n, max S_n / n,
+        min S_n / n)). The block has as many columns as any check asks for."""
+        self._sum_columns = max(self._sum_columns, n)
+        return self._sums.share(self._partial_sum_stream,
+                                lambda sums: (sums[0][:, :n], tuple(a[:, :n] for a in sums[1])))
+
+    def _partial_sum_stream(self):
+        r = self.check("maximal")
+        values = r.observables(self._sum_columns)
+        return values, partial_sum_extremes(self.P, values, r.opt("n_max"))
+
+    def limits(self, values: np.ndarray, watch: np.ndarray, tol: float):
+        """A callable that gives the share of values' columns in the limit
+        pass on P, each watched on the states watch and settled at residual
+        tol: their limits, previous windows, residuals and horizons."""
+        lo = sum(v.shape[1] for v, _, _ in self._limit_columns)
+        self._limit_columns.append((values, watch, tol))
+        cols = slice(lo, lo + values.shape[1])
+        return self._limits.share(self._limit_pass,
+                                  lambda limit_pass: tuple(x[..., cols] for x in limit_pass))
+
+    def _limit_pass(self):
+        watches, tols = [], []
+        for values, watch, tol in self._limit_columns:
+            watches += [watch] * values.shape[1]
+            tols += [tol] * values.shape[1]
+        block = np.hstack([values for values, _, _ in self._limit_columns])
+        return _windowed_limit(self.P, block, watches, tols, _cfg_get(self.cfg, "checks", "n_cap"))
+
+
+def _later(run):
+    """The plan of a check that shares no work: all of it, its draws too,
+    waits for the check's turn."""
+    return lambda r: partial(run, r)
+
+
 def _run_duality(r: _CheckRun) -> list:
     """Each trial draws an observable uniform on [-1, 1), then a measure of
     weights uniform on [1e-3, 1 + 1e-3), normalised."""
@@ -615,17 +741,52 @@ def _run_duality(r: _CheckRun) -> list:
     return duality_trials(r.P, np.ascontiguousarray(values.T), np.ascontiguousarray(weights.T))
 
 
-def _run_corollary(name: str, r: _CheckRun) -> list:
+def _plan_maximal(r: _CheckRun):
+    sums = r.shared.partial_sums(r.trials)
+
+    def finish():
+        values, extremes = sums()
+        return maximal_trials(r.P, r.mix, values, r.opt("n_max"), r.opt("tol"), extremes)
+    return finish
+
+
+def _plan_corollary(name: str, r: _CheckRun):
     """corollary_c or corollary_b on every closed class, at the level its
-    key in ``theorems._COROLLARIES`` sets, or at the default level."""
-    values = r.observables(max(1, r.trials // max(1, len(r.classes))))
-    return corollary_trials(name, r.P, r.mix, values, r.classes, r.opt(_COROLLARIES[name][1]),
-                            r.opt("n_max"), r.opt("tol"))
+    key in ``theorems._COROLLARIES`` sets, or at the default level, on the
+    first trials // (number of classes) columns of the partial-sum block."""
+    sums = r.shared.partial_sums(max(1, r.trials // max(1, len(r.classes))))
+
+    def finish():
+        values, extremes = sums()
+        return corollary_trials(name, r.P, r.mix, values, r.classes, r.opt(_COROLLARIES[name][1]),
+                                r.opt("n_max"), r.opt("tol"), extremes)
+    return finish
+
+
+def _plan_birkhoff(r: _CheckRun):
+    values = r.observables()
+    share = r.shared.limits(values, np.flatnonzero(r.mix.weights > 0.0), r.opt("tol"))
+    return lambda: birkhoff_trials(r.P, r.mix, values, r.opt("tol"), r.opt("n_cap"), share())[1]
+
+
+def _plan_ergodic_limit(r: _CheckRun):
+    mu, values = r.stationaries[0], r.observables()
+    share = r.shared.limits(values, np.flatnonzero(mu.weights > 0.0), r.opt("tol"))
+    return lambda: ergodic_limit_trials(r.P, mu, values, r.opt("tol"), r.opt("n_cap"), share())
+
+
+def _plan_nonconvergence(r: _CheckRun):
+    """The levels come first: alpha <= beta raises before any column is asked for."""
+    alpha, beta = r.opt("alpha", 0.05), r.opt("beta", -0.05)
+    tol, values = nonconvergence_tol(alpha, beta), r.observables()
+    share = r.shared.limits(values, np.arange(r.P.K), tol)
+    return lambda: nonconvergence_trials(r.P, values, alpha, beta, r.opt("n_cap"), share())
 
 
 def _run_periodic(r: _CheckRun) -> list:
     """The periodic theorem on the measures fixed by the p-step kernel. The
-    measures come from P's class solves; the limits run on Q = P^p, formed once."""
+    measures come from P's class solves; the limits run on Q = P^p, formed
+    once, in a pass of their own."""
     p = r.opt("p")
     fixed = [nu for nu, _ in periodic_measures(
         r.P, p, _cfg_get(r.cfg, "solver", "tol"), _cfg_get(r.cfg, "solver", "max_iter"))]
@@ -633,29 +794,27 @@ def _run_periodic(r: _CheckRun) -> list:
     return periodic_trials(Q, fixed, r.observables(), r.opt("tol"), r.opt("n_cap"))
 
 
-#: check name -> (expensive, runner). An expensive check squares dense
-#: matrices and runs at most 20 trials. A runner takes a ``_CheckRun`` and
-#: returns the trial reports. Check i draws from SeedSequence([seed, i]), so
-#: the order is part of every report: a new check goes last.
+#: check name -> (expensive, plan). An expensive check squares dense
+#: matrices and runs at most 20 trials. A plan takes a ``_CheckRun`` and
+#: returns a callable that gives the trial reports (``_Verify``). Check i
+#: draws from SeedSequence([seed, i]), except that maximal and both
+#: corollaries read one block drawn from maximal's stream, so the order is
+#: part of every report: a new check goes last.
 CHECKS = {
-    "duality": (False, _run_duality),
-    "lemma1": (False, lambda r: lemma1_trials(r.P, r.observables())),
-    "lemma2": (False, lambda r: lemma2_trials(r.P, r.mix, r.observables(), r.opt("tol"))),
-    "maximal": (False, lambda r: maximal_trials(
-        r.P, r.mix, r.observables(), r.opt("n_max"), r.opt("tol"))),
-    "corollary_c": (False, partial(_run_corollary, "corollary_c")),
-    "corollary_b": (False, partial(_run_corollary, "corollary_b")),
-    "birkhoff": (True, lambda r: birkhoff_trials(
-        r.P, r.mix, r.observables(), r.opt("tol"), r.opt("n_cap"))[1]),
-    "ergodic_limit": (True, lambda r: ergodic_limit_trials(
-        r.P, r.stationaries[0], r.observables(), r.opt("tol"), r.opt("n_cap"))),
-    "periodic": (True, _run_periodic),
-    "localization": (False, lambda r: localization_trials(
-        r.P, r.mix, r.classes, r.observables(), r.opt("tol"))),
-    "levelsets": (False, lambda r: [check_levelset_invariance(
-        r.P, r.mix, _class_eigenfunction(r.P, r.classes), r.opt("alpha", 0.5), r.opt("tol"))]),
-    "nonconvergence_empty": (True, lambda r: nonconvergence_trials(
-        r.P, r.observables(), r.opt("alpha", 0.05), r.opt("beta", -0.05), r.opt("n_cap"))),
+    "duality": (False, _later(_run_duality)),
+    "lemma1": (False, _later(lambda r: lemma1_trials(r.P, r.observables()))),
+    "lemma2": (False, _later(lambda r: lemma2_trials(r.P, r.mix, r.observables(), r.opt("tol")))),
+    "maximal": (False, _plan_maximal),
+    "corollary_c": (False, partial(_plan_corollary, "corollary_c")),
+    "corollary_b": (False, partial(_plan_corollary, "corollary_b")),
+    "birkhoff": (True, _plan_birkhoff),
+    "ergodic_limit": (True, _plan_ergodic_limit),
+    "periodic": (True, _later(_run_periodic)),
+    "localization": (False, _later(lambda r: localization_trials(
+        r.P, r.mix, r.classes, r.observables(), r.opt("tol")))),
+    "levelsets": (False, _later(lambda r: [check_levelset_invariance(
+        r.P, r.mix, _class_eigenfunction(r.P, r.classes), r.opt("alpha", 0.5), r.opt("tol"))])),
+    "nonconvergence_empty": (True, _plan_nonconvergence),
 }
 CHECK_NAMES = tuple(CHECKS)
 
@@ -663,18 +822,15 @@ CHECK_NAMES = tuple(CHECKS)
 def run_check(name, P, stationaries, cfg, master_seed) -> "CheckReport":
     """Run one named check with seeded randomness and aggregate its trials.
 
-    ``CHECKS`` holds each check's runner and whether its trials are capped;
-    each report carries its ``ge``/``le`` direction, by which ``_worst``
-    ranks the trials. Check i draws from SeedSequence([master_seed, i]). The
-    trials run together: their random inputs are drawn in one call, in
+    Its trials run together: their random inputs are drawn in one call, in
     trial order, as the columns of one K x T block, and the check's
-    preconditions are evaluated once, before any trial.
+    preconditions are evaluated once, before any trial. Each report carries
+    its ``ge``/``le`` direction, by which ``_worst`` ranks the trials. The
+    check draws from its own stream, as in a run of several checks
+    (``_Verify``), so its report is the one it gets in any such run.
     """
-    expensive, run = CHECKS[name]
-    seed = np.random.SeedSequence([int(master_seed) & _backend._MASK64, CHECK_NAMES.index(name)])
-    trials = _cfg_get(cfg, "checks", "trials")
-    trials = min(trials, 20) if expensive else trials
-    return _worst(run(_CheckRun(P, stationaries, cfg, np.random.default_rng(seed), trials)))
+    ((_, reports),) = _Verify(P, stationaries, cfg, master_seed).reports([name])
+    return _worst(reports)
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +926,9 @@ def cmd_verify(args) -> int:
     if args.tol is not None:
         cfg.setdefault("checks", {})["tol"] = _positive(args.tol, "--tol")
     if args.n_max is not None:
-        cfg.setdefault("checks", {})["n_max"] = _at_least(args.n_max, 1, "--n-max")
+        n_max = _at_least(args.n_max, 1, "--n-max")
+        cfg.setdefault("checks", {})["n_max"] = _within_cap(
+            n_max, _cfg_get(cfg, "checks", "n_cap"), "--n-max")
     names = args.checks or _cfg_get(cfg, "checks", "names")
     requested = [t.strip() for t in names.split(",") if t.strip()]
     if requested == ["all"]:
@@ -796,8 +954,8 @@ def cmd_verify(args) -> int:
     writer.kv("checks", ",".join(requested))
     writer.kv("trials", _cfg_get(cfg, "checks", "trials"))
     results = []
-    for name in requested:
-        rep = run_check(name, P, stationaries, cfg, seed)
+    for name, reports in _Verify(P, stationaries, cfg, seed).reports(requested):
+        rep = _worst(reports)
         results.append(rep)
         writer.check(name, rep)
     n_pass = sum(r.passed for r in results)

@@ -231,16 +231,13 @@ class TransitionKernel:
         return int(self.data.size)
 
     def to_dense(self) -> np.ndarray:
-        """The K x K array (cached); only the doubling-horizon limit checks use it."""
-        cache = self._cache
-        if "dense" not in cache:
-            k = self.K
-            dense = np.zeros((k, k))
-            rows = np.repeat(np.arange(k), np.diff(self.indptr))
-            dense[rows, self.indices] = self.data
-            dense.setflags(write=False)
-            cache["dense"] = dense
-        return cache["dense"]
+        """The K x K array, built on each call. Only a doubling-horizon limit
+        pass uses it, and ``verify`` runs one per kernel, so no copy is kept
+        on the kernel past that pass."""
+        k = self.K
+        dense = np.zeros((k, k))
+        dense[np.repeat(np.arange(k), np.diff(self.indptr)), self.indices] = self.data
+        return dense
 
     def row(self, i: int):
         lo, hi = self.indptr[i], self.indptr[i + 1]

@@ -27,7 +27,14 @@ K x T block of observable values, with its preconditions evaluated once,
 and returns one report per column (per column and set, where a check takes
 sets). Column t of every block product equals the product with column t
 alone, bit for bit, so a report does not depend on the batch it ran in. The
-single-observable ``check_*`` functions are the T = 1 case.
+single-observable ``check_*`` functions are the T = 1 case. So checks can
+share work and draws. The maximal inequality and both corollaries read the
+extremes of one stream of partial sums (``partial_sum_extremes``): in
+``verify`` they share one block of draws, and a corollary's trials are its
+first columns, so a corollary reports the same with or without the maximal
+check. The limit checks can take their columns' share of one
+doubling-horizon pass (``_windowed_limit``) run over the columns of several
+checks.
 """
 
 from __future__ import annotations
@@ -125,17 +132,32 @@ def _partial_sums(P: TransitionKernel, values: np.ndarray, n_max: int):
         yield n, total
 
 
+def partial_sum_extremes(P: TransitionKernel, values: np.ndarray, n_max: int = DEFAULT_N_MAX):
+    """Per state and column: the max of S_n, and the max and min of S_n / n, over n <= n_max.
+
+    values is a K-vector or a K x T block; the three results have its shape.
+    One stream of partial sums serves the maximal inequality (max S_n) and
+    both corollaries (the running-average extremes), which are the maximal
+    inequality applied to phi - alpha on an invariant set.
+    """
+    best = np.full_like(values, -np.inf)
+    hi = np.full_like(values, -np.inf)
+    lo = np.full_like(values, np.inf)
+    for n, total in _partial_sums(P, values, n_max):
+        np.maximum(best, total, out=best)
+        avg = total / n
+        np.maximum(hi, avg, out=hi)
+        np.minimum(lo, avg, out=lo)
+    return best, hi, lo
+
+
 def maximal_function(P: TransitionKernel, phi, n_max: int = DEFAULT_N_MAX):
     """Componentwise max of the partial sums phi + L phi + ... up to n_max terms.
 
     phi is an Observable, or a K-vector or K x T block of observable values;
     the result takes the same form.
     """
-    values = _values(phi)
-    best = np.full_like(values, -np.inf)
-    for _, total in _partial_sums(P, values, n_max):
-        np.maximum(best, total, out=best)
-    return _like(phi, best)
+    return _like(phi, partial_sum_extremes(P, _values(phi), n_max)[0])
 
 
 def maximal_set(P: TransitionKernel, phi: Observable, n_max: int = DEFAULT_N_MAX) -> np.ndarray:
@@ -144,12 +166,17 @@ def maximal_set(P: TransitionKernel, phi: Observable, n_max: int = DEFAULT_N_MAX
 
 
 def maximal_trials(P: TransitionKernel, mu: Measure, values: np.ndarray,
-                   n_max: int = DEFAULT_N_MAX, tol: float = DEFAULT_TOL) -> list:
-    """check_maximal_inequality for each column of a K x T block."""
+                   n_max: int = DEFAULT_N_MAX, tol: float = DEFAULT_TOL, extremes=None) -> list:
+    """check_maximal_inequality for each column of a K x T block.
+
+    extremes is ``partial_sum_extremes(P, values, n_max)``, when the caller
+    has it already.
+    """
     require_stationary(P, mu, tol)
+    best = (partial_sum_extremes(P, values, n_max) if extremes is None else extremes)[0]
     reports = []
-    for v, best in zip(values.T, maximal_function(P, values, n_max).T):
-        E = np.flatnonzero(best > 0.0)
+    for v, column in zip(values.T, best.T):
+        E = np.flatnonzero(column > 0.0)
         lhs = float(v[E] @ mu.weights[E])
         reports.append(_report("maximal", "ge", lhs, 0.0, tol, _as_index_tuple(E), n_max))
     return reports
@@ -189,14 +216,7 @@ def running_average_extremes(P: TransitionKernel, phi, n_max: int = DEFAULT_N_MA
     phi is an Observable, or a K-vector or K x T block of observable values;
     hi and lo are arrays of the values' shape.
     """
-    values = _values(phi)
-    hi = np.full_like(values, -np.inf)
-    lo = np.full_like(values, np.inf)
-    for n, total in _partial_sums(P, values, n_max):
-        avg = total / n
-        np.maximum(hi, avg, out=hi)
-        np.minimum(lo, avg, out=lo)
-    return hi, lo
+    return partial_sum_extremes(P, _values(phi), n_max)[1:]
 
 
 #: corollary name -> (direction, its level's key in [checks], the bound of the
@@ -211,20 +231,21 @@ _COROLLARIES = {
 
 def corollary_trials(name: str, P: TransitionKernel, mu: Measure, values: np.ndarray, sets,
                      level: float | None = None,
-                     n_max: int = DEFAULT_N_MAX, tol: float = DEFAULT_TOL) -> list:
+                     n_max: int = DEFAULT_N_MAX, tol: float = DEFAULT_TOL, extremes=None) -> list:
     """Corollary c or b for each column t of a K x T block and each set.
 
     ``corollary_c`` bounds the running-average maxima of values by alpha,
     ``corollary_b`` the minima by beta. ``level`` is that alpha or beta for
     every column and set; None takes the default level of
-    ``_COROLLARIES`` per column and set. Reports come column by column,
-    sets in order.
+    ``_COROLLARIES`` per column and set. extremes is
+    ``partial_sum_extremes(P, values, n_max)``, when the caller has it
+    already. Reports come column by column, sets in order.
     """
     direction, _, bound, offset, condition, what = _COROLLARIES[name]
     inside = np.greater if direction == "ge" else np.less
     require_stationary(P, mu, tol)
-    hi, lo = running_average_extremes(P, values, n_max)
-    extremes = hi if direction == "ge" else lo
+    _, hi, lo = partial_sum_extremes(P, values, n_max) if extremes is None else extremes
+    running = hi if direction == "ge" else lo
     sets = [np.asarray(A, dtype=np.int64) for A in sets]
     violations = [invariance_violation(P, mu, A) for A in sets]
     reports = []
@@ -235,8 +256,8 @@ def corollary_trials(name: str, P: TransitionKernel, mu: Measure, values: np.nda
                     f"A is not a.e. invariant: criterion violation {viol:.3e}",
                     name="invariant_set",
                 )
-            at = float(bound(extremes[A, t])) + offset if level is None else level
-            if not inside(extremes[A, t], at).all():
+            at = float(bound(running[A, t])) + offset if level is None else level
+            if not inside(running[A, t], at).all():
                 raise PreconditionError(f"A is not contained in the {what}", name=condition)
             lhs = float(v[A] @ mu.weights[A])
             rhs = at * float(mu.weights[A].sum())
@@ -304,31 +325,36 @@ def birkhoff_average(P: TransitionKernel, phi, n: int):
     return _like(phi, total / n)
 
 
-def _windowed_limit(P: TransitionKernel, values: np.ndarray, watches,
-                    tol: float, n_cap: int):
+def _windowed_limit(P: TransitionKernel, values: np.ndarray, watches, tols, n_cap: int):
     """Doubling-horizon limits of time averages, one per column of a K x T block.
 
-    Column t is watched on the states watches[t]. Returns the limits and the
-    previous windows as K x T blocks, and per column the residual and the
-    horizon. The candidate at window n is W_n = 2 A_{2n} - A_n, the average
-    over the second half of the horizon; successive candidates are compared
-    in sup norm on the watched states. All columns share one sequence of
-    squared powers, streamed so that only the current power is held; a
-    column leaves once it has converged.
+    Column t is watched on the states watches[t] and settles once its
+    residual is at most tols[t]. Returns the limits and the previous windows
+    as K x T blocks, and the residuals and horizons as T-vectors. The
+    candidate at window n is W_n = 2 A_{2n} - A_n, the average over the
+    second half of the horizon; successive candidates are compared in sup
+    norm on the watched states. All columns share one sequence of squared
+    powers, streamed so that only the current power is held; a column leaves
+    once it has settled.
+
+    A column that has not settled when the next window would pass n_cap
+    keeps its last residual (inf if it had none) and the horizon the pass
+    stopped at, and ``_require_settled`` raises for it. Nothing here raises
+    for a column, so one pass can serve the columns of several checks, and
+    each check raises for its own columns alone.
 
     A window cancels the rotating part of a class of period d only when d
     divides n, so n runs over L, 2L, 4L, ... with L the lcm of the odd parts
     of P's closed-class periods: the first window is W_L, from A_L and P^L.
     """
     n = _odd_period_lcm(P)
-    if 2 * n > n_cap:  # not even the first window fits: spare the sums up to n
-        raise ConvergenceError(
-            f"time averages not converged at horizon {n}: residual inf", residual=float("inf"))
-    power = P.to_dense() if n == 1 else np.linalg.matrix_power(P.to_dense(), n)
     limits = np.empty_like(values)
     prevs = np.empty_like(values)
-    residuals = [float("inf")] * values.shape[1]
-    horizons = [0] * values.shape[1]
+    residuals = np.full(values.shape[1], np.inf)
+    horizons = np.full(values.shape[1], n)
+    if 2 * n > n_cap:  # not even the first window fits: spare the sums up to n
+        return limits, prevs, residuals, horizons
+    power = P.to_dense() if n == 1 else np.linalg.matrix_power(P.to_dense(), n)
     avgs = [np.ascontiguousarray(col) for col in birkhoff_average(P, values, n).T]
     prev = [None] * values.shape[1]
     live = list(range(values.shape[1]))
@@ -342,7 +368,7 @@ def _windowed_limit(P: TransitionKernel, values: np.ndarray, watches,
                 w = watches[t]
                 res = float(np.abs(window[w] - prev[t][w]).max()) if w.size else 0.0
                 residuals[t] = res
-                if res <= tol:
+                if res <= tols[t]:
                     limits[:, t], prevs[:, t], horizons[t] = window, prev[t], 2 * n
                     continue
             prev[t], avgs[t] = window, avg2
@@ -351,22 +377,35 @@ def _windowed_limit(P: TransitionKernel, values: np.ndarray, watches,
         n *= 2
         if live and 2 * n <= n_cap:
             power = power @ power
-    if live:
-        res = residuals[live[0]]
-        raise ConvergenceError(
-            f"time averages not converged at horizon {n}: residual {res:.3e}",
-            residual=res,
-        )
+    for t in live:
+        horizons[t] = n
     return limits, prevs, residuals, horizons
 
 
+def _require_settled(residuals, horizons, tols) -> None:
+    """Raise ConvergenceError for the first column of a ``_windowed_limit``
+    result whose residual is above its tol."""
+    for res, horizon, tol in zip(residuals, horizons, tols):
+        if not res <= tol:
+            raise ConvergenceError(
+                f"time averages not converged at horizon {horizon}: residual {res:.3e}",
+                residual=float(res),
+            )
+
+
 def _limit_reports(P: TransitionKernel, values: np.ndarray, measures, ergodic,
-                   tol: float, n_cap: int):
+                   tol: float, n_cap: int, limit_pass=None):
     """Limit reports, one per column of a K x T block: birkhoff_limit's, or
     check_ergodic_limit's where ergodic[t]; column t is watched on
-    supp measures[t]. Returns the limits as a K x T block and the reports."""
+    supp measures[t]. limit_pass is these columns' share of a
+    ``_windowed_limit`` pass that the caller ran already, or None to run
+    one. Returns the limits as a K x T block and the reports."""
     watches = [np.flatnonzero(mu.weights > 0.0) for mu in measures]
-    limits, _, residuals, horizons = _windowed_limit(P, values, watches, tol, n_cap)
+    tols = [tol] * values.shape[1]
+    if limit_pass is None:
+        limit_pass = _windowed_limit(P, values, watches, tols, n_cap)
+    limits, _, residuals, horizons = limit_pass
+    _require_settled(residuals, horizons, tols)
     lifted = P.matvec(limits)
     reports = []
     for t, (mu, watch) in enumerate(zip(measures, watches)):
@@ -384,10 +423,15 @@ def _limit_reports(P: TransitionKernel, values: np.ndarray, measures, ergodic,
 
 
 def birkhoff_trials(P: TransitionKernel, mu: Measure, values: np.ndarray,
-                    tol: float = DEFAULT_TOL, n_cap: int = DEFAULT_N_CAP):
-    """birkhoff_limit for each column of a K x T block: (limits block, reports)."""
+                    tol: float = DEFAULT_TOL, n_cap: int = DEFAULT_N_CAP, limit_pass=None):
+    """birkhoff_limit for each column of a K x T block: (limits block, reports).
+
+    limit_pass is the columns' share of a ``_windowed_limit`` pass run
+    already (watched on supp mu, at tol), or None to run one.
+    """
     require_stationary(P, mu, tol)
-    return _limit_reports(P, values, [mu] * values.shape[1], [False] * values.shape[1], tol, n_cap)
+    return _limit_reports(P, values, [mu] * values.shape[1], [False] * values.shape[1], tol, n_cap,
+                          limit_pass)
 
 
 def birkhoff_limit(
@@ -408,11 +452,14 @@ def birkhoff_limit(
 
 
 def ergodic_limit_trials(P: TransitionKernel, mu: Measure, values: np.ndarray,
-                         tol: float = DEFAULT_TOL, n_cap: int = DEFAULT_N_CAP) -> list:
-    """check_ergodic_limit for each column of a K x T block."""
+                         tol: float = DEFAULT_TOL, n_cap: int = DEFAULT_N_CAP,
+                         limit_pass=None) -> list:
+    """check_ergodic_limit for each column of a K x T block; limit_pass as
+    in ``birkhoff_trials``."""
     if not is_ergodic(P, mu, tol):
         raise PreconditionError("measure is not ergodic", name="ergodic")
-    return _limit_reports(P, values, [mu] * values.shape[1], [True] * values.shape[1], tol, n_cap)[1]
+    return _limit_reports(P, values, [mu] * values.shape[1], [True] * values.shape[1], tol, n_cap,
+                          limit_pass)[1]
 
 
 def check_ergodic_limit(
@@ -583,21 +630,34 @@ def check_levelset_invariance(
     return _report("levelsets", "le", worst, 0.0, tol)
 
 
+def nonconvergence_tol(alpha: float, beta: float) -> float:
+    """The residual at which nonconvergence_trials lets a column settle:
+    at most (alpha - beta) / 8, so no state can be above alpha in one of the
+    last two windows and below beta in the other."""
+    if not alpha > beta:
+        raise InvalidArgumentError("requires alpha > beta")
+    return min(1e-10, (alpha - beta) / 8.0)
+
+
 def nonconvergence_trials(
     P: TransitionKernel,
     values: np.ndarray,
     alpha: float,
     beta: float,
     n_cap: int = DEFAULT_N_CAP,
+    limit_pass=None,
 ) -> list:
-    """check_nonconvergence_set_empty for each column of a K x T block."""
-    if not alpha > beta:
-        raise InvalidArgumentError("requires alpha > beta")
-    inner_tol = min(1e-10, (alpha - beta) / 8.0)
-    watch = np.arange(P.K)
-    windows, prevs, _, horizons = _windowed_limit(
-        P, values, [watch] * values.shape[1], inner_tol, n_cap
-    )
+    """check_nonconvergence_set_empty for each column of a K x T block.
+
+    limit_pass is the columns' share of a ``_windowed_limit`` pass run
+    already (watched on every state, at ``nonconvergence_tol``), or None to
+    run one.
+    """
+    tols = [nonconvergence_tol(alpha, beta)] * values.shape[1]
+    if limit_pass is None:
+        limit_pass = _windowed_limit(P, values, [np.arange(P.K)] * values.shape[1], tols, n_cap)
+    windows, prevs, residuals, horizons = limit_pass
+    _require_settled(residuals, horizons, tols)
     upper = np.maximum(windows, prevs)
     lower = np.minimum(windows, prevs)
     reports = []

@@ -323,8 +323,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("check", ["birkhoff", "ergodic_limit", "periodic", "nonconvergence_empty"])
     def test_first_limit_window_past_n_cap_exits_4(self, tmp_path, capsys, check):
-        # a period-3 class: the first window spans 2 * 3 steps, past a cap of 5
-        cfg = write_config(tmp_path / "c.cfg", "[checks]\nn_cap = 5\n")
+        # a period-3 class: the first window spans 2 * 3 steps, past a cap of 5 (n_max may
+        # not pass the cap)
+        cfg = write_config(tmp_path / "c.cfg", "[checks]\nn_cap = 5\nn_max = 5\n")
         argv = ["verify", "--config", cfg, "--kernel", str(DATA / "cyclic3_k24.kernel"), "--checks", check]
         assert main(argv + ["--out", str(tmp_path / "o")]) == 4
         assert capsys.readouterr().err == (
@@ -384,10 +385,10 @@ class TestExitCodes:
         import ergodyn.cli as cli
         from ergodyn import CheckReport
 
-        def failing(name, P, stationaries, cfg, seed):
-            return CheckReport(name, False, 1.0, 0.0, 0.0, None, 1)
+        def failing(P, values, weights):
+            return [CheckReport("duality", False, 1.0, 0.0, 0.0, None, 1)]
 
-        monkeypatch.setattr(cli, "run_check", failing)
+        monkeypatch.setattr(cli, "duality_trials", failing)
         bundled("swap.kernel", tmp_path)
         code = main([
             "verify", "--kernel", str(tmp_path / "swap.kernel"),
@@ -397,6 +398,41 @@ class TestExitCodes:
         assert code == 1
         text = (tmp_path / "out" / "verify_report.txt").read_text()
         assert "passed=false" in text
+
+
+class TestErrorOrder:
+    """verify raises the error of the first check, in the order asked for, that
+    fails: the shared passes raise for no column, and each check raises for
+    its own columns in its turn. The expected lines are those of running the
+    checks one at a time, in the order asked for."""
+
+    @pytest.mark.parametrize("lines, checks, code, message", [
+        # birkhoff's limit does not settle under the cap; nonconvergence_empty's levels are bad
+        ("n_cap = 4\nn_max = 4\nalpha = 0.1\nbeta = 0.2\n", "birkhoff,nonconvergence_empty", 4,
+         "no convergence: time averages not converged at horizon 4: residual 4.669e-01"),
+        # the same levels, now asked for first
+        ("n_cap = 4\nn_max = 4\nalpha = 0.1\nbeta = 0.2\n", "nonconvergence_empty,birkhoff", 2,
+         "invalid configuration: requires alpha > beta"),
+        # neither settles; the error names the first column of the check asked for first
+        ("n_cap = 4\nn_max = 4\n", "nonconvergence_empty,birkhoff", 4,
+         "no convergence: time averages not converged at horizon 4: residual 4.213e-01"),
+        ("n_cap = 4\nn_max = 4\nalpha = 0.1\nbeta = 0.2\n", "all", 5,
+         "precondition violated: A is not contained in the super-average set for alpha"),
+        # birkhoff settles at tol 1e-3; corollary_c's level fails before the pass's later
+        # columns, nonconvergence_empty's at the inner tol, are reported
+        ("n_cap = 128\nn_max = 16\ntol = 1e-3\nalpha = 5.0\n",
+         "birkhoff,corollary_c,nonconvergence_empty", 5,
+         "precondition violated: A is not contained in the super-average set for alpha"),
+        ("n_cap = 128\nn_max = 16\ntol = 1e-3\nalpha = 5.0\n", "birkhoff,nonconvergence_empty", 4,
+         "no convergence: time averages not converged at horizon 128: residual 3.081e-04"),
+    ])
+    def test_first_failing_check_raises(self, tmp_path, capsys, lines, checks, code, message):
+        cfg = bundled("rotation_uniform.cfg", tmp_path)
+        cfg.write_text(cfg.read_text().replace("[checks]\n", f"[checks]\n{lines}"))
+        argv = ["verify", "--config", str(cfg), "--checks", checks, "--seed", "1807"]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == code
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
 
 #: Valid kernels with an entry of 1e-16 inside a closed class {0, 1}; the
@@ -694,6 +730,30 @@ class TestInvalidConfiguration:
         cfg = write_config(tmp_path / "c.cfg", "[kernel]\npath = k.txt\n[checks]\nn_max = 1\nn_cap = 4\n")
         checks = load_config(cfg)["checks"]
         assert (checks["n_max"], checks["n_cap"]) == (1, 4)
+
+    @pytest.mark.parametrize("line, flag, message", [
+        ("", None, None),
+        ("n_max = 100000000000\n", None,
+         "n_max in [checks] must be at most n_cap (1048576), got 100000000000"),
+        ("", "100000000000", "--n-max must be at most n_cap (1048576), got 100000000000"),
+        ("n_cap = 8\nn_max = 9\n", None, "n_max in [checks] must be at most n_cap (8), got 9"),
+        ("n_cap = 8\nn_max = 8\n", "9", "--n-max must be at most n_cap (8), got 9"),
+        ("n_cap = 8\nn_max = 8\n", None, None),
+    ])
+    def test_n_max_above_n_cap_exits_2_at_once(self, tmp_path, capsys, line, flag, message):
+        # the partial-sum loop takes one product per term: at n_max = 10^11 it ran until killed
+        bundled("swap.kernel", tmp_path)
+        cfg = bundled("swap.cfg", tmp_path)
+        cfg.write_text(cfg.read_text().replace("[checks]\n", f"[checks]\n{line}"))
+        argv = ["verify", "--config", str(cfg), "--checks", "maximal", "--out", str(tmp_path / "o")]
+        with deadline(10):
+            code = main(argv + (["--n-max", flag] if flag else []))
+        if message is None:
+            assert code == 0
+        else:
+            assert code == 2
+            assert capsys.readouterr().err == f"error: invalid configuration: {message}\n"
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("noise, key", [("uniform", "half_width"), ("wrapped_gaussian", "sigma")])
     @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -1,5 +1,7 @@
 """Batched trials: a check run on a K x T block equals its trials run one by one."""
 
+import gc
+import weakref
 from importlib import resources
 from pathlib import Path
 
@@ -43,8 +45,10 @@ def random_measure(rng, partition):
 def per_trial_reports(name, P, stationaries, cfg, seed):
     """run_check's trial reports, from its trials run one at a time through
     the public single-observable checks, drawing from the same stream in the
-    same order."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, CHECK_NAMES.index(name)]))
+    same order. The corollaries draw from maximal's stream: their trials are
+    the first columns of the block that the three partial-sum checks share."""
+    stream = "maximal" if name in ("corollary_c", "corollary_b") else name
+    rng = np.random.default_rng(np.random.SeedSequence([seed, CHECK_NAMES.index(stream)]))
     trials = int(_cfg_get(cfg, "checks", "trials"))
     if cli.CHECKS[name][0]:
         trials = min(trials, 20)
@@ -127,6 +131,74 @@ def test_run_check_equals_per_trial_checks(case, name, monkeypatch):
     # every trial report, in order, not only the worst one
     monkeypatch.setattr(cli, "_worst", lambda reports: reports)
     assert cli.run_check(name, P, stationaries, cfg, 1807) == expected
+
+
+def verify_all(P, cfg, tmp_path, monkeypatch) -> str:
+    """The report of ``verify --checks all`` at seed 1807 on P with cfg's
+    [checks] settings."""
+    monkeypatch.setattr(cli, "load_kernel", lambda path: P)
+    config = tmp_path / "c.cfg"
+    config.write_text("[checks]\n" + "".join(f"{k} = {v}\n" for k, v in cfg["checks"].items()))
+    argv = ["verify", "--kernel", "P", "--config", str(config), "--checks", "all", "--seed", "1807"]
+    assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 0
+    return (tmp_path / "o" / "verify_report.txt").read_text()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_each_check_of_a_run_reports_as_it_does_alone(case, tmp_path, monkeypatch):
+    # the run shares one partial-sum stream and one limit pass on P between checks;
+    # each check must get back its own columns' share
+    P, cfg = CASES[case]
+    report = verify_all(P, cfg, tmp_path, monkeypatch)
+    stationaries, checks_cfg = stationary_measures(P), cli.load_config(tmp_path / "c.cfg")
+    for name in CHECK_NAMES:
+        writer = cli.ReportWriter("verify", 0, "")
+        writer.check(name, cli.run_check(name, P, stationaries, checks_cfg, 1807))
+        section = writer.buf.getvalue().split("\n\n", 1)[1]
+        assert section in report, name
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_each_shared_pass_runs_once(case, tmp_path, monkeypatch):
+    P, cfg = CASES[case]
+    sums, passes = [], []
+
+    def partial_sums(Q, values, n):
+        sums.append((Q, n))
+        return _partial_sums(Q, values, n)
+
+    def windowed_limit(Q, values, *args):
+        passes.append((Q, values.shape[1]))
+        return _windowed_limit(Q, values, *args)
+
+    _partial_sums, _windowed_limit = theorems._partial_sums, theorems._windowed_limit
+    monkeypatch.setattr(theorems, "_partial_sums", partial_sums)
+    for module in (theorems, cli):
+        monkeypatch.setattr(module, "_windowed_limit", windowed_limit)
+    verify_all(P, cfg, tmp_path, monkeypatch)
+    checks = cli.load_config(tmp_path / "c.cfg")["checks"]
+    # one limit pass on P over 3 checks' min(trials, 20) columns, and periodic's own on
+    # Q = P^p, where each trial has a column per measure that Q fixes
+    trials, measures = min(checks["trials"], 20), len(periodic_measures(P, checks["p"]))
+    assert [(Q is P, t) for Q, t in passes] == [(True, 3 * trials), (False, trials * measures)]
+    # one stream of n_max partial sums; each limit pass starts from one term (L = 1 here)
+    assert sorted((Q is P, n) for Q, n in sums) == [(False, 1), (True, 1), (True, checks["n_max"])]
+
+
+def test_a_run_is_freed_without_the_cycle_collector():
+    # a run holds the kernel and its shared blocks; a reference cycle would keep
+    # them alive past the run, until the cycle collector happens to run
+    P, cfg = CASES["dense23"]
+    gc.collect()
+    gc.disable()
+    try:
+        run = cli._Verify(P, stationary_measures(P), cfg, 1807)
+        assert len(list(run.reports(CHECK_NAMES))) == len(CHECK_NAMES)
+        freed = weakref.ref(run)
+        del run
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
