@@ -68,7 +68,6 @@ from .measures import (
 from .mc import estimate_Lj_phi_steps, sample_trajectories
 from .space import Measure, Observable, Partition, make_uniform_partition
 from .theorems import (
-    _COROLLARIES,
     _windowed_limit,
     birkhoff_trials,
     check_levelset_invariance,
@@ -337,8 +336,6 @@ _SCHEMA = {
     "checks": {
         "names": (str, "all"),
         "n_max": (int, 64),
-        "alpha": (float, None),
-        "beta": (float, None),
         "p": (int, 2),
         "n_cap": (int, 2**20),
         "trials": (int, 100),
@@ -411,10 +408,6 @@ def load_config(path) -> dict:
             _at_least(cfg[section][key], least, f"{key} in [{section}]")
     if "checks" in cfg:
         _within_cap(cfg["checks"]["n_max"], cfg["checks"]["n_cap"], "n_max in [checks]")
-    for key in ("alpha", "beta"):
-        value = cfg.get("checks", {}).get(key)
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"{key} in [checks] must be finite, got {value!r}")
     return cfg
 
 
@@ -592,10 +585,9 @@ class _CheckRun:
     trials: int
     shared: "_Verify"
 
-    def opt(self, key, default=None):
-        """A [checks] setting; ``default`` stands in for a key without a value."""
-        value = _cfg_get(self.cfg, "checks", key)
-        return default if value is None else value
+    def opt(self, key):
+        """A [checks] setting."""
+        return _cfg_get(self.cfg, "checks", key)
 
     def uniform(self, *shape) -> np.ndarray:
         """A block of uniform [0, 1) draws, in one call. A shape too large to
@@ -656,10 +648,9 @@ class _Verify:
     plans every check, in the order named, then finishes them in that order. A
     plan asks for the check's columns and returns a callable that finishes
     the check; the first check to read a piece of work runs it, over every
-    column asked for. A check raises as it would on its own: a plan that
-    raises stops the planning, and its error comes once the checks before it
-    have finished; a shared pass raises for no column, and each check raises
-    for its own.
+    column asked for. A check raises as it would on its own: no plan raises,
+    a shared pass raises for no column, and each check raises for its own
+    columns when it finishes, in its turn.
     """
 
     def __init__(self, P, stationaries, cfg, master_seed):
@@ -681,17 +672,9 @@ class _Verify:
 
     def reports(self, names):
         """Yield (name, trial reports) for each check named, in order."""
-        plans, failure = [], None
-        for name in names:
-            try:
-                plans.append((name, CHECKS[name][1](self.check(name))))
-            except Exception as e:  # raised in its turn, after the checks before it
-                failure = e
-                break
+        plans = [(name, CHECKS[name][1](self.check(name))) for name in names]
         for name, finish in plans:
             yield name, finish()
-        if failure is not None:
-            raise failure
 
     def partial_sums(self, n: int):
         """A callable that gives the first n columns of the partial-sum block
@@ -751,14 +734,14 @@ def _plan_maximal(r: _CheckRun):
 
 
 def _plan_corollary(name: str, r: _CheckRun):
-    """corollary_c or corollary_b on every closed class, at the level its
-    key in ``theorems._COROLLARIES`` sets, or at the default level, on the
-    first trials // (number of classes) columns of the partial-sum block."""
+    """corollary_c or corollary_b on every closed class, at the sharp level
+    of each column and class, on the first trials // (number of classes)
+    columns of the partial-sum block."""
     sums = r.shared.partial_sums(max(1, r.trials // max(1, len(r.classes))))
 
     def finish():
         values, extremes = sums()
-        return corollary_trials(name, r.P, r.mix, values, r.classes, r.opt(_COROLLARIES[name][1]),
+        return corollary_trials(name, r.P, r.mix, values, r.classes, None,
                                 r.opt("n_max"), r.opt("tol"), extremes)
     return finish
 
@@ -776,11 +759,18 @@ def _plan_ergodic_limit(r: _CheckRun):
 
 
 def _plan_nonconvergence(r: _CheckRun):
-    """The levels come first: alpha <= beta raises before any column is asked for."""
-    alpha, beta = r.opt("alpha", 0.05), r.opt("beta", -0.05)
-    tol, values = nonconvergence_tol(alpha, beta), r.observables()
-    share = r.shared.limits(values, np.arange(r.P.K), tol)
-    return lambda: nonconvergence_trials(r.P, values, alpha, beta, r.opt("n_cap"), share())
+    """No state may oscillate above 0.05 and below -0.05."""
+    values = r.observables()
+    share = r.shared.limits(values, np.arange(r.P.K), nonconvergence_tol(0.05, -0.05))
+    return lambda: nonconvergence_trials(r.P, values, 0.05, -0.05, r.opt("n_cap"), share())
+
+
+def _run_levelsets(r: _CheckRun) -> list:
+    """The class eigenfunction (class k takes the value k) split at every
+    k + 1/2 between two classes; one class has the split at 1/2 alone."""
+    phi = _class_eigenfunction(r.P, r.classes)
+    return [check_levelset_invariance(r.P, r.mix, phi, k + 0.5, r.opt("tol"))
+            for k in range(max(len(r.classes) - 1, 1))]
 
 
 def _run_periodic(r: _CheckRun) -> list:
@@ -796,10 +786,12 @@ def _run_periodic(r: _CheckRun) -> list:
 
 #: check name -> (expensive, plan). An expensive check squares dense
 #: matrices and runs at most 20 trials. A plan takes a ``_CheckRun`` and
-#: returns a callable that gives the trial reports (``_Verify``). Check i
-#: draws from SeedSequence([seed, i]), except that maximal and both
-#: corollaries read one block drawn from maximal's stream, so the order is
-#: part of every report: a new check goes last.
+#: returns a callable that gives the trial reports (``_Verify``); a plan
+#: raises nothing, as every level a check tests is a constant of its
+#: statement or comes from its draws. Check i draws from
+#: SeedSequence([seed, i]), except that maximal and both corollaries read one
+#: block drawn from maximal's stream, so the order is part of every report: a
+#: new check goes last.
 CHECKS = {
     "duality": (False, _later(_run_duality)),
     "lemma1": (False, _later(lambda r: lemma1_trials(r.P, r.observables()))),
@@ -812,8 +804,7 @@ CHECKS = {
     "periodic": (True, _later(_run_periodic)),
     "localization": (False, _later(lambda r: localization_trials(
         r.P, r.mix, r.classes, r.observables(), r.opt("tol")))),
-    "levelsets": (False, _later(lambda r: [check_levelset_invariance(
-        r.P, r.mix, _class_eigenfunction(r.P, r.classes), r.opt("alpha", 0.5), r.opt("tol"))])),
+    "levelsets": (False, _later(_run_levelsets)),
     "nonconvergence_empty": (True, _plan_nonconvergence),
 }
 CHECK_NAMES = tuple(CHECKS)

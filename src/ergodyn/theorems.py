@@ -219,13 +219,12 @@ def running_average_extremes(P: TransitionKernel, phi, n_max: int = DEFAULT_N_MA
     return partial_sum_extremes(P, _values(phi), n_max)[1:]
 
 
-#: corollary name -> (direction, its level's key in [checks], the bound of the
-#: extremes on a set and the offset from it that make the default level,
+#: corollary name -> (direction, the sharp level of the extremes on a set,
 #: precondition, level set). A ``ge`` corollary bounds the running-average
 #: maxima (level set hi > alpha), a ``le`` one the minima (lo < beta).
 _COROLLARIES = {
-    "corollary_c": ("ge", "alpha", np.min, -0.1, "subset_of_c_alpha", "super-average set for alpha"),
-    "corollary_b": ("le", "beta", np.max, 0.1, "subset_of_b_beta", "sub-average set for beta"),
+    "corollary_c": ("ge", np.min, "subset_of_c_alpha", "super-average set for alpha"),
+    "corollary_b": ("le", np.max, "subset_of_b_beta", "sub-average set for beta"),
 }
 
 
@@ -236,12 +235,14 @@ def corollary_trials(name: str, P: TransitionKernel, mu: Measure, values: np.nda
 
     ``corollary_c`` bounds the running-average maxima of values by alpha,
     ``corollary_b`` the minima by beta. ``level`` is that alpha or beta for
-    every column and set; None takes the default level of
-    ``_COROLLARIES`` per column and set. extremes is
+    every column and set, and each set must lie inside its level set. None
+    takes the sharp level per column and set: alpha = min_A hi, beta =
+    max_A lo. A lies inside C_alpha for every alpha below min_A hi, so the
+    inequality holds at each such level and hence at the limit. extremes is
     ``partial_sum_extremes(P, values, n_max)``, when the caller has it
     already. Reports come column by column, sets in order.
     """
-    direction, _, bound, offset, condition, what = _COROLLARIES[name]
+    direction, sharp, condition, what = _COROLLARIES[name]
     inside = np.greater if direction == "ge" else np.less
     require_stationary(P, mu, tol)
     _, hi, lo = partial_sum_extremes(P, values, n_max) if extremes is None else extremes
@@ -256,8 +257,8 @@ def corollary_trials(name: str, P: TransitionKernel, mu: Measure, values: np.nda
                     f"A is not a.e. invariant: criterion violation {viol:.3e}",
                     name="invariant_set",
                 )
-            at = float(bound(running[A, t])) + offset if level is None else level
-            if not inside(running[A, t], at).all():
+            at = float(sharp(running[A, t])) if level is None else level
+            if level is not None and not inside(running[A, t], at).all():
                 raise PreconditionError(f"A is not contained in the {what}", name=condition)
             lhs = float(v[A] @ mu.weights[A])
             rhs = at * float(mu.weights[A].sum())
@@ -275,7 +276,7 @@ def check_corollary_c(
     tol: float = DEFAULT_TOL,
 ) -> CheckReport:
     """integral_A phi dmu >= alpha * mu(A) for invariant A inside C_alpha."""
-    level = float(alpha)  # a number: None would ask corollary_trials for the default level
+    level = float(alpha)  # a number: None would ask for the sharp level, untested for containment
     return corollary_trials("corollary_c", P, mu, phi.values[:, None], [A], level, n_max, tol)[0]
 
 
@@ -289,7 +290,7 @@ def check_corollary_b(
     tol: float = DEFAULT_TOL,
 ) -> CheckReport:
     """integral_A phi dmu <= beta * mu(A) for invariant A inside B_beta."""
-    level = float(beta)  # a number: None would ask corollary_trials for the default level
+    level = float(beta)  # a number: None would ask for the sharp level, untested for containment
     return corollary_trials("corollary_b", P, mu, phi.values[:, None], [A], level, n_max, tol)[0]
 
 

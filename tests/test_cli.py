@@ -407,23 +407,14 @@ class TestErrorOrder:
     checks one at a time, in the order asked for."""
 
     @pytest.mark.parametrize("lines, checks, code, message", [
-        # birkhoff's limit does not settle under the cap; nonconvergence_empty's levels are bad
-        ("n_cap = 4\nn_max = 4\nalpha = 0.1\nbeta = 0.2\n", "birkhoff,nonconvergence_empty", 4,
+        # neither limit settles under the cap; the error names the first column of the check
+        # asked for first
+        ("n_cap = 4\nn_max = 4\n", "birkhoff,nonconvergence_empty", 4,
          "no convergence: time averages not converged at horizon 4: residual 4.669e-01"),
-        # the same levels, now asked for first
-        ("n_cap = 4\nn_max = 4\nalpha = 0.1\nbeta = 0.2\n", "nonconvergence_empty,birkhoff", 2,
-         "invalid configuration: requires alpha > beta"),
-        # neither settles; the error names the first column of the check asked for first
         ("n_cap = 4\nn_max = 4\n", "nonconvergence_empty,birkhoff", 4,
          "no convergence: time averages not converged at horizon 4: residual 4.213e-01"),
-        ("n_cap = 4\nn_max = 4\nalpha = 0.1\nbeta = 0.2\n", "all", 5,
-         "precondition violated: A is not contained in the super-average set for alpha"),
-        # birkhoff settles at tol 1e-3; corollary_c's level fails before the pass's later
-        # columns, nonconvergence_empty's at the inner tol, are reported
-        ("n_cap = 128\nn_max = 16\ntol = 1e-3\nalpha = 5.0\n",
-         "birkhoff,corollary_c,nonconvergence_empty", 5,
-         "precondition violated: A is not contained in the super-average set for alpha"),
-        ("n_cap = 128\nn_max = 16\ntol = 1e-3\nalpha = 5.0\n", "birkhoff,nonconvergence_empty", 4,
+        # birkhoff settles at tol 1e-3; nonconvergence_empty's columns, at the inner tol, do not
+        ("n_cap = 128\nn_max = 16\ntol = 1e-3\n", "birkhoff,nonconvergence_empty", 4,
          "no convergence: time averages not converged at horizon 128: residual 3.081e-04"),
     ])
     def test_first_failing_check_raises(self, tmp_path, capsys, lines, checks, code, message):
@@ -432,6 +423,27 @@ class TestErrorOrder:
         argv = ["verify", "--config", str(cfg), "--checks", checks, "--seed", "1807"]
         assert main(argv + ["--out", str(tmp_path / "o")]) == code
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_precondition_after_the_shared_pass(self, tmp_path, capsys):
+        # two closed classes and a measure that mixes their measures: birkhoff (on the mixture
+        # of every measure) runs the limit pass over all three checks' columns and passes,
+        # then ergodic_limit finds its measure, the one given, not ergodic
+        kernel, measure = tmp_path / "k.txt", tmp_path / "m.txt"
+        kernel.write_text("ergodyn-kernel 1\nK 4\ndomain unit_interval\nboundaries 0 0.25 0.5 0.75 1\n"
+                          "nnz 8\n0 0 0.5\n0 1 0.5\n1 0 0.5\n1 1 0.5\n"
+                          "2 2 0.5\n2 3 0.5\n3 2 0.5\n3 3 0.5\n")
+        measure.write_text("ergodyn-measure 1\nK 4\n0.25\n0.25\n0.25\n0.25\n")
+        argv = ["verify", "--kernel", str(kernel), "--measure", str(measure), "--seed", "1807"]
+        alone = {check: (main(argv + ["--checks", check, "--out", str(tmp_path / check)]),
+                         capsys.readouterr().err)
+                 for check in ("birkhoff", "ergodic_limit", "nonconvergence_empty")}
+        assert alone == {"birkhoff": (0, ""),
+                         "ergodic_limit": (5, "error: precondition violated: measure is not ergodic\n"),
+                         "nonconvergence_empty": (0, "")}
+        checks = "birkhoff,ergodic_limit,nonconvergence_empty"
+        assert main(argv + ["--checks", checks, "--out", str(tmp_path / "o")]) == 5
+        assert capsys.readouterr().err == alone["ergodic_limit"][1]
         assert not (tmp_path / "o").exists()
 
 
@@ -683,8 +695,6 @@ class TestInvalidConfiguration:
         ("solver", "tol = inf"), ("checks", "tol = inf"),
         ("solver", "max_iter = 0"), ("solver", "max_iter = -4"),
         ("checks", "n_max = 0"), ("checks", "n_cap = 1"), ("checks", "n_cap = -5"),
-        ("checks", "alpha = nan"), ("checks", "beta = nan"),
-        ("checks", "alpha = inf"), ("checks", "beta = -inf"),
     ])
     def test_unusable_tolerance_cap_or_level_exits_2(self, tmp_path, capsys, command, section, line):
         # an infinite tolerance passed every check, and a cap below its least ran no window at all
@@ -877,15 +887,21 @@ class TestInvalidConfiguration:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "unknown key 'formats'" in capsys.readouterr().err
 
-    def test_edge_threshold_is_an_unknown_key(self, tmp_path, capsys):
+    @pytest.mark.parametrize("line", [
         # the closed classes are those of the exact support graph; no threshold splits them
+        "edge_threshold = 1e-14",
+        # each check takes its level from its statement or its draws
+        "alpha = 0.1", "alpha = nan", "alpha = inf", "beta = -0.1", "beta = nan", "beta = -inf",
+    ])
+    def test_retired_key_is_an_unknown_key(self, tmp_path, capsys, line):
         bundled("swap.kernel", tmp_path)
-        cfg = write_config(
-            tmp_path / "c.cfg", "[kernel]\npath = swap.kernel\n[checks]\nedge_threshold = 1e-14\n"
-        )
-        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == (
-            "error: invalid configuration: unknown key 'edge_threshold' in section [checks]\n")
+        cfg = write_config(tmp_path / "c.cfg", f"[kernel]\npath = swap.kernel\n[checks]\n{line}\n")
+        key = line.split(" = ")[0]
+        for command in COMMANDS:
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2, command
+            assert capsys.readouterr().err == (
+                f"error: invalid configuration: unknown key {key!r} in section [checks]\n")
+        assert not (tmp_path / "o").exists()
 
     def test_largest_u64_seed_accepted(self, tmp_path):
         bundled("swap.kernel", tmp_path)
@@ -900,6 +916,8 @@ COMMANDS = ("kernel-build", "measure", "verify", "simulate")
 #: Values that no key of each kind parses.
 UNPARSEABLE = {int: ("many", "1.5"), float: ("many", "1,5"), "floats": ("0.5 many",)}
 NON_FINITE = ("nan", "inf", "-inf", "1e400")
+#: Ints at and past the edges of int64 and uint64.
+HUGE_INTS = (2**62, 2**63, 2**64)
 #: A valid value of each numeric [system] key, for the map or noise law that takes it.
 SYSTEM_VALUES = {"alpha": "0.37", "r": "3.9", "breakpoints": "0.5", "slopes": "2 -2",
                  "half_width": "0.1", "sigma": "0.01"}
@@ -922,9 +940,40 @@ def system_config(key, value):
     return "[system]\n" + "\n".join(lines) + "\n[partition]\ndomain = circle\ncells = 16\n"
 
 
+def huge_int_config(tmp_path, section, key, value) -> str:
+    """A config that sets one int key of ``_SCHEMA`` to value: the [system]
+    and [partition] keys on the control config that ``system_config`` builds,
+    every other key on bundled swap.cfg."""
+    if section in ("system", "partition"):
+        text = system_config("quadrature", "16")
+        old = "cells = 16\n" if key == "cells" else "quadrature = 16\n"
+        return write_config(tmp_path / "c.cfg", text.replace(old, f"{key} = {value}\n"))
+    bundled("swap.kernel", tmp_path)
+    cfg = bundled("swap.cfg", tmp_path)
+    text, line = cfg.read_text(), f"{key} = {value}\n"
+    if key == "p":  # swap.cfg sets p already; configparser rejects a second one
+        text = text.replace("p = 2\n", line)
+    elif section == "checks":
+        text = text.replace("[checks]\n", "[checks]\n" + line)
+    else:
+        text += f"\n[{section}]\n{line}"
+    cfg.write_text(text)
+    return str(cfg)
+
+
 class TestConfigFromSchema:
     """Every numeric key of ``_SCHEMA`` rejects a value it cannot use with
     exit 2 and one line, in each command that reads it."""
+
+    @pytest.mark.parametrize("section, key", schema_keys(int))
+    @pytest.mark.parametrize("value", HUGE_INTS)
+    def test_huge_int_ends_with_0_or_2(self, tmp_path, capsys, section, key, value):
+        # a run either takes the value or rejects it with one line; none may crash or run on
+        cfg = huge_int_config(tmp_path, section, key, value)
+        for command in COMMANDS:
+            assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) in (0, 2), command
+            err = capsys.readouterr().err
+            assert err.count("\n") <= 1 and "Traceback" not in err, (command, err)
 
     @pytest.mark.parametrize("section, key, raw", [
         (section, key, raw) for kind, values in UNPARSEABLE.items()

@@ -9,18 +9,20 @@ the exact P^p, solves its closed classes the same way and finds each
 measure's least d with (L*)^d nu = nu. Nothing here uses the cyclic-class
 shortcut that ``periodic_measures`` takes. The pointwise theorem names the
 limit of time averages: on a closed class c it is the constant pi_c(phi),
-periodic classes included, which the oracle sums exactly.
+periodic classes included, which the oracle sums exactly. The corollaries of
+the maximal inequality hold at their sharp levels on every closed class.
 """
 
 from fractions import Fraction
 from math import gcd
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ergodyn import Measure, closed_classes, kernel_from_rows, periodic_measures, stationary_measures
 from ergodyn.measures import _class_solves
-from ergodyn.theorems import DEFAULT_TOL, birkhoff_trials
+from ergodyn.theorems import DEFAULT_TOL, birkhoff_trials, corollary_trials
 
 MAX_STATES = 8
 #: Weights agree with the exact values within this bound.
@@ -31,6 +33,8 @@ WEIGHT_TOL = 1e-12
 SOLVER_TOL = 1e-14
 #: Observables per limit block.
 LIMIT_COLUMNS = 4
+#: Observables per corollary block.
+COROLLARY_COLUMNS = 20
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +264,24 @@ def test_birkhoff_limits_are_the_class_averages(P, seed):
         for k in watched:
             err = np.abs(limits[classes[k]] - np.array(averages[k])).max()
             assert err <= 10.0 * DEFAULT_TOL, (k, err / DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 7, 64])
+@settings(max_examples=150, deadline=None)
+@given(rational_kernels(), st.integers(0, 2**32 - 1))
+def test_corollaries_hold_at_the_sharp_level(n_max, P, seed):
+    """On each closed class A, under the mixture of the classes' measures:
+    integral_A phi dmu >= (min_A hi) mu(A) and <= (max_A lo) mu(A) within
+    tol, hi and lo the running-average extremes over n <= n_max."""
+    K = float_kernel(P)
+    classes = closed_classes(K)
+    values = np.random.default_rng(seed).uniform(-1.0, 1.0, (len(P), COROLLARY_COLUMNS))
+    measures = stationary_measures(K, SOLVER_TOL)
+    mix = Measure(sum(mu.weights for mu in measures) / len(measures), K.partition)
+    for name in ("corollary_c", "corollary_b"):
+        reports = corollary_trials(name, K, mix, values, classes, None, n_max, DEFAULT_TOL)
+        assert len(reports) == COROLLARY_COLUMNS * len(classes)
+        assert all(r.passed for r in reports), min(r.margin for r in reports)
 
 
 def test_drawn_kernels_cover_every_period():

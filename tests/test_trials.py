@@ -11,8 +11,6 @@ import pytest
 from ergodyn import (
     Measure,
     Observable,
-    check_corollary_b,
-    check_corollary_c,
     check_duality,
     check_ergodic_limit,
     check_lemma1,
@@ -31,7 +29,7 @@ from dataclasses import replace
 
 from ergodyn import cli, kernel, theorems
 from ergodyn.cli import CHECK_NAMES, _cfg_get
-from ergodyn.theorems import _report, running_average_extremes
+from ergodyn.theorems import _report, corollary_trials, running_average_extremes
 
 from conftest import random_kernel, reducible_kernel
 
@@ -77,12 +75,12 @@ def per_trial_reports(name, P, stationaries, cfg, seed):
     elif name in ("corollary_c", "corollary_b"):
         for _ in range(max(1, trials // max(1, len(classes)))):
             phi = draw()
+            trial = corollary_trials(name, P, mix, phi.values[:, None], classes, None, n_max, tol)
+            # at the sharp level: alpha = min_A hi, beta = max_A lo
             hi, lo = running_average_extremes(P, phi, n_max)
-            for A in classes:
-                if name == "corollary_c":
-                    reports.append(check_corollary_c(P, mix, phi, float(hi[A].min()) - 0.1, A, n_max, tol))
-                else:
-                    reports.append(check_corollary_b(P, mix, phi, float(lo[A].max()) + 0.1, A, n_max, tol))
+            sharp = [float(hi[A].min() if name == "corollary_c" else lo[A].max()) for A in classes]
+            assert [r.rhs for r in trial] == [a * float(mix.weights[A].sum()) for a, A in zip(sharp, classes)]
+            reports += trial
     elif name == "birkhoff":
         reports = [birkhoff_limit(P, draw(), mix, tol, n_cap)[1] for _ in range(trials)]
     elif name == "ergodic_limit":
@@ -97,15 +95,17 @@ def per_trial_reports(name, P, stationaries, cfg, seed):
             phi = draw()
             reports += [check_localization(P, mix, A, phi, tol) for A in classes]
     elif name == "levelsets":
+        # split at k + 1/2 for k = 0 .. max(m - 2, 0), m the number of closed classes
         phi = cli._class_eigenfunction(P, classes)
-        reports = [check_levelset_invariance(P, mix, phi, 0.5, tol)]
+        reports = [check_levelset_invariance(P, mix, phi, k + 0.5, tol)
+                   for k in range(max(len(classes) - 1, 1))]
     elif name == "nonconvergence_empty":
         reports = [check_nonconvergence_set_empty(P, draw(), 0.05, -0.05, n_cap) for _ in range(trials)]
     return reports
 
 
 def _cases():
-    """name -> (kernel, config): the bundled swap run and three random kernels."""
+    """name -> (kernel, config): the bundled swap run and four random kernels."""
     with resources.as_file(resources.files("ergodyn").joinpath("data")) as data:
         swap = (cli.load_kernel(Path(data) / "swap.kernel"), cli.load_config(Path(data) / "swap.cfg"))
     rng = np.random.default_rng(4711)
@@ -115,6 +115,7 @@ def _cases():
         "dense23": (random_kernel(rng, 23), cfg),
         "sparse40": (random_kernel(rng, 40, density=0.3), cfg),
         "two_classes": (reducible_kernel(rng, [4, 5], n_transient=3), cfg),
+        "three_classes": (reducible_kernel(rng, [3, 4, 5], n_transient=2), cfg),
     }
 
 
