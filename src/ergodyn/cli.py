@@ -32,7 +32,7 @@ import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -574,10 +574,11 @@ def _worst(reports):
 
 @dataclass
 class _CheckRun:
-    """One check's part of a verify run: its random stream and trial count,
-    and the run whose shared work it reads. The mixture measure and the
-    closed classes are computed only by the checks that use them."""
+    """One check's part of a verify run: its name, random stream and trial
+    count, and the run whose shared passes, mixture measure and closed
+    classes it reads."""
 
+    name: str
     P: TransitionKernel
     stationaries: list
     cfg: dict
@@ -603,62 +604,54 @@ class _CheckRun:
         values = self.uniform(self.trials if n is None else n, self.P.K)
         return np.ascontiguousarray((2.0 * values - 1.0).T)
 
-    @cached_property
+    @property
     def mix(self) -> Measure:
-        return _mixture_measure(self.stationaries)
+        return self.shared.mix
 
-    @cached_property
+    @property
     def classes(self) -> list:
-        return closed_classes(self.P)
+        return self.shared.classes
+
+    def sums(self):
+        """This check's first columns of the run's partial-sum block and of
+        its ``partial_sum_extremes``: (values, (max S_n, max S_n / n,
+        min S_n / n))."""
+        n = _SUM_READERS[self.name](self)
+        values, extremes = self.shared.sums
+        return values[:, :n], tuple(a[:, :n] for a in extremes)
 
 
-class _SharedWork:
-    """Work that several checks read: done on the first read, over everything
-    asked for by then, and dropped once the last check that asked has read
-    its share, so it holds no memory past its readers."""
+#: check -> the number of columns it reads of the partial-sum block: a
+#: corollary reads trials // (number of closed classes), at least one.
+_SUM_READERS = {"maximal": lambda r: r.trials, **dict.fromkeys(
+    ("corollary_c", "corollary_b"), lambda r: max(1, r.trials // max(1, len(r.classes))))}
 
-    def __init__(self):
-        self._readers, self._result = 0, None
-
-    def share(self, compute, take):
-        """Count one more reader; returns a callable that gives
-        ``take(compute())``, with compute called once for all readers. Only
-        the callables hold compute, so the run that owns this work is freed
-        as soon as its checks are."""
-        self._readers += 1
-
-        def read():
-            if self._result is None:
-                self._result = compute()
-            result = self._result
-            self._readers -= 1
-            if not self._readers:
-                self._result = None
-            return take(result)
-        return read
+#: check -> (the states its columns are watched on, the residual at which
+#: they settle) in the limit pass on P.
+_LIMIT_READERS = {
+    "birkhoff": lambda r: (np.flatnonzero(r.mix.weights > 0.0), r.opt("tol")),
+    "ergodic_limit": lambda r: (np.flatnonzero(r.stationaries[0].weights > 0.0), r.opt("tol")),
+    "nonconvergence_empty": lambda r: (np.arange(r.P.K), nonconvergence_tol(0.05, -0.05)),
+}
 
 
 class _Verify:
-    """The named checks of one verify run, with the work they share done once.
+    """One verify run of the named checks, with the work they share done once.
 
-    Two pieces of work are shared: one stream of partial sums over one K x T
-    block, drawn from maximal's stream, which ``maximal`` and both
-    corollaries read; and one doubling-horizon pass on P over the columns of
-    ``birkhoff``, ``ergodic_limit`` and ``nonconvergence_empty``. ``reports``
-    plans every check, in the order named, then finishes them in that order. A
-    plan asks for the check's columns and returns a callable that finishes
-    the check; the first check to read a piece of work runs it, over every
-    column asked for. A check raises as it would on its own: no plan raises,
-    a shared pass raises for no column, and each check raises for its own
-    columns when it finishes, in its turn.
+    Two passes are shared, each a cached property, run by the first check
+    that reads it: ``sums``, one stream of partial sums over one K x T block
+    drawn from maximal's stream, which ``maximal`` and both corollaries read;
+    and ``limits``, one doubling-horizon pass on P over the draws of
+    ``birkhoff``, ``ergodic_limit`` and ``nonconvergence_empty``. After each
+    check, a pass that no later named check reads is dropped, so it holds no
+    memory past its readers. A shared pass raises for no column: each check
+    raises for its own columns, in its turn, as it would on its own. The
+    mixture measure and the closed classes are found once per run.
     """
 
-    def __init__(self, P, stationaries, cfg, master_seed):
+    def __init__(self, P, stationaries, cfg, master_seed, names):
         self.P, self.stationaries, self.cfg, self.master_seed = P, stationaries, cfg, master_seed
-        self._sum_columns = 0
-        self._sums = _SharedWork()
-        self._limit_columns = []  # (values, watch, tol), one entry per check
-        self._limits = _SharedWork()
+        self.names = list(names)
 
     def check(self, name) -> _CheckRun:
         """Check name's run: SeedSequence([master_seed, i]) for its index i in
@@ -668,50 +661,51 @@ class _Verify:
         trials = _cfg_get(self.cfg, "checks", "trials")
         trials = min(trials, 20) if CHECKS[name][0] else trials
         rng = np.random.default_rng(seed)
-        return _CheckRun(self.P, self.stationaries, self.cfg, rng, trials, self)
+        return _CheckRun(name, self.P, self.stationaries, self.cfg, rng, trials, self)
 
-    def reports(self, names):
-        """Yield (name, trial reports) for each check named, in order."""
-        plans = [(name, CHECKS[name][1](self.check(name))) for name in names]
-        for name, finish in plans:
-            yield name, finish()
+    def trial_reports(self, name) -> list:
+        """Run check name; then drop each pass that no later named check reads."""
+        reports = CHECKS[name][1](self.check(name))
+        later = self.names[self.names.index(name) + 1:]
+        for key, readers in (("sums", _SUM_READERS), ("limits", _LIMIT_READERS)):
+            if not any(n in readers for n in later):
+                self.__dict__.pop(key, None)
+        return reports
 
-    def partial_sums(self, n: int):
-        """A callable that gives the first n columns of the partial-sum block
-        and of its ``partial_sum_extremes``: (values, (max S_n, max S_n / n,
-        min S_n / n)). The block has as many columns as any check asks for."""
-        self._sum_columns = max(self._sum_columns, n)
-        return self._sums.share(self._partial_sum_stream,
-                                lambda sums: (sums[0][:, :n], tuple(a[:, :n] for a in sums[1])))
+    @cached_property
+    def mix(self) -> Measure:
+        return _mixture_measure(self.stationaries)
 
-    def _partial_sum_stream(self):
+    @cached_property
+    def classes(self) -> list:
+        return closed_classes(self.P)
+
+    @cached_property
+    def sums(self):
+        """The partial-sum block, as wide as its widest named reader, and its
+        ``partial_sum_extremes``."""
+        width = max(_SUM_READERS[n](self.check(n)) for n in self.names if n in _SUM_READERS)
         r = self.check("maximal")
-        values = r.observables(self._sum_columns)
+        values = r.observables(width)
         return values, partial_sum_extremes(self.P, values, r.opt("n_max"))
 
-    def limits(self, values: np.ndarray, watch: np.ndarray, tol: float):
-        """A callable that gives the share of values' columns in the limit
-        pass on P, each watched on the states watch and settled at residual
-        tol: their limits, previous windows, residuals and horizons."""
-        lo = sum(v.shape[1] for v, _, _ in self._limit_columns)
-        self._limit_columns.append((values, watch, tol))
-        cols = slice(lo, lo + values.shape[1])
-        return self._limits.share(self._limit_pass,
-                                  lambda limit_pass: tuple(x[..., cols] for x in limit_pass))
-
-    def _limit_pass(self):
+    @cached_property
+    def limits(self) -> dict:
+        """Each named limit check -> (its observables, their share of the
+        limit pass: limits, previous windows, residuals and horizons). The
+        pass runs over the checks' columns in the order they were named."""
+        runs = [self.check(n) for n in self.names if n in _LIMIT_READERS]
+        blocks = [r.observables() for r in runs]
         watches, tols = [], []
-        for values, watch, tol in self._limit_columns:
+        for r, values in zip(runs, blocks):
+            watch, tol = _LIMIT_READERS[r.name](r)
             watches += [watch] * values.shape[1]
             tols += [tol] * values.shape[1]
-        block = np.hstack([values for values, _, _ in self._limit_columns])
-        return _windowed_limit(self.P, block, watches, tols, _cfg_get(self.cfg, "checks", "n_cap"))
-
-
-def _later(run):
-    """The plan of a check that shares no work: all of it, its draws too,
-    waits for the check's turn."""
-    return lambda r: partial(run, r)
+        limit_pass = _windowed_limit(self.P, np.hstack(blocks), watches, tols,
+                                     _cfg_get(self.cfg, "checks", "n_cap"))
+        edges = np.cumsum([0] + [values.shape[1] for values in blocks])
+        return {r.name: (values, tuple(x[..., lo:hi] for x in limit_pass))
+                for r, values, lo, hi in zip(runs, blocks, edges, edges[1:])}
 
 
 def _run_duality(r: _CheckRun) -> list:
@@ -724,45 +718,33 @@ def _run_duality(r: _CheckRun) -> list:
     return duality_trials(r.P, np.ascontiguousarray(values.T), np.ascontiguousarray(weights.T))
 
 
-def _plan_maximal(r: _CheckRun):
-    sums = r.shared.partial_sums(r.trials)
-
-    def finish():
-        values, extremes = sums()
-        return maximal_trials(r.P, r.mix, values, r.opt("n_max"), r.opt("tol"), extremes)
-    return finish
+def _run_maximal(r: _CheckRun) -> list:
+    values, extremes = r.sums()
+    return maximal_trials(r.P, r.mix, values, r.opt("n_max"), r.opt("tol"), extremes)
 
 
-def _plan_corollary(name: str, r: _CheckRun):
+def _run_corollary(r: _CheckRun) -> list:
     """corollary_c or corollary_b on every closed class, at the sharp level
-    of each column and class, on the first trials // (number of classes)
-    columns of the partial-sum block."""
-    sums = r.shared.partial_sums(max(1, r.trials // max(1, len(r.classes))))
-
-    def finish():
-        values, extremes = sums()
-        return corollary_trials(name, r.P, r.mix, values, r.classes, None,
-                                r.opt("n_max"), r.opt("tol"), extremes)
-    return finish
+    of each column and class, on its first columns of the partial-sum block."""
+    values, extremes = r.sums()
+    return corollary_trials(r.name, r.P, r.mix, values, r.classes, None,
+                            r.opt("n_max"), r.opt("tol"), extremes)
 
 
-def _plan_birkhoff(r: _CheckRun):
-    values = r.observables()
-    share = r.shared.limits(values, np.flatnonzero(r.mix.weights > 0.0), r.opt("tol"))
-    return lambda: birkhoff_trials(r.P, r.mix, values, r.opt("tol"), r.opt("n_cap"), share())[1]
+def _run_birkhoff(r: _CheckRun) -> list:
+    values, share = r.shared.limits["birkhoff"]
+    return birkhoff_trials(r.P, r.mix, values, r.opt("tol"), r.opt("n_cap"), share)[1]
 
 
-def _plan_ergodic_limit(r: _CheckRun):
-    mu, values = r.stationaries[0], r.observables()
-    share = r.shared.limits(values, np.flatnonzero(mu.weights > 0.0), r.opt("tol"))
-    return lambda: ergodic_limit_trials(r.P, mu, values, r.opt("tol"), r.opt("n_cap"), share())
+def _run_ergodic_limit(r: _CheckRun) -> list:
+    values, share = r.shared.limits["ergodic_limit"]
+    return ergodic_limit_trials(r.P, r.stationaries[0], values, r.opt("tol"), r.opt("n_cap"), share)
 
 
-def _plan_nonconvergence(r: _CheckRun):
+def _run_nonconvergence(r: _CheckRun) -> list:
     """No state may oscillate above 0.05 and below -0.05."""
-    values = r.observables()
-    share = r.shared.limits(values, np.arange(r.P.K), nonconvergence_tol(0.05, -0.05))
-    return lambda: nonconvergence_trials(r.P, values, 0.05, -0.05, r.opt("n_cap"), share())
+    values, share = r.shared.limits["nonconvergence_empty"]
+    return nonconvergence_trials(r.P, values, 0.05, -0.05, r.opt("n_cap"), share)
 
 
 def _run_levelsets(r: _CheckRun) -> list:
@@ -784,44 +766,44 @@ def _run_periodic(r: _CheckRun) -> list:
     return periodic_trials(Q, fixed, r.observables(), r.opt("tol"), r.opt("n_cap"))
 
 
-#: check name -> (expensive, plan). An expensive check squares dense
-#: matrices and runs at most 20 trials. A plan takes a ``_CheckRun`` and
-#: returns a callable that gives the trial reports (``_Verify``); a plan
-#: raises nothing, as every level a check tests is a constant of its
-#: statement or comes from its draws. Check i draws from
+#: check name -> (expensive, runner). An expensive check squares dense
+#: matrices and runs at most 20 trials. A runner takes a ``_CheckRun`` and
+#: returns the check's trial reports. Check i draws from
 #: SeedSequence([seed, i]), except that maximal and both corollaries read one
 #: block drawn from maximal's stream, so the order is part of every report: a
 #: new check goes last.
 CHECKS = {
-    "duality": (False, _later(_run_duality)),
-    "lemma1": (False, _later(lambda r: lemma1_trials(r.P, r.observables()))),
-    "lemma2": (False, _later(lambda r: lemma2_trials(r.P, r.mix, r.observables(), r.opt("tol")))),
-    "maximal": (False, _plan_maximal),
-    "corollary_c": (False, partial(_plan_corollary, "corollary_c")),
-    "corollary_b": (False, partial(_plan_corollary, "corollary_b")),
-    "birkhoff": (True, _plan_birkhoff),
-    "ergodic_limit": (True, _plan_ergodic_limit),
-    "periodic": (True, _later(_run_periodic)),
-    "localization": (False, _later(lambda r: localization_trials(
-        r.P, r.mix, r.classes, r.observables(), r.opt("tol")))),
-    "levelsets": (False, _later(_run_levelsets)),
-    "nonconvergence_empty": (True, _plan_nonconvergence),
+    "duality": (False, _run_duality),
+    "lemma1": (False, lambda r: lemma1_trials(r.P, r.observables())),
+    "lemma2": (False, lambda r: lemma2_trials(r.P, r.mix, r.observables(), r.opt("tol"))),
+    "maximal": (False, _run_maximal),
+    "corollary_c": (False, _run_corollary),
+    "corollary_b": (False, _run_corollary),
+    "birkhoff": (True, _run_birkhoff),
+    "ergodic_limit": (True, _run_ergodic_limit),
+    "periodic": (True, _run_periodic),
+    "localization": (False, lambda r: localization_trials(
+        r.P, r.mix, r.classes, r.observables(), r.opt("tol"))),
+    "levelsets": (False, _run_levelsets),
+    "nonconvergence_empty": (True, _run_nonconvergence),
 }
 CHECK_NAMES = tuple(CHECKS)
 
 
-def run_check(name, P, stationaries, cfg, master_seed) -> "CheckReport":
+def run_check(name, P, stationaries, cfg, master_seed, run=None) -> "CheckReport":
     """Run one named check with seeded randomness and aggregate its trials.
 
-    Its trials run together: their random inputs are drawn in one call, in
-    trial order, as the columns of one K x T block, and the check's
-    preconditions are evaluated once, before any trial. Each report carries
-    its ``ge``/``le`` direction, by which ``_worst`` ranks the trials. The
-    check draws from its own stream, as in a run of several checks
-    (``_Verify``), so its report is the one it gets in any such run.
+    run is the ``_Verify`` run the check belongs to, whose shared passes it
+    reads; by default a run of this check alone. Its trials run together:
+    their random inputs are drawn in one call, in trial order, as the
+    columns of one K x T block, and the check's preconditions are evaluated
+    once, before any trial. Each report carries its ``ge``/``le`` direction,
+    by which ``_worst`` ranks the trials. The check draws from its own
+    stream in any run, so its report is the one it gets alone.
     """
-    ((_, reports),) = _Verify(P, stationaries, cfg, master_seed).reports([name])
-    return _worst(reports)
+    if run is None:
+        run = _Verify(P, stationaries, cfg, master_seed, [name])
+    return _worst(run.trial_reports(name))
 
 
 # ---------------------------------------------------------------------------
@@ -944,9 +926,10 @@ def cmd_verify(args) -> int:
     writer.kv("kernel_nnz", P.nnz)
     writer.kv("checks", ",".join(requested))
     writer.kv("trials", _cfg_get(cfg, "checks", "trials"))
+    run = _Verify(P, stationaries, cfg, seed, requested)
     results = []
-    for name, reports in _Verify(P, stationaries, cfg, seed).reports(requested):
-        rep = _worst(reports)
+    for name in requested:
+        rep = run_check(name, P, stationaries, cfg, seed, run)
         results.append(rep)
         writer.check(name, rep)
     n_pass = sum(r.passed for r in results)

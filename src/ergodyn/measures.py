@@ -146,13 +146,18 @@ def _solve_class(sub, d: int, tol: float, max_iter: int):
     A period-1 window whose mean sums to exactly 1.0 leaves the iterate's
     bits unchanged, so its residual reuses the product the window has just
     taken instead of taking it again.
+
+    The solve raises ConvergenceError after max_iter windows, or once its
+    least residual is within 4 m 2^-53 of zero (the rounding floor of an L1
+    residual over m states) and no window has improved on it for as many
+    windows as it took to reach it; a residual flat on its way down is no stall.
     """
     m = sub.shape[0]
     if m == 1:
         return np.ones(1), 1
     step = sub.T.tocsr()  # x @ sub as a CSR product; each entry sums in state order
     x = np.full(m, 1.0 / m)
-    res = math.inf
+    best, best_it, it = math.inf, 0, 0
     for it in range(1, max_iter + 1):
         acc = np.zeros(m)
         cur = x
@@ -166,10 +171,14 @@ def _solve_class(sub, d: int, tol: float, max_iter: int):
         res = float(np.abs(moved - avg).sum())
         if res <= tol:
             return avg, it
+        if res < best:
+            best, best_it = res, it
+        elif best <= 4 * m * 2.0**-53 and it >= 2 * best_it:
+            break
         x = cur
     raise ConvergenceError(
-        f"class solve stalled at residual {res:.3e} after {max_iter} windows",
-        residual=res,
+        f"class solve stalled at residual {best:.3e}, reached at window {best_it}, after {it} windows",
+        residual=best,
     )
 
 

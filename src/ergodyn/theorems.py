@@ -29,12 +29,12 @@ sets). Column t of every block product equals the product with column t
 alone, bit for bit, so a report does not depend on the batch it ran in. The
 single-observable ``check_*`` functions are the T = 1 case. So checks can
 share work and draws. The maximal inequality and both corollaries read the
-extremes of one stream of partial sums (``partial_sum_extremes``): in
-``verify`` they share one block of draws, and a corollary's trials are its
-first columns, so a corollary reports the same with or without the maximal
-check. The limit checks can take their columns' share of one
-doubling-horizon pass (``_windowed_limit``) run over the columns of several
-checks.
+extremes of one stream of partial sums (``partial_sum_extremes``): in a
+``verify`` run they share one block of draws, and a corollary's trials are
+its first columns, so a corollary reports the same with or without the
+maximal check. The limit checks take a ``limit_pass`` argument: their
+columns' share of one doubling-horizon pass (``_windowed_limit``) that the
+run made over the columns of several checks.
 """
 
 from __future__ import annotations

@@ -6,9 +6,15 @@ The solve must return the same vector and window count on the oracle's
 drawn kernels and on every kernel under ``tests/data``, with fewer products,
 and the cached class structure must give the period and levels that the
 reference finds. Each closed class and its period are found once per kernel.
+A solve whose tol lies below the rounding floor stalls in bounded time, and
+no solve that converges stalls.
 """
 
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +30,19 @@ from test_oracle import SOLVER_TOL, float_kernel, rational_kernels
 
 DATA = Path(__file__).parent / "data"
 KERNELS = sorted(DATA.glob("*.kernel"))
+
+#: Kernels drawn by ``rational_kernels``, as integer weights per row. Each
+#: has a closed class of 3 states and period 1 whose residual is as large at
+#: window 2 as at window 1, and which converges at tol 1e-12 and 1e-14 in 28
+#: to 214 windows. A stall rule without the rounding floor raises on them at
+#: window 2.
+FLAT_START_KERNELS = [
+    [[0, 0, 1, 0, 0], [5, 6, 0, 0, 0], [5, 2, 0, 0, 0], [0, 0, 0, 1, 1], [0, 0, 0, 1, 0]],
+    [[0, 0, 1], [1, 0, 0], [0, 3, 1]],
+    [[1, 0, 1], [1, 0, 0], [0, 1, 0]],
+    [[0, 0, 1, 0, 0], [1, 0, 0, 0, 0], [0, 2, 7, 0, 0], [0, 8, 1, 3, 0], [0, 0, 1, 0, 0]],
+    [[0, 0, 1, 0, 0], [1, 0, 0, 0, 0], [0, 1, 7, 0, 0], [0, 8, 1, 3, 0], [0, 0, 1, 0, 0]],
+]
 
 
 def _two_product_solve(sub, tol, max_iter):
@@ -71,6 +90,29 @@ def test_drawn_kernels_solve_as_before(P):
 @pytest.mark.parametrize("path", KERNELS, ids=lambda p: p.name)
 def test_data_kernels_solve_as_before(path):
     assert_same_solves(load_kernel(path), 1e-12)
+
+
+@pytest.mark.parametrize("weights", FLAT_START_KERNELS)
+def test_a_residual_flat_at_the_start_is_no_stall(weights):
+    K = float_kernel([[Fraction(w, sum(row)) for w in row] for row in weights])
+    for tol in (1e-12, SOLVER_TOL):
+        assert_same_solves(K, tol)
+
+
+def test_a_tol_below_the_rounding_floor_stalls_in_bounded_time(tmp_path):
+    # the residual reaches its least, 4.9e-17, at window 104 and gets no lower;
+    # without the stall rule this max_iter would run for days
+    config = tmp_path / "c.cfg"
+    config.write_text(f"[kernel]\npath = {DATA / 'pipeline_logistic_k64.kernel'}\n"
+                      "[solver]\ntol = 1e-300\nmax_iter = 1000000000000\n")
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    run = subprocess.run([sys.executable, "-m", "ergodyn.cli", "measure", "--config", str(config),
+                          "--out", str(tmp_path / "o")], env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert run.returncode == 4
+    assert run.stderr == ("error: no convergence: class solve stalled at residual 4.901e-17, "
+                          "reached at window 104, after 208 windows\n")
 
 
 def test_pipeline_solve_takes_fewer_than_two_products_per_window(monkeypatch):

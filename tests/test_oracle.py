@@ -11,6 +11,8 @@ shortcut that ``periodic_measures`` takes. The pointwise theorem names the
 limit of time averages: on a closed class c it is the constant pi_c(phi),
 periodic classes included, which the oracle sums exactly. The corollaries of
 the maximal inequality hold at their sharp levels on every closed class.
+Every check of ``verify`` passes on the drawn kernels, and reports the same
+in one run of all checks as alone.
 """
 
 from fractions import Fraction
@@ -20,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ergodyn import cli
 from ergodyn import Measure, closed_classes, kernel_from_rows, periodic_measures, stationary_measures
 from ergodyn.measures import _class_solves
 from ergodyn.theorems import DEFAULT_TOL, birkhoff_trials, corollary_trials
@@ -282,6 +285,19 @@ def test_corollaries_hold_at_the_sharp_level(n_max, P, seed):
         reports = corollary_trials(name, K, mix, values, classes, None, n_max, DEFAULT_TOL)
         assert len(reports) == COROLLARY_COLUMNS * len(classes)
         assert all(r.passed for r in reports), min(r.margin for r in reports)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_kernels(), st.integers(0, 2**32 - 1))
+def test_every_check_passes_in_one_run_and_alone(P, seed):
+    K = float_kernel(P)
+    cfg = {"checks": {"trials": 7, "n_max": 16}}
+    stationaries = stationary_measures(K)
+    run = cli._Verify(K, stationaries, cfg, seed, cli.CHECK_NAMES)
+    for name in cli.CHECK_NAMES:
+        report = cli.run_check(name, K, stationaries, cfg, seed, run)
+        assert report.passed, (name, report)
+        assert report == cli.run_check(name, K, stationaries, cfg, seed), name
 
 
 def test_drawn_kernels_cover_every_period():

@@ -5,7 +5,9 @@ and agree.
 A rename inside ``src/`` would otherwise leave a traced run without the span,
 silently. ``perfbench/run.py`` keeps its own copy of the check order. Both
 are read from the files, so these tests need no import of the benchmark. The
-README's configuration table lists the keys of ``cli._SCHEMA``.
+tracer times each check by wrapping ``cli.run_check``, so ``verify`` runs
+every check through it. The README's configuration table lists the keys of
+``cli._SCHEMA``.
 """
 
 import ast
@@ -49,6 +51,21 @@ def test_benchmark_check_order_matches_cli():
     # perfbench/run.py keeps its own copy, as it cannot import the package before
     # pinning threads; the order also seeds each check's RNG stream
     assert _literals(PERFBENCH / "run.py", ("CHECK_NAMES",))["CHECK_NAMES"] == cli.CHECK_NAMES
+
+
+@pytest.mark.parametrize("checks", ["all", "nonconvergence_empty,corollary_b,birkhoff"])
+def test_verify_runs_each_check_through_run_check(checks, tmp_path, monkeypatch):
+    calls = []
+    run_check = cli.run_check
+
+    def counted(name, *args):
+        calls.append(name)
+        return run_check(name, *args)
+
+    monkeypatch.setattr(cli, "run_check", counted)
+    swap = Path(cli.__file__).parent / "data" / "swap.cfg"
+    assert cli.main(["verify", "--config", str(swap), "--checks", checks, "--out", str(tmp_path)]) == 0
+    assert calls == (list(cli.CHECK_NAMES) if checks == "all" else checks.split(","))
 
 
 def _readme_config_keys() -> dict:

@@ -193,13 +193,31 @@ def test_a_run_is_freed_without_the_cycle_collector():
     gc.collect()
     gc.disable()
     try:
-        run = cli._Verify(P, stationary_measures(P), cfg, 1807)
-        assert len(list(run.reports(CHECK_NAMES))) == len(CHECK_NAMES)
+        stationaries = stationary_measures(P)
+        run = cli._Verify(P, stationaries, cfg, 1807, CHECK_NAMES)
+        for name in CHECK_NAMES:
+            cli.run_check(name, P, stationaries, cfg, 1807, run)
         freed = weakref.ref(run)
         del run
         assert freed() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("names, held", [
+    (["maximal", "birkhoff", "lemma1"], [[], [], []]),
+    (["maximal", "corollary_c", "birkhoff", "nonconvergence_empty", "lemma1"],
+     [["sums"], [], ["limits"], [], []]),
+])
+def test_a_run_drops_each_pass_after_its_last_reader(names, held):
+    P, cfg = CASES["dense23"]
+    stationaries = stationary_measures(P)
+    run = cli._Verify(P, stationaries, cfg, 1807, names)
+    after = []
+    for name in names:
+        cli.run_check(name, P, stationaries, cfg, 1807, run)
+        after.append([key for key in ("sums", "limits") if key in vars(run)])
+    assert after == held
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
