@@ -8,8 +8,9 @@ verify         run named checks against a kernel, one report per run
 simulate       sample trajectories and operator estimates to CSV
 
 Exit codes: 0 success (verify: all checks passed), 1 a check failed,
-2 invalid configuration, 3 invalid kernel data, 4 an iterative solve did
-not converge, 5 a check precondition (including stationarity) was violated.
+2 invalid configuration (including an output, stdout too, that cannot be
+written), 3 invalid kernel data, 4 an iterative solve did not converge, 5 a
+check precondition (including stationarity) was violated, 130 interrupted.
 
 File formats are plain text and deterministic: reruns with the same seed
 and configuration are byte-identical. Floats are written with 17
@@ -68,6 +69,7 @@ from .measures import (
 from .mc import estimate_Lj_phi_steps, sample_trajectories
 from .space import Measure, Observable, Partition, make_uniform_partition
 from .theorems import (
+    _limit_group,
     _windowed_limit,
     birkhoff_trials,
     check_levelset_invariance,
@@ -626,12 +628,15 @@ class _CheckRun:
 _SUM_READERS = {"maximal": lambda r: r.trials, **dict.fromkeys(
     ("corollary_c", "corollary_b"), lambda r: max(1, r.trials // max(1, len(r.classes))))}
 
-#: check -> (the states its columns are watched on, the residual at which
-#: they settle) in the limit pass on P.
+#: check -> its group in the limit pass, from its run and its observables.
+#: periodic's columns are its observables, each once per measure that
+#: P^p fixes, and their horizons count steps of P^p.
 _LIMIT_READERS = {
-    "birkhoff": lambda r: (np.flatnonzero(r.mix.weights > 0.0), r.opt("tol")),
-    "ergodic_limit": lambda r: (np.flatnonzero(r.stationaries[0].weights > 0.0), r.opt("tol")),
-    "nonconvergence_empty": lambda r: (np.arange(r.P.K), nonconvergence_tol(0.05, -0.05)),
+    "birkhoff": lambda r, v: _limit_group(r.P, 1, v, [r.mix], r.opt("tol")),
+    "ergodic_limit": lambda r, v: _limit_group(r.P, 1, v, r.stationaries[:1], r.opt("tol")),
+    "periodic": lambda r, v: _limit_group(r.shared.power, r.opt("p"), v, r.shared.fixed, r.opt("tol")),
+    "nonconvergence_empty": lambda r, v: (
+        r.P, 1, v, [np.arange(r.P.K)] * v.shape[1], [nonconvergence_tol(0.05, -0.05)] * v.shape[1]),
 }
 
 
@@ -641,12 +646,16 @@ class _Verify:
     Two passes are shared, each a cached property, run by the first check
     that reads it: ``sums``, one stream of partial sums over one K x T block
     drawn from maximal's stream, which ``maximal`` and both corollaries read;
-    and ``limits``, one doubling-horizon pass on P over the draws of
-    ``birkhoff``, ``ergodic_limit`` and ``nonconvergence_empty``. After each
-    check, a pass that no later named check reads is dropped, so it holds no
-    memory past its readers. A shared pass raises for no column: each check
-    raises for its own columns, in its turn, as it would on its own. The
-    mixture measure and the closed classes are found once per run.
+    and ``limits``, one doubling-horizon pass with a group of columns for
+    each of ``birkhoff``, ``ergodic_limit``, ``periodic`` and
+    ``nonconvergence_empty``. periodic's group has stride p and, for p a
+    power of two up to 2^10, reads P's own squares, so the four checks share
+    one squaring sequence. After each check, a pass that no later named check
+    reads is dropped, so it holds no memory past its readers, and so are
+    periodic's measures and P^p after periodic. A shared pass raises for no
+    column: each check raises for its own columns, in its turn, as it would
+    on its own. The mixture measure and the closed classes are found once
+    per run.
     """
 
     def __init__(self, P, stationaries, cfg, master_seed, names):
@@ -667,7 +676,8 @@ class _Verify:
         """Run check name; then drop each pass that no later named check reads."""
         reports = CHECKS[name][1](self.check(name))
         later = self.names[self.names.index(name) + 1:]
-        for key, readers in (("sums", _SUM_READERS), ("limits", _LIMIT_READERS)):
+        for key, readers in (("sums", _SUM_READERS), ("limits", _LIMIT_READERS),
+                             ("fixed", ("periodic",)), ("power", ("periodic",))):
             if not any(n in readers for n in later):
                 self.__dict__.pop(key, None)
         return reports
@@ -690,22 +700,26 @@ class _Verify:
         return values, partial_sum_extremes(self.P, values, r.opt("n_max"))
 
     @cached_property
+    def fixed(self) -> list:
+        """The measures that P^p fixes, from P's class solves."""
+        return [nu for nu, _ in periodic_measures(
+            self.P, _cfg_get(self.cfg, "checks", "p"), _cfg_get(self.cfg, "solver", "tol"),
+            _cfg_get(self.cfg, "solver", "max_iter"))]
+
+    @cached_property
+    def power(self) -> TransitionKernel:
+        """The p-step kernel P^p, formed once."""
+        return kernel_power(self.P, _cfg_get(self.cfg, "checks", "p"))
+
+    @cached_property
     def limits(self) -> dict:
-        """Each named limit check -> (its observables, their share of the
-        limit pass: limits, previous windows, residuals and horizons). The
-        pass runs over the checks' columns in the order they were named."""
+        """Each named limit check -> (its observables, its group's result of
+        one limit pass: limits, previous windows, residuals and horizons)."""
         runs = [self.check(n) for n in self.names if n in _LIMIT_READERS]
         blocks = [r.observables() for r in runs]
-        watches, tols = [], []
-        for r, values in zip(runs, blocks):
-            watch, tol = _LIMIT_READERS[r.name](r)
-            watches += [watch] * values.shape[1]
-            tols += [tol] * values.shape[1]
-        limit_pass = _windowed_limit(self.P, np.hstack(blocks), watches, tols,
-                                     _cfg_get(self.cfg, "checks", "n_cap"))
-        edges = np.cumsum([0] + [values.shape[1] for values in blocks])
-        return {r.name: (values, tuple(x[..., lo:hi] for x in limit_pass))
-                for r, values, lo, hi in zip(runs, blocks, edges, edges[1:])}
+        groups = [_LIMIT_READERS[r.name](r, values) for r, values in zip(runs, blocks)]
+        shares = _windowed_limit(self.P, groups, _cfg_get(self.cfg, "checks", "n_cap"))
+        return {r.name: (values, share) for r, values, share in zip(runs, blocks, shares)}
 
 
 def _run_duality(r: _CheckRun) -> list:
@@ -756,18 +770,15 @@ def _run_levelsets(r: _CheckRun) -> list:
 
 
 def _run_periodic(r: _CheckRun) -> list:
-    """The periodic theorem on the measures fixed by the p-step kernel. The
-    measures come from P's class solves; the limits run on Q = P^p, formed
-    once, in a pass of their own."""
-    p = r.opt("p")
-    fixed = [nu for nu, _ in periodic_measures(
-        r.P, p, _cfg_get(r.cfg, "solver", "tol"), _cfg_get(r.cfg, "solver", "max_iter"))]
-    Q = kernel_power(r.P, p)
-    return periodic_trials(Q, fixed, r.observables(), r.opt("tol"), r.opt("n_cap"))
+    """The periodic theorem on the measures fixed by the p-step kernel P^p,
+    read from P's class solves; P^p is formed once per run."""
+    values, share = r.shared.limits["periodic"]
+    return periodic_trials(r.P, r.opt("p"), r.shared.fixed, values, r.opt("tol"), r.opt("n_cap"),
+                           share, r.shared.power)
 
 
-#: check name -> (expensive, runner). An expensive check squares dense
-#: matrices and runs at most 20 trials. A runner takes a ``_CheckRun`` and
+#: check name -> (expensive, runner). An expensive check reads the limit
+#: pass, which squares dense matrices, and runs at most 20 trials. A runner takes a ``_CheckRun`` and
 #: returns the check's trial reports. Check i draws from
 #: SeedSequence([seed, i]), except that maximal and both corollaries read one
 #: block drawn from maximal's stream, so the order is part of every report: a
@@ -821,6 +832,25 @@ def _writing(path):
         raise ConfigError(f"cannot write {path}: {e}") from None
 
 
+def _say(line: str, end: str = "\n") -> None:
+    """Print a line to stdout and flush it (print skips a stdout of None).
+
+    A failed write is an output the run cannot make (exit 2). stdout is then
+    pointed at the null device, so that what is left in its buffer is not
+    written again, and does not fail again, at exit.
+    """
+    try:
+        print(line, end=end, flush=True)
+    except OSError as e:
+        try:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        except (OSError, ValueError):  # no file descriptor behind sys.stdout
+            pass
+        raise ConfigError(f"cannot write stdout: {e}") from None
+
+
 def _out_dir(cfg, args) -> Path:
     out = Path(args.out or _cfg_get(cfg, "output", "dir"))
     with _writing(out):
@@ -841,7 +871,7 @@ def cmd_kernel_build(args) -> int:
         save_kernel(P, path)
     sums = np.add.reduceat(P.data, P.indptr[:-1])
     dev = float(np.abs(sums - 1.0).max())
-    print(f"kernel-build: K={P.K} nnz={P.nnz} max_row_dev={dev:.3e} -> {path}")
+    _say(f"kernel-build: K={P.K} nnz={P.nnz} max_row_dev={dev:.3e} -> {path}")
     return 0
 
 
@@ -884,7 +914,7 @@ def cmd_measure(args) -> int:
     path = out / "measure_report.txt"
     with _writing(path):
         writer.save(path)
-    print(f"measure: {len(ms)} stationary, {len(per)} periodic(p={p}) -> {path}")
+    _say(f"measure: {len(ms)} stationary, {len(per)} periodic(p={p}) -> {path}")
     return 0
 
 
@@ -940,7 +970,7 @@ def cmd_verify(args) -> int:
     path = out / "verify_report.txt"
     with _writing(path):
         writer.save(path)
-    print(f"verify: {n_pass}/{len(results)} checks passed -> {path}")
+    _say(f"verify: {n_pass}/{len(results)} checks passed -> {path}")
     return 0 if n_pass == len(results) else 1
 
 
@@ -975,7 +1005,7 @@ def cmd_simulate(args) -> int:
     est_path = out / "estimates.csv"
     with _writing(est_path):
         est_path.write_text("".join(lines))
-    print(f"simulate: {n_traj} trajectories, {steps + 1} estimates -> {out}")
+    _say(f"simulate: {n_traj} trajectories, {steps + 1} estimates -> {out}")
     return 0
 
 
@@ -1025,12 +1055,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; return its exit code. No traceback reaches the user:
+    each failure is one line on stderr and a code of the exit-code table."""
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as e:  # argparse exits 0 after --help/--version, 2 on bad usage
-        return e.code
-    try:
-        return _COMMANDS[args.command][0](args)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as e:  # argparse exits 0 after --help/--version, 2 on bad usage
+            code = e.code
+        else:
+            code = _COMMANDS[args.command][0](args)
+        _say("", end="")  # flush what argparse printed
+        return code
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     except (ConfigError, InvalidArgumentError) as e:
         print(f"error: invalid configuration: {e}", file=sys.stderr)
         return 2

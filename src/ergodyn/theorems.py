@@ -33,8 +33,11 @@ extremes of one stream of partial sums (``partial_sum_extremes``): in a
 ``verify`` run they share one block of draws, and a corollary's trials are
 its first columns, so a corollary reports the same with or without the
 maximal check. The limit checks take a ``limit_pass`` argument: their
-columns' share of one doubling-horizon pass (``_windowed_limit``) that the
-run made over the columns of several checks.
+group's result of one doubling-horizon pass (``_windowed_limit``) that the
+run made over the groups of several checks. A group of stride s counts its
+horizons in steps of P^s; the periodic check's group has stride p, and for
+p a power of two up to 2^10 it reads the squares of P that the other
+groups read, so one squaring sequence serves all four limit checks.
 """
 
 from __future__ import annotations
@@ -326,61 +329,104 @@ def birkhoff_average(P: TransitionKernel, phi, n: int):
     return _like(phi, total / n)
 
 
-def _windowed_limit(P: TransitionKernel, values: np.ndarray, watches, tols, n_cap: int):
-    """Doubling-horizon limits of time averages, one per column of a K x T block.
+#: The largest stride whose group reads P's own squares. Dense squares are
+#: never renormalised: the log2(s) of them before the group's first window move
+#: its windows by about s times the rounding of one product. Up to 2^10 that
+#: stays within the rounding of the renormalised P^s; from about 2^23 it can
+#: undo a verdict.
+_SQUARED_STRIDE_MAX = 2**10
 
-    Column t is watched on the states watches[t] and settles once its
-    residual is at most tols[t]. Returns the limits and the previous windows
-    as K x T blocks, and the residuals and horizons as T-vectors. The
-    candidate at window n is W_n = 2 A_{2n} - A_n, the average over the
-    second half of the horizon; successive candidates are compared in sup
-    norm on the watched states. All columns share one sequence of squared
-    powers, streamed so that only the current power is held; a column leaves
-    once it has settled.
 
-    A column that has not settled when the next window would pass n_cap
-    keeps its last residual (inf if it had none) and the horizon the pass
-    stopped at, and ``_require_settled`` raises for it. Nothing here raises
-    for a column, so one pass can serve the columns of several checks, and
-    each check raises for its own columns alone.
+class _LimitGroup:
+    """The live state of one group of a ``_windowed_limit`` pass: its
+    unsettled columns as rows of T x K blocks, and its results."""
+
+    def __init__(self, Q, values, watches, tols, n: int, lag: int, n_cap: int):
+        t, k = values.shape[1], values.shape[0]
+        self.limits, self.prevs = np.empty((t, k)), np.empty((t, k))
+        self.residuals, self.horizons = np.full(t, np.inf), np.full(t, n)
+        self.n, self.lag, self.prev = n, lag, None
+        self.live = np.arange(t if 2 * n <= n_cap else 0)  # else not even the first window fits
+        if self.live.size:  # else spare the sums up to n
+            self.tols = np.asarray(tols, dtype=np.float64)
+            self.mask = np.zeros((t, k), dtype=bool)
+            for row, w in zip(self.mask, watches):
+                row[w] = True
+            self.avg = np.ascontiguousarray(birkhoff_average(Q, values, n).T)
+
+    def step(self, power, n_cap: int) -> None:
+        """One window at horizon n, power = Q^n: settle the columns whose
+        residual is within tol, then double n, or stop the group at n_cap."""
+        avg = self.avg
+        avg2 = 0.5 * (avg + np.matmul(power, avg[:, :, None])[:, :, 0])  # one GEMV per row
+        window = 2.0 * avg2 - avg
+        if self.prev is not None:
+            res = np.where(self.mask, np.abs(window - self.prev), 0.0).max(axis=1)
+            self.residuals[self.live] = res
+            done = res <= self.tols
+            at = self.live[done]
+            self.limits[at], self.prevs[at], self.horizons[at] = window[done], self.prev[done], 2 * self.n
+            keep = ~done
+            self.live, self.mask, self.tols = self.live[keep], self.mask[keep], self.tols[keep]
+            avg2, window = avg2[keep], window[keep]
+        self.prev, self.avg = window, avg2
+        self.n *= 2
+        if 2 * self.n > n_cap:
+            self.horizons[self.live] = self.n
+            self.live = self.live[:0]
+
+
+def _windowed_limit(P: TransitionKernel, groups, n_cap: int) -> list:
+    """Doubling-horizon limits of time averages, for groups of columns.
+
+    A group is (Q, s, values, watches, tols): Q = P^s is the kernel whose
+    steps count its horizons (Q is P for s = 1), values a K x T block with
+    one observable per column, and column t is watched on the states
+    watches[t] and settles once its residual is at most tols[t]. Returns one
+    result per group: the limits and the previous windows as K x T blocks,
+    and the residuals and horizons as T-vectors. The candidate at window n
+    is W_n = 2 A_{2n} - A_n, the average over the second half of the
+    horizon; successive candidates are compared in sup norm on the watched
+    states. A column leaves once it has settled.
 
     A window cancels the rotating part of a class of period d only when d
     divides n, so n runs over L, 2L, 4L, ... with L the lcm of the odd parts
-    of P's closed-class periods: the first window is W_L, from A_L and P^L.
+    of the closed-class periods of the kernel squared: the first window is
+    W_L, from A_L (on Q) and Q^L. At stage j the pass holds one power,
+    P^(L 2^j); a group of stride s = 2^k <= ``_SQUARED_STRIDE_MAX`` joins at
+    stage k and reads it as Q^(L 2^(j-k)). Its L is P's: the odd part of
+    d / gcd(d, s) is the odd part of d. Per stage there is one squaring and
+    one stacked product per group, whose rows are GEMVs, so a column has the
+    bits it has alone; only the power and its square are held as K x K.
+    Every other group squares its own Q^L, in a sequence of its own.
+
+    A column that has not settled when its next window would pass n_cap
+    keeps its last residual (inf if it had none) and the horizon its group
+    stopped at, and ``_require_settled`` raises for it. Nothing here raises
+    for a column, so one pass can serve the columns of several checks, and
+    each check raises for its own columns alone.
     """
-    n = _odd_period_lcm(P)
-    limits = np.empty_like(values)
-    prevs = np.empty_like(values)
-    residuals = np.full(values.shape[1], np.inf)
-    horizons = np.full(values.shape[1], n)
-    if 2 * n > n_cap:  # not even the first window fits: spare the sums up to n
-        return limits, prevs, residuals, horizons
-    power = P.to_dense() if n == 1 else np.linalg.matrix_power(P.to_dense(), n)
-    avgs = [np.ascontiguousarray(col) for col in birkhoff_average(P, values, n).T]
-    prev = [None] * values.shape[1]
-    live = list(range(values.shape[1]))
-    while live and 2 * n <= n_cap:
-        still = []
-        for t in live:
-            avg = avgs[t]
-            avg2 = 0.5 * (avg + power @ avg)
-            window = 2.0 * avg2 - avg
-            if prev[t] is not None:
-                w = watches[t]
-                res = float(np.abs(window[w] - prev[t][w]).max()) if w.size else 0.0
-                residuals[t] = res
-                if res <= tols[t]:
-                    limits[:, t], prevs[:, t], horizons[t] = window, prev[t], 2 * n
-                    continue
-            prev[t], avgs[t] = window, avg2
-            still.append(t)
-        live = still
-        n *= 2
-        if live and 2 * n <= n_cap:
+    states, sequences = [], {}
+    for Q, s, values, watches, tols in groups:
+        on_p = s & (s - 1) == 0 and s <= _SQUARED_STRIDE_MAX
+        base, lag = (P, s.bit_length() - 1) if on_p else (Q, 0)
+        n = _odd_period_lcm(base)
+        states.append(_LimitGroup(Q, values, watches, tols, n, lag, n_cap))
+        if states[-1].live.size:
+            sequences.setdefault(id(base), (base, n, []))[2].append(states[-1])
+    for base, n, members in sequences.values():
+        power = base.to_dense() if n == 1 else np.linalg.matrix_power(base.to_dense(), n)
+        stage = 0
+        while True:
+            for g in members:
+                if g.lag <= stage and g.live.size:
+                    g.step(power, n_cap)
+            stage += 1
+            if not any(g.lag >= stage or g.live.size for g in members):
+                break
             power = power @ power
-    for t in live:
-        horizons[t] = n
-    return limits, prevs, residuals, horizons
+        del power
+    return [(g.limits.T, g.prevs.T, g.residuals, g.horizons) for g in states]
 
 
 def _require_settled(residuals, horizons, tols) -> None:
@@ -394,20 +440,28 @@ def _require_settled(residuals, horizons, tols) -> None:
             )
 
 
-def _limit_reports(P: TransitionKernel, values: np.ndarray, measures, ergodic,
-                   tol: float, n_cap: int, limit_pass=None):
-    """Limit reports, one per column of a K x T block: birkhoff_limit's, or
-    check_ergodic_limit's where ergodic[t]; column t is watched on
-    supp measures[t]. limit_pass is these columns' share of a
-    ``_windowed_limit`` pass that the caller ran already, or None to run
-    one. Returns the limits as a K x T block and the reports."""
-    watches = [np.flatnonzero(mu.weights > 0.0) for mu in measures]
-    tols = [tol] * values.shape[1]
+def _limit_group(Q: TransitionKernel, s: int, values: np.ndarray, measures, tol: float):
+    """The ``_windowed_limit`` group (Q, s, block, watches, tols) of a limit
+    check: each column of values once per measure, watched on that
+    measure's support, at tol."""
+    watches = [np.flatnonzero(mu.weights > 0.0) for mu in measures] * values.shape[1]
+    return Q, s, np.repeat(values, len(measures), axis=1), watches, [tol] * len(watches)
+
+
+def _limit_reports(P: TransitionKernel, group, measures, ergodic, tol: float, n_cap: int,
+                   limit_pass=None):
+    """Limit reports, one per column of a ``_limit_group`` (Q, s, block, ...):
+    birkhoff_limit's, or check_ergodic_limit's where ergodic[t], for the
+    s-step kernel Q = P^s, with measures[t] the measure of column t.
+    limit_pass is the group's result of a ``_windowed_limit`` pass that the
+    caller ran already, or None to run one. Returns the limits as a K x T
+    block and the reports."""
+    Q, _, values, watches, tols = group
     if limit_pass is None:
-        limit_pass = _windowed_limit(P, values, watches, tols, n_cap)
+        limit_pass = _windowed_limit(P, [group], n_cap)[0]
     limits, _, residuals, horizons = limit_pass
     _require_settled(residuals, horizons, tols)
-    lifted = P.matvec(limits)
+    lifted = Q.matvec(limits)
     reports = []
     for t, (mu, watch) in enumerate(zip(measures, watches)):
         limit, res = limits[:, t], residuals[t]
@@ -427,12 +481,12 @@ def birkhoff_trials(P: TransitionKernel, mu: Measure, values: np.ndarray,
                     tol: float = DEFAULT_TOL, n_cap: int = DEFAULT_N_CAP, limit_pass=None):
     """birkhoff_limit for each column of a K x T block: (limits block, reports).
 
-    limit_pass is the columns' share of a ``_windowed_limit`` pass run
-    already (watched on supp mu, at tol), or None to run one.
+    limit_pass is the result of a ``_windowed_limit`` pass run already for
+    ``_limit_group(P, 1, values, [mu], tol)``, or None to run one.
     """
     require_stationary(P, mu, tol)
-    return _limit_reports(P, values, [mu] * values.shape[1], [False] * values.shape[1], tol, n_cap,
-                          limit_pass)
+    return _limit_reports(P, _limit_group(P, 1, values, [mu], tol), [mu] * values.shape[1],
+                          [False] * values.shape[1], tol, n_cap, limit_pass)
 
 
 def birkhoff_limit(
@@ -459,8 +513,8 @@ def ergodic_limit_trials(P: TransitionKernel, mu: Measure, values: np.ndarray,
     in ``birkhoff_trials``."""
     if not is_ergodic(P, mu, tol):
         raise PreconditionError("measure is not ergodic", name="ergodic")
-    return _limit_reports(P, values, [mu] * values.shape[1], [True] * values.shape[1], tol, n_cap,
-                          limit_pass)[1]
+    return _limit_reports(P, _limit_group(P, 1, values, [mu], tol), [mu] * values.shape[1],
+                          [True] * values.shape[1], tol, n_cap, limit_pass)[1]
 
 
 def check_ergodic_limit(
@@ -474,17 +528,21 @@ def check_ergodic_limit(
     return ergodic_limit_trials(P, mu, phi.values[:, None], tol, n_cap)[0]
 
 
-def periodic_trials(Q: TransitionKernel, measures, values: np.ndarray,
-                    tol: float = DEFAULT_TOL, n_cap: int = DEFAULT_N_CAP) -> list:
+def periodic_trials(P: TransitionKernel, p: int, measures, values: np.ndarray,
+                    tol: float = DEFAULT_TOL, n_cap: int = DEFAULT_N_CAP,
+                    limit_pass=None, Q: TransitionKernel | None = None) -> list:
     """check_periodic_pointwise for each column of a K x T block and each measure.
 
-    Q is the p-step kernel P^p, formed once by the caller; reports come
-    column by column, measures in order.
+    Q is the p-step kernel P^p when the caller has formed it, else None to
+    form it. limit_pass is the result of a ``_windowed_limit`` pass run
+    already for ``_limit_group(Q, p, values, measures, tol)``, or None to
+    run one. Reports come column by column, measures in order.
     """
+    Q = kernel_power(P, p) if Q is None else Q
     ergodic = [is_ergodic(Q, mu, tol) for mu in measures]  # also requires stationarity
-    m, trials = len(measures), values.shape[1]
-    block = np.repeat(values, m, axis=1)
-    return _limit_reports(Q, block, list(measures) * trials, ergodic * trials, tol, n_cap)[1]
+    trials = values.shape[1]
+    return _limit_reports(P, _limit_group(Q, p, values, measures, tol), list(measures) * trials,
+                          ergodic * trials, tol, n_cap, limit_pass)[1]
 
 
 def check_periodic_pointwise(
@@ -504,7 +562,7 @@ def check_periodic_pointwise(
     """
     if p < 1:
         raise InvalidArgumentError("period must be a positive integer")
-    return periodic_trials(kernel_power(P, p), [mu], phi.values[:, None], tol, n_cap)[0]
+    return periodic_trials(P, p, [mu], phi.values[:, None], tol, n_cap)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -650,13 +708,14 @@ def nonconvergence_trials(
 ) -> list:
     """check_nonconvergence_set_empty for each column of a K x T block.
 
-    limit_pass is the columns' share of a ``_windowed_limit`` pass run
-    already (watched on every state, at ``nonconvergence_tol``), or None to
-    run one.
+    limit_pass is the columns' result of a ``_windowed_limit`` pass run
+    already (their group (P, 1, values, every state, ``nonconvergence_tol``)),
+    or None to run one.
     """
     tols = [nonconvergence_tol(alpha, beta)] * values.shape[1]
     if limit_pass is None:
-        limit_pass = _windowed_limit(P, values, [np.arange(P.K)] * values.shape[1], tols, n_cap)
+        group = (P, 1, values, [np.arange(P.K)] * values.shape[1], tols)
+        limit_pass = _windowed_limit(P, [group], n_cap)[0]
     windows, prevs, residuals, horizons = limit_pass
     _require_settled(residuals, horizons, tols)
     upper = np.maximum(windows, prevs)

@@ -2,6 +2,8 @@ import io
 import os
 import shutil
 import signal
+import subprocess
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -398,6 +400,79 @@ class TestExitCodes:
         assert code == 1
         text = (tmp_path / "out" / "verify_report.txt").read_text()
         assert "passed=false" in text
+
+
+class TestPeriodicStride:
+    """periodic reads P's own squares only at a power-of-two p up to 2^10; at
+    any other p it squares the renormalised P^p, and its report is the one
+    it had before the pass took groups (the expected sections are that
+    code's output)."""
+
+    @pytest.mark.parametrize("source, p, lhs, witnesses, trials", [
+        ("rotation_uniform.cfg", 2**70, "9.7144514654701197e-17", range(64), 20),
+        ("rotation_uniform.cfg", 10**23, "9.7144514654701197e-17", range(64), 20),
+        ("rotation_uniform.cfg", 2**11, "2.1649348980190553e-14", range(64), 20),
+        ("cyclic3_k24.kernel", 3, "3.2570734304071536e-14", range(16, 24), 60),
+        ("cyclic3_k24.kernel", 6, "3.2563795410167629e-14", range(16, 24), 60),
+    ])
+    def test_other_p_keep_their_reports(self, tmp_path, source, p, lhs, witnesses, trials):
+        if source.endswith(".cfg"):
+            cfg = bundled(source, tmp_path)
+            cfg.write_text(cfg.read_text().replace("p = 2\n", f"p = {p}\n"))
+            argv = ["--config", str(cfg)]
+        else:
+            argv = ["--config", write_config(tmp_path / "c.cfg", f"[checks]\np = {p}\n"),
+                    "--kernel", str(DATA / source)]
+        out = tmp_path / "o"
+        assert main(["verify", *argv, "--checks", "periodic", "--seed", "1807", "--out", str(out)]) == 0
+        assert (out / "verify_report.txt").read_text().endswith(
+            f"[check periodic]\nname=ergodic_limit\npassed=true\nlhs={lhs}\nrhs=0\nslack=1e-10\n"
+            f"witnesses={','.join(map(str, witnesses))}\niterations_used={trials}\n\n"
+            "[summary]\npassed=1\ntotal=1\n")
+
+
+class TestFailingEnvironment:
+    """A run whose stdout cannot be written has written its outputs; it ends
+    with one stderr line and exit 2, as for any output it cannot make, and
+    leaves the interpreter nothing to report at exit. An interrupt ends
+    with one line and exit 130."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("sink", ["/dev/full", "closed pipe"])
+    def test_stdout_that_cannot_be_written_exits_2(self, tmp_path, sink, unbuffered):
+        cfg = bundled("swap.cfg", tmp_path)
+        bundled("swap.kernel", tmp_path)
+        argv = ["verify", "--config", str(cfg), "--seed", "1807"]
+        assert main(argv + ["--out", str(tmp_path / "ref")]) == 0
+        path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        if sink == "/dev/full":
+            stdout, errno = os.open("/dev/full", os.O_WRONLY), 28
+        else:
+            read, stdout = os.pipe()
+            os.close(read)
+            errno = 32
+        try:
+            run = subprocess.run([sys.executable, "-m", "ergodyn.cli", *argv, "--out", str(tmp_path / "o")],
+                                 stdout=stdout, stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+        finally:
+            os.close(stdout)
+        assert (run.returncode, run.stderr) == (
+            2, f"error: invalid configuration: cannot write stdout: [Errno {errno}] {os.strerror(errno)}\n")
+        report = (tmp_path / "o" / "verify_report.txt").read_bytes()
+        assert report == (tmp_path / "ref" / "verify_report.txt").read_bytes()
+
+    def test_interrupt_exits_130(self, tmp_path, capsys, monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "stationary_measures", interrupted)
+        argv = ["verify", "--kernel", str(bundled("swap.kernel", tmp_path)), "--seed", "1807"]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 130
+        assert capsys.readouterr() == ("", "error: interrupted\n")
 
 
 class TestErrorOrder:

@@ -1,6 +1,7 @@
 """Batched trials: a check run on a K x T block equals its trials run one by one."""
 
 import gc
+import tracemalloc
 import weakref
 from importlib import resources
 from pathlib import Path
@@ -27,11 +28,13 @@ from ergodyn import (
 )
 from dataclasses import replace
 
-from ergodyn import cli, kernel, theorems
+from ergodyn import NoisySystem, cli, kernel, make_uniform_partition, theorems, ulam_discretize
 from ergodyn.cli import CHECK_NAMES, _cfg_get
-from ergodyn.theorems import _report, corollary_trials, running_average_extremes
+from ergodyn.theorems import _report, birkhoff_average, corollary_trials, running_average_extremes
 
 from conftest import random_kernel, reducible_kernel
+
+DATA = Path(__file__).parent / "data"
 
 
 def random_measure(rng, partition):
@@ -168,9 +171,9 @@ def test_each_shared_pass_runs_once(case, tmp_path, monkeypatch):
         sums.append((Q, n))
         return _partial_sums(Q, values, n)
 
-    def windowed_limit(Q, values, *args):
-        passes.append((Q, values.shape[1]))
-        return _windowed_limit(Q, values, *args)
+    def windowed_limit(Q, groups, *args):
+        passes.append((Q, [(g[0] is Q, g[1], g[2].shape[1]) for g in groups]))
+        return _windowed_limit(Q, groups, *args)
 
     _partial_sums, _windowed_limit = theorems._partial_sums, theorems._windowed_limit
     monkeypatch.setattr(theorems, "_partial_sums", partial_sums)
@@ -178,12 +181,17 @@ def test_each_shared_pass_runs_once(case, tmp_path, monkeypatch):
         monkeypatch.setattr(module, "_windowed_limit", windowed_limit)
     verify_all(P, cfg, tmp_path, monkeypatch)
     checks = cli.load_config(tmp_path / "c.cfg")["checks"]
-    # one limit pass on P over 3 checks' min(trials, 20) columns, and periodic's own on
-    # Q = P^p, where each trial has a column per measure that Q fixes
-    trials, measures = min(checks["trials"], 20), len(periodic_measures(P, checks["p"]))
-    assert [(Q is P, t) for Q, t in passes] == [(True, 3 * trials), (False, trials * measures)]
-    # one stream of n_max partial sums; each limit pass starts from one term (L = 1 here)
-    assert sorted((Q is P, n) for Q, n in sums) == [(False, 1), (True, 1), (True, checks["n_max"])]
+    # one limit pass on P (p = 2): a group of min(trials, 20) columns on P for each of three
+    # checks, and periodic's group of stride 2 on Q = P^2, where each trial has a column per
+    # measure that Q fixes
+    assert checks["p"] == 2
+    trials, measures = min(checks["trials"], 20), len(periodic_measures(P, 2))
+    on_p = (True, 1, trials)
+    assert [(Q is P, groups) for Q, groups in passes] == [
+        (True, [on_p, on_p, (False, 2, trials * measures), on_p])]
+    # one stream of n_max partial sums; each group starts from one term (L = 1 here)
+    assert sorted((Q is P, n) for Q, n in sums) == [(False, 1)] + [(True, 1)] * 3 + [
+        (True, checks["n_max"])]
 
 
 def test_a_run_is_freed_without_the_cycle_collector():
@@ -208,6 +216,9 @@ def test_a_run_is_freed_without_the_cycle_collector():
     (["maximal", "birkhoff", "lemma1"], [[], [], []]),
     (["maximal", "corollary_c", "birkhoff", "nonconvergence_empty", "lemma1"],
      [["sums"], [], ["limits"], [], []]),
+    # periodic's measures and P^p go with periodic; the pass stays for birkhoff
+    (["periodic", "birkhoff", "lemma1"], [["limits"], [], []]),
+    (["birkhoff", "periodic", "lemma1"], [["limits", "fixed", "power"], [], []]),
 ])
 def test_a_run_drops_each_pass_after_its_last_reader(names, held):
     P, cfg = CASES["dense23"]
@@ -216,7 +227,7 @@ def test_a_run_drops_each_pass_after_its_last_reader(names, held):
     after = []
     for name in names:
         cli.run_check(name, P, stationaries, cfg, 1807, run)
-        after.append([key for key in ("sums", "limits") if key in vars(run)])
+        after.append([key for key in ("sums", "limits", "fixed", "power") if key in vars(run)])
     assert after == held
 
 
@@ -257,3 +268,121 @@ def test_worst_ranks_each_report_by_its_direction():
     # a failed report wins the slot over any passing one
     failed = _report("birkhoff", "le", 0.0, 0.0, 1.0, also=False)
     assert cli._worst(le + [failed]) == replace(failed, iterations_used=4)
+
+
+@pytest.mark.parametrize("p, sequences", [(1, 1), (2, 1), (2**10, 1), (3, 2), (2**11, 2)])
+def test_power_of_two_strides_read_the_squares_of_p(p, sequences, monkeypatch):
+    # one dense squaring sequence, on P, serves every limit check at p = 2^k up to 2^10;
+    # any other p squares P^p in a second one
+    P, cfg = CASES["dense23"]
+    squared = []
+    to_dense = kernel.TransitionKernel.to_dense
+    monkeypatch.setattr(kernel.TransitionKernel, "to_dense", lambda Q: squared.append(Q) or to_dense(Q))
+    cfg = {"checks": {**cfg["checks"], "p": p}}
+    stationaries = stationary_measures(P)
+    run = cli._Verify(P, stationaries, cfg, 1807, CHECK_NAMES)
+    for name in CHECK_NAMES:
+        assert cli.run_check(name, P, stationaries, cfg, 1807, run).passed
+    assert len(squared) == sequences and squared[0] is P
+
+
+def per_column_pass(power, first, values, watches, tols, n, n_cap):
+    """The limit pass column by column, with one GEMV per column and window
+    (the loop the pass ran before it took groups): power is the kernel's
+    power at the first window, Q^n, and first the kernel Q of A_n."""
+    t_count = values.shape[1]
+    limits, prevs = np.empty_like(values), np.empty_like(values)
+    residuals, horizons = np.full(t_count, np.inf), np.full(t_count, n)
+    for t in range(t_count):
+        avg = birkhoff_average(first, np.ascontiguousarray(values[:, t]), n)
+        p, m, prev = power, n, None
+        while 2 * m <= n_cap:
+            avg2 = 0.5 * (avg + p @ avg)
+            window = 2.0 * avg2 - avg
+            if prev is not None:
+                w = watches[t]
+                residuals[t] = np.abs(window[w] - prev[w]).max() if w.size else 0.0
+                if residuals[t] <= tols[t]:
+                    limits[:, t], prevs[:, t], horizons[t] = window, prev, 2 * m
+                    break
+            prev, avg, m, p = window, avg2, 2 * m, p @ p
+        else:
+            horizons[t] = m
+    return limits, prevs, residuals, horizons
+
+
+@pytest.mark.parametrize("case", ["dense23", "three_classes", "cyclic3"])
+def test_groups_equal_per_column_gemv(case):
+    # a group on P and one of stride 2 on Q = P^2, whose powers are P's squares, in one
+    # pass; columns settle at different stages (tol 0 never settles here)
+    P = cli.load_kernel(DATA / "cyclic3_k24.kernel") if case == "cyclic3" else CASES[case][0]
+    Q, L = kernel.kernel_power(P, 2), theorems._odd_period_lcm(P)
+    rng = np.random.default_rng(11)
+    values = rng.uniform(-1.0, 1.0, (P.K, 12))
+    watches = [np.flatnonzero(rng.random(P.K) < 0.5) for _ in range(12)]
+    tols = list(rng.choice([1e-3, 1e-8, 1e-12, 0.0], 12))
+    n_cap = 2**10
+    on_p, on_q = theorems._windowed_limit(
+        P, [(P, 1, values, watches, tols), (Q, 2, values[:, ::-1], watches, tols)], n_cap)
+    first = P.to_dense() if L == 1 else np.linalg.matrix_power(P.to_dense(), L)
+    for got, power, kern, block in ((on_p, first, P, values), (on_q, first @ first, Q, values[:, ::-1])):
+        want = per_column_pass(power, kern, block, watches, tols, L, n_cap)
+        settled = want[2] <= np.array(tols)
+        assert 0 < settled.sum() < 12
+        assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
+        for g, w in zip(got[:2], want[:2]):
+            assert np.array_equal(g[:, settled], w[:, settled])
+
+
+def test_a_limit_pass_holds_two_dense_powers():
+    # a group on P and one of stride 2, whose columns never settle, so the pass squares
+    # to its cap; the peak is the power and its square, and blocks of the 6 columns
+    k = 256
+    system = NoisySystem("rotation", {"alpha": 0.37}, "uniform", {"half_width": 0.1})
+    P = ulam_discretize(system, make_uniform_partition("circle", k))
+    Q = kernel.kernel_power(P, 2)
+    values = np.random.default_rng(3).uniform(-1.0, 1.0, (k, 3))
+    groups = [(P, 1, values, [np.arange(k)] * 3, [0.0] * 3), (Q, 2, values, [np.arange(k)] * 3, [0.0] * 3)]
+    theorems._odd_period_lcm(P)  # the kernel's cached class structure is not the pass's
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        results = theorems._windowed_limit(P, groups, 2**8)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # every stage ran: each group stops at n_cap in steps of its own kernel, the stride-2
+    # group one stage after P's
+    assert [list(r[3]) for r in results] == [[256] * 3] * 2
+    assert peak <= 8 * (2 * k * k + 16 * 6 * k), peak
+
+
+#: Wrong limit passes: every limit zero, or the columns of the limits and the
+#: previous windows reversed within each group.
+MUTANTS = {
+    "zero": lambda results: [(np.zeros_like(lim), prev, res, hor) for lim, prev, res, hor in results],
+    "reversed": lambda results: [(lim[:, ::-1], prev[:, ::-1], res, hor)
+                                 for lim, prev, res, hor in results],
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+@pytest.mark.parametrize("source", ["swap.cfg", "rotation_uniform.cfg", "pipeline_logistic_k64.cfg",
+                                    "cyclic3_k24.kernel"])
+def test_a_wrong_limit_fails_verify(source, mutant, tmp_path, monkeypatch):
+    # a limit pass that settles at the wrong values must not pass: ergodic_limit and
+    # periodic compare each limit with its space average
+    windowed_limit = theorems._windowed_limit
+    for module in (theorems, cli):
+        monkeypatch.setattr(module, "_windowed_limit",
+                            lambda *args: MUTANTS[mutant](windowed_limit(*args)))
+    if source == "cyclic3_k24.kernel":
+        argv = ["--kernel", str(DATA / source), "--checks", "all"]
+    else:
+        with resources.as_file(resources.files("ergodyn").joinpath("data")) as data:
+            config = Path(data) / source if source != "pipeline_logistic_k64.cfg" else DATA / source
+            argv = ["--config", str(config)]
+    assert cli.main(["verify", *argv, "--seed", "1807", "--out", str(tmp_path / "o")]) == 1
+    sections = (tmp_path / "o" / "verify_report.txt").read_text().split("\n[check ")[1:]
+    failed = {section.split("]", 1)[0] for section in sections if "\npassed=false\n" in section}
+    assert {"ergodic_limit", "periodic"} <= failed
