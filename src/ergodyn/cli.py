@@ -15,9 +15,9 @@ check precondition (including stationarity) was violated, 130 interrupted.
 File formats are plain text and deterministic: reruns with the same seed
 and configuration are byte-identical. Floats are written with 17
 significant digits, which round-trips IEEE doubles exactly. Next to each
-kernel file, ``kernel-build`` writes a binary copy of its records
-(``kernel.txt.records``), which loaders take only while its digest matches
-the text; the text stays the canonical file.
+kernel file, ``kernel-build`` writes the kernel's CSR arrays as a binary
+sidecar (``kernel.txt.records``), which loaders take only while its digest
+matches the text; the text stays the canonical file.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import os
 import stat
 import sys
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -103,9 +103,20 @@ def _fmt(x: float) -> str:
 #: Records formatted per write in ``save_kernel``.
 _WRITE_BLOCK = 8192
 
-#: One ``row col probability`` record of a kernel file, in the sidecar's
-#: byte order (little-endian on every host).
+#: One ``row col probability`` record of a kernel file, as the text parse
+#: reads it.
 _RECORD = np.dtype([("row", "<i8"), ("col", "<i8"), ("prob", "<f8")])
+
+#: The sidecar's payload: ``indptr``, ``indices`` and ``data``, in this order
+#: and these types (little-endian on every host).
+_INDPTR, _INDICES, _DATA = np.dtype("<i8"), np.dtype("<i4"), np.dtype("<f8")
+
+#: The largest K whose columns fit ``_INDICES``; a wider kernel gets no sidecar.
+_SIDECAR_MAX_K = int(np.iinfo(_INDICES).max)
+
+#: The sidecar's layout, hashed into its digest: a file of any other layout,
+#: even one of the same size, never matches.
+_SIDECAR_TAG = b"ergodyn-kernel-csr 1: indptr <i8, indices <i4, data <f8\n"
 
 _DIGEST_BYTES = hashlib.sha256().digest_size
 _HASH_CHUNK = 1 << 20
@@ -113,29 +124,37 @@ _HASH_CHUNK = 1 << 20
 
 def save_kernel(P: TransitionKernel, path) -> None:
     """Write a kernel file, one ``row col probability`` record per nonzero,
-    and its record sidecar, in one pass over the records.
+    and its CSR sidecar.
 
-    Each ``_WRITE_BLOCK`` of records goes to the text and to the sidecar
-    from the same slices, so neither file is held in memory as a whole.
+    Each ``_WRITE_BLOCK`` of records goes to the text from slices of P's
+    arrays, so the text is never held in memory as a whole.
     ``_format.records`` formats a block by array arithmetic; a block with a
     probability it cannot certify is formatted by CPython's ``%`` instead,
-    to the same bytes. The sidecar is a digest that binds the text's bytes
-    to the record bytes, then the nnz records as raw ``_RECORD``. Both files
-    are hashed as they are written and the digest goes in last, so a write
-    that stops early leaves a sidecar no loader takes.
+    to the same bytes. The sidecar is a digest, then the payload: P's
+    ``indptr``, ``indices`` and ``data`` as raw ``_INDPTR``, ``_INDICES``
+    and ``_DATA``, 32 + 8 (K + 1) + 12 nnz bytes in all. The digest binds
+    the layout tag, the text's bytes and the payload's bytes (``_binding``).
+    Both files are hashed as they are written and the digest goes in last,
+    so a write that stops early leaves a sidecar no loader takes. A kernel
+    whose columns do not fit ``<i4`` (K > 2^31 - 1) gets no sidecar.
     """
     rows = np.repeat(np.arange(P.K), np.diff(P.indptr))
     fields = _format.int_fields(P.K)
-    text, records = hashlib.sha256(), hashlib.sha256()
-    with open(path, "wb") as fh, _sidecar_sink(path) as side:
+    text, payload = hashlib.sha256(), hashlib.sha256()
+    with open(path, "wb") as fh, _sidecar_sink(path, P.K) as side:
         def put(data):
             fh.write(data)
             text.update(data)
+
+        def put_side(array):
+            side.write(array)
+            payload.update(array)
 
         put(f"{KERNEL_MAGIC}\nK {P.K}\ndomain {P.partition.domain_kind}\n".encode())
         put(("boundaries " + " ".join(_fmt(b) for b in P.partition.boundaries) + "\n").encode())
         put(f"nnz {P.nnz}\n".encode())
         side.write(bytes(_DIGEST_BYTES))
+        put_side(P.indptr.astype(_INDPTR, copy=False))
         for lo in range(0, P.nnz, _WRITE_BLOCK):
             block = slice(lo, lo + _WRITE_BLOCK)
             r, c, x = rows[block], P.indices[block], P.data[block]
@@ -145,16 +164,14 @@ def save_kernel(P: TransitionKernel, path) -> None:
                 flat[0::3], flat[1::3], flat[2::3] = r.tolist(), c.tolist(), x.tolist()
                 data = (("%d %d %.17g\n" * r.size) % tuple(flat)).encode()
             put(data)
-            rec = np.empty(r.size, _RECORD)
-            rec["row"], rec["col"], rec["prob"] = r, c, x
-            side.write(rec)
-            records.update(rec)
+            put_side(c.astype(_INDICES))
+        put_side(P.data.astype(_DATA, copy=False))
         side.seek(0)
-        side.write(_binding(text, records))
+        side.write(_binding(text, payload))
 
 
 def _sidecar(path) -> Path:
-    """The binary record sidecar of the kernel file at path (``save_kernel``)."""
+    """The binary CSR sidecar of the kernel file at path (``save_kernel``)."""
     return Path(f"{path}.records")
 
 
@@ -168,10 +185,13 @@ def _open_regular(path, flags: int):
     return os.fdopen(fd, "rb" if flags == os.O_RDONLY else "wb")
 
 
-def _sidecar_sink(path):
+def _sidecar_sink(path, k: int):
     """The sidecar of the kernel file at path, opened for writing; the null
-    device when it cannot be (a directory or a FIFO in its place), as the
-    text is complete without it."""
+    device when it cannot be (a directory or a FIFO in its place) or when
+    columns of a K x K kernel do not fit ``_INDICES``, as the text is
+    complete without it."""
+    if k > _SIDECAR_MAX_K:
+        return open(os.devnull, "wb")
     try:
         return _open_regular(_sidecar(path), os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
     except OSError:
@@ -179,40 +199,49 @@ def _sidecar_sink(path):
 
 
 def _file_digest(path):
-    """SHA-256 of a file's bytes, read in 1 MiB chunks."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while chunk := fh.read(_HASH_CHUNK):
-            digest.update(chunk)
+    """SHA-256 of a file's bytes, read into one 1 MiB buffer chunk by chunk."""
+    digest, chunk = hashlib.sha256(), bytearray(_HASH_CHUNK)
+    view = memoryview(chunk)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(chunk):
+            digest.update(view[:n])
     return digest
 
 
-def _binding(text, records) -> bytes:
-    """The sidecar digest: one hash of the text's and the records' hashes."""
-    return hashlib.sha256(text.digest() + records.digest()).digest()
+def _binding(text, payload) -> bytes:
+    """The sidecar digest: one hash of the layout tag and of the text's and
+    the payload's hashes."""
+    return hashlib.sha256(_SIDECAR_TAG + text.digest() + payload.digest()).digest()
 
 
-def _sidecar_records(path, nnz: int):
-    """The records of the kernel file at path, read from its sidecar, or None.
+def _sidecar_csr(path, k: int, nnz: int):
+    """The CSR arrays (indptr, indices, data) of the kernel file at path,
+    read from its sidecar, or None.
 
-    The sidecar is taken only if it is a regular file, its size is that of
-    a digest and nnz records, and its digest matches the text file and the
-    records read. In every other case (no sidecar, or a truncated, tampered,
-    stale or older-layout one) the caller parses the text. The records are
-    read only after the size check, so no read asks for more than the file
-    holds.
+    The sidecar is taken only if it is a regular file, its size is that of a
+    digest and the payload of a K x K kernel with nnz entries, and its digest
+    matches the text file and the arrays read. In every other case (no
+    sidecar, or a truncated, tampered, stale or older-layout one) the caller
+    parses the text. The arrays are read only after the size check, so no
+    read asks for more than the file holds. They are the kernel's own CSR
+    arrays, so the caller hands them to the validator with no sort.
     """
+    layout = ((_INDPTR, k + 1), (_INDICES, nnz), (_DATA, nnz))
+    size = _DIGEST_BYTES + sum(dt.itemsize * n for dt, n in layout)
     try:
         with _open_regular(_sidecar(path), os.O_RDONLY) as fh:
-            if os.fstat(fh.fileno()).st_size != _DIGEST_BYTES + nnz * _RECORD.itemsize:
+            if min(k, nnz) < 0 or os.fstat(fh.fileno()).st_size != size:
                 return None
             digest = fh.read(_DIGEST_BYTES)
-            records = np.fromfile(fh, _RECORD, nnz)
-        if _binding(_file_digest(path), hashlib.sha256(records)) != digest:
+            arrays = tuple(np.fromfile(fh, dt, n) for dt, n in layout)
+        payload = hashlib.sha256()
+        for array in arrays:
+            payload.update(array)
+        if _binding(_file_digest(path), payload) != digest:
             return None
     except (OSError, ValueError):
         return None
-    return records
+    return arrays
 
 
 def _ascii_lines(fh):
@@ -240,11 +269,12 @@ def _header_value(line: str, keyword: str) -> list:
 def load_kernel(path) -> TransitionKernel:
     """Read a kernel file straight into CSR arrays; no K x K array is formed.
 
-    The records come from the file's sidecar when ``_sidecar_records`` takes
-    it, and are parsed from the text otherwise, in chunks from the open
-    file, so the text is never held in memory as a whole. Both feed the same
-    checks, and ``%.17g`` round-trips every double, so the kernel is the
-    same either way.
+    The arrays come from the file's sidecar when ``_sidecar_csr`` takes it,
+    and go to the kernel's validator with no sort. Otherwise the records are
+    parsed from the text, in chunks from the open file, so the text is never
+    held in memory as a whole; they are range-checked, stably sorted into
+    row-major order and checked for duplicates. ``%.17g`` round-trips every
+    double, so the kernel is the same either way.
     """
     try:
         with open(path) as fh:
@@ -261,13 +291,13 @@ def load_kernel(path) -> TransitionKernel:
             (domain,) = _header_value(head[2], "domain")
             boundaries = np.array([float(t) for t in _header_value(head[3], "boundaries")])
             (nnz,) = map(int, _header_value(head[4], "nnz"))
-            records = _sidecar_records(path, nnz)
-            if records is None:
+            csr = _sidecar_csr(path, k, nnz)
+            if csr is None:
                 with warnings.catch_warnings():  # no records: the count check below reports it
                     warnings.simplefilter("ignore", UserWarning)
                     records = np.loadtxt(_ascii_lines(fh), dtype=_RECORD, comments=None, ndmin=1)
-        if records.size != nnz:
-            raise ValueError(f"expected {nnz} entries, found {records.size}")
+                if records.size != nnz:
+                    raise ValueError(f"expected {nnz} entries, found {records.size}")
         partition = Partition(domain, boundaries)
     except (OSError, UnicodeDecodeError) as e:
         raise InvalidKernelError(f"cannot read kernel file {path}: {e}") from None
@@ -277,6 +307,8 @@ def load_kernel(path) -> TransitionKernel:
         raise DimensionError(
             f"kernel file {path}: header K {k} disagrees with {boundaries.size} boundaries"
         )
+    if csr is not None:
+        return _csr_to_kernel(*csr, partition, f"kernel file {path}")
     r, c = records["row"], records["col"]
     outside = (r < 0) | (r >= k) | (c < 0) | (c >= k)
     if outside.any():
@@ -832,23 +864,40 @@ def _writing(path):
         raise ConfigError(f"cannot write {path}: {e}") from None
 
 
-def _say(line: str, end: str = "\n") -> None:
-    """Print a line to stdout and flush it (print skips a stdout of None).
+def _emit(stream, line: str, end: str = "\n") -> None:
+    """Print a line to stream and flush it (print skips a stdout of None).
 
-    A failed write is an output the run cannot make (exit 2). stdout is then
-    pointed at the null device, so that what is left in its buffer is not
-    written again, and does not fail again, at exit.
+    On a failed write the stream's file descriptor is pointed at the null
+    device before the OSError goes on, so that what is left in its buffer
+    is not written again, and does not fail again, at exit.
     """
     try:
-        print(line, end=end, flush=True)
-    except OSError as e:
+        print(line, end=end, file=stream, flush=True)
+    except OSError:
         try:
             devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
+            os.dup2(devnull, stream.fileno())
             os.close(devnull)
-        except (OSError, ValueError):  # no file descriptor behind sys.stdout
+        except (OSError, ValueError):  # no file descriptor behind the stream
             pass
+        raise
+
+
+def _say(line: str, end: str = "\n") -> None:
+    """Print a line to stdout; a failed write is an output the run cannot
+    make (exit 2)."""
+    try:
+        _emit(sys.stdout, line, end)
+    except OSError as e:
         raise ConfigError(f"cannot write stdout: {e}") from None
+
+
+def _complain(line: str) -> None:
+    """Print an error line to stderr. A stderr that cannot be written (full,
+    or closed) loses the line but not the run's exit code."""
+    if sys.stderr is not None:  # print(file=None) would write the line to stdout
+        with suppress(OSError):
+            _emit(sys.stderr, line)
 
 
 def _out_dir(cfg, args) -> Path:
@@ -1056,7 +1105,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command; return its exit code. No traceback reaches the user:
-    each failure is one line on stderr and a code of the exit-code table."""
+    each failure is one line on stderr (``_complain``) and a code of the
+    exit-code table."""
     try:
         try:
             args = build_parser().parse_args(argv)
@@ -1067,23 +1117,19 @@ def main(argv=None) -> int:
         _say("", end="")  # flush what argparse printed
         return code
     except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
-        return 130
+        code, line = 130, "interrupted"
     except (ConfigError, InvalidArgumentError) as e:
-        print(f"error: invalid configuration: {e}", file=sys.stderr)
-        return 2
+        code, line = 2, f"invalid configuration: {e}"
     except MemoryError as e:  # a configured size the machine cannot allocate
-        print(f"error: invalid configuration: {e or 'out of memory'}", file=sys.stderr)
-        return 2
+        code, line = 2, f"invalid configuration: {e or 'out of memory'}"
     except (InvalidKernelError, InvalidMeasureError, DimensionError) as e:
-        print(f"error: invalid data: {e}", file=sys.stderr)
-        return 3
+        code, line = 3, f"invalid data: {e}"
     except ConvergenceError as e:
-        print(f"error: no convergence: {e}", file=sys.stderr)
-        return 4
+        code, line = 4, f"no convergence: {e}"
     except (PreconditionError, NotStationaryError) as e:
-        print(f"error: precondition violated: {e}", file=sys.stderr)
-        return 5
+        code, line = 5, f"precondition violated: {e}"
+    _complain(f"error: {line}")
+    return code
 
 
 if __name__ == "__main__":

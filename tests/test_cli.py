@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import shutil
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
@@ -140,12 +142,14 @@ def deadline(seconds=20):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _resave(records):
-    """A sidecar rewrite: the built digest, then the built records mapped by
-    ``records`` and written raw."""
+def _resave(types):
+    """A sidecar rewrite: the built digest, then the built kernel's indptr,
+    indices and data written raw as the three ``types``."""
     def mutate(text, side):
-        data = side.read_bytes()
-        side.write_bytes(data[:32] + records(np.frombuffer(data[32:], cli._RECORD)).tobytes())
+        P = load_kernel(text)
+        arrays = (P.indptr, P.indices, P.data)
+        side.write_bytes(side.read_bytes()[:32] + b"".join(
+            a.astype(t).tobytes() for a, t in zip(arrays, types)))
     return mutate
 
 
@@ -158,11 +162,23 @@ def _flip(offset):
 
 
 def _huge_shape(text, side):
+    """An .npy header that claims 10^12 records, written over the start of
+    the payload; the file keeps its size."""
     data = side.read_bytes()
     header = io.BytesIO()
     np.lib.format.write_array_header_1_0(header, {
         "descr": np.lib.format.dtype_to_descr(cli._RECORD), "fortran_order": False, "shape": (10**12,)})
-    side.write_bytes(data[:32] + header.getvalue() + data[data.index(b"\n", 32) + 1:])
+    side.write_bytes(data[:32] + header.getvalue() + data[32 + len(header.getvalue()):])
+
+
+def _parent_layout(text, side):
+    """The sidecar layout before CSR: the text's records as 24-byte
+    ``(row, col, prob)``, after a digest sha256(sha256(text) ||
+    sha256(records)) with no layout tag."""
+    records = np.loadtxt(text, dtype=cli._RECORD, skiprows=5, ndmin=1)
+    digest = hashlib.sha256(hashlib.sha256(text.read_bytes()).digest()
+                            + hashlib.sha256(records).digest()).digest()
+    side.write_bytes(digest + records.tobytes())
 
 
 def _replace_with(make):
@@ -181,9 +197,10 @@ SIDECAR_FAULTS = {
     "digest_byte": _flip(0),
     "record_byte": _flip(-1),
     "text_edited": lambda text, side: text.write_text(text.read_text()[:-1] + " \n"),
-    "wrong_dtype": _resave(lambda r: r.astype([("row", "<i4"), ("col", "<i4"), ("prob", "<f8")])),
-    "byte_swapped": _resave(lambda r: r.astype([("row", ">i8"), ("col", ">i8"), ("prob", ">f8")])),
+    "wrong_dtype": _resave(("<i8", "<i8", "<f8")),
+    "byte_swapped": _resave((">i8", ">i4", ">f8")),
     "shape_1e12": _huge_shape,
+    "parent_layout": _parent_layout,
     "directory": _replace_with(Path.mkdir),
     "fifo": _replace_with(os.mkfifo),
 }
@@ -191,7 +208,7 @@ SIDECAR_FAULTS = {
 
 class TestRecordSidecar:
     """``kernel-build`` writes ``kernel.txt.records`` next to the text; loaders
-    take its records only when its digest matches the text and the records."""
+    take its CSR arrays only when its digest matches the text and the arrays."""
 
     @staticmethod
     def build(tmp_path, source):
@@ -242,13 +259,67 @@ class TestRecordSidecar:
         # the earlier layout: a digest that binds the text to the records, an
         # .npy header, then the same records
         text, side = self.build(tmp_path, "rotation_uniform.cfg")
-        records = np.frombuffer(side.read_bytes()[32:], cli._RECORD)
+        records = np.loadtxt(text, dtype=cli._RECORD, skiprows=5)
         buf = io.BytesIO()
         np.save(buf, records)
         side.write_bytes(cli._binding(cli._file_digest(text), cli.hashlib.sha256(records)) + buf.getvalue())
         P, parses = load_counting_parses(text, monkeypatch)
         assert parses == 1
         assert P.data.tobytes() == records["prob"].tobytes()
+
+    @pytest.mark.parametrize("source", ["swap.kernel", "rotation_uniform.cfg"])
+    def test_parent_layout_sidecar_is_not_taken(self, tmp_path, monkeypatch, source):
+        # on swap (K=2, nnz=2) both layouts take 80 bytes: only the layout tag
+        # in the digest tells them apart
+        text, side = self.build(tmp_path, source)
+        built, size = load_kernel(text), side.stat().st_size
+        _parent_layout(text, side)
+        assert (side.stat().st_size == size) == (source == "swap.kernel")
+        P, parses = load_counting_parses(text, monkeypatch)
+        assert parses == 1 and same_bits(P, built)
+
+    def test_a_hit_sorts_nothing(self, tmp_path, monkeypatch):
+        text, side = self.build(tmp_path, "pipeline_logistic_k64.cfg")
+        sorts = []
+        for name in ("argsort", "sort", "lexsort"):
+            original = getattr(np, name)
+            monkeypatch.setattr(np, name, lambda *a, _f=original, **kw: sorts.append(1) or _f(*a, **kw))
+        hit = load_kernel(text)
+        assert sorts == []
+        side.unlink()
+        assert same_bits(load_kernel(text), hit) and sorts  # the text parse sorts its records
+
+    def test_shuffled_records_load_to_the_row_major_kernel(self, tmp_path, rng):
+        lines = (DATA / "pipeline_logistic_k64.kernel").read_text().splitlines(keepends=True)
+        head, records = lines[:5], lines[5:]
+        shuffled = tmp_path / "shuffled.kernel"
+        shuffled.write_text("".join(head + [records[i] for i in rng.permutation(len(records))]))
+        assert same_bits(load_kernel(shuffled), load_kernel(DATA / "pipeline_logistic_k64.kernel"))
+
+    def test_a_hit_holds_about_one_copy_of_the_kernel(self, tmp_path):
+        # about 10^5 nonzeros: the arrays read, the validator's int64 columns
+        # and its masks, and one hash chunk of the text
+        system = NoisySystem("rotation", {"alpha": 0.37}, "uniform", {"half_width": 0.05})
+        P = ulam_discretize(system, make_uniform_partition("circle", 1024), 4)
+        save_kernel(P, tmp_path / "k.txt")
+        arrays = P.indptr.nbytes + P.indices.nbytes + P.data.nbytes
+        assert 0.9e5 < P.nnz < 1.2e5
+        tracemalloc.start()
+        try:
+            Q = load_kernel(tmp_path / "k.txt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert same_bits(Q, P)
+        assert peak <= 2 * arrays + cli._HASH_CHUNK, f"peak {peak / 2**20:.2f} MiB, arrays {arrays / 2**20:.2f} MiB"
+
+    def test_kernel_too_wide_for_int32_columns_gets_no_sidecar(self, tmp_path, monkeypatch):
+        P = load_kernel(DATA / "pipeline_logistic_k64.kernel")
+        monkeypatch.setattr(cli, "_SIDECAR_MAX_K", P.K - 1)
+        save_kernel(P, tmp_path / "k.txt")
+        assert not (tmp_path / "k.txt.records").exists()
+        Q, parses = load_counting_parses(tmp_path / "k.txt", monkeypatch)
+        assert parses == 1 and same_bits(Q, P)
 
     def test_text_edited_after_the_build_wins(self, tmp_path, monkeypatch):
         text, side = self.build(tmp_path, "rotation_uniform.cfg")
@@ -431,11 +502,68 @@ class TestPeriodicStride:
             "[summary]\npassed=1\ntotal=1\n")
 
 
+def child_env(unbuffered):
+    """The environment of a ``python -m ergodyn.cli`` child: this source tree
+    on its path, and PYTHONUNBUFFERED set only if unbuffered."""
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+#: A child that runs the cli with duality stubbed to fail its one trial.
+FAILING_DUALITY = (
+    "import sys\n"
+    "from ergodyn import cli, CheckReport\n"
+    "cli.duality_trials = lambda *a: [CheckReport('duality', False, 1.0, 0.0, 0.0, None, 1)]\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+
 class TestFailingEnvironment:
     """A run whose stdout cannot be written has written its outputs; it ends
     with one stderr line and exit 2, as for any output it cannot make, and
-    leaves the interpreter nothing to report at exit. An interrupt ends
+    leaves the interpreter nothing to report at exit. A stderr that cannot
+    be written loses the error line, not the exit code. An interrupt ends
     with one line and exit 130."""
+
+    @pytest.mark.parametrize("sink", ["/dev/full", "closed"])
+    @pytest.mark.parametrize("case, code, unbuffered", [
+        ("config", 2, False), ("config", 2, True), ("kernel", 3, False),
+        ("precondition", 5, False), ("failed check", 1, False),
+    ])
+    def test_stderr_that_cannot_be_written_keeps_the_exit_code(self, tmp_path, sink, case, code, unbuffered):
+        kernel = bundled("swap.kernel", tmp_path)
+        (tmp_path / "bad.kernel").write_text("not a kernel\n")
+        (tmp_path / "m.txt").write_text("ergodyn-measure 1\nK 2\n0.9\n0.1\n")
+        out = ["--out", str(tmp_path / "o")]
+        cli_module = [sys.executable, "-m", "ergodyn.cli"]
+        argv = {
+            "config": cli_module + ["verify", "--config", str(tmp_path / "missing.cfg")],
+            "kernel": cli_module + ["measure", "--kernel", str(tmp_path / "bad.kernel")],
+            "precondition": cli_module + ["verify", "--kernel", str(kernel), "--measure",
+                                          str(tmp_path / "m.txt"), "--checks", "maximal"],
+            "failed check": [sys.executable, "-c", FAILING_DUALITY, "verify", "--kernel", str(kernel),
+                             "--checks", "duality", "--seed", "3"],
+        }[case] + out
+        if sink == "/dev/full":
+            stderr = os.open("/dev/full", os.O_WRONLY)
+        else:  # the child's stderr is closed, as by a shell's 2>&-
+            stderr, argv = None, ["sh", "-c", 'exec "$@" 2>&-', "sh", *argv]
+        try:
+            run = subprocess.run(argv, stdout=subprocess.PIPE, stderr=stderr, env=child_env(unbuffered),
+                                 text=True, timeout=60)
+        finally:
+            if stderr is not None:
+                os.close(stderr)
+        assert run.returncode == code
+        if code == 1:
+            assert run.stdout.startswith("verify: 0/1 checks passed -> ")
+            assert "passed=false" in (tmp_path / "o" / "verify_report.txt").read_text()
+        else:
+            assert run.stdout == ""
 
     @pytest.mark.parametrize("unbuffered", [False, True])
     @pytest.mark.parametrize("sink", ["/dev/full", "closed pipe"])
@@ -444,11 +572,7 @@ class TestFailingEnvironment:
         bundled("swap.kernel", tmp_path)
         argv = ["verify", "--config", str(cfg), "--seed", "1807"]
         assert main(argv + ["--out", str(tmp_path / "ref")]) == 0
-        path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
+        env = child_env(unbuffered)
         if sink == "/dev/full":
             stdout, errno = os.open("/dev/full", os.O_WRONLY), 28
         else:

@@ -137,13 +137,17 @@ def test_fallback_block_writes_the_same_text(monkeypatch, tmp_path):
 
 
 def test_sidecar_digest_is_the_digest_of_the_text(rng, tmp_path):
+    # the sidecar: sha256(tag || sha256(text) || sha256(payload)), then the
+    # payload, which is indptr <i8, indices <i4 and data <f8
     P = random_kernel(rng, 40, density=0.3)
     path = tmp_path / "k.txt"
     save_kernel(P, path)
-    records = cli._sidecar_records(path, P.nnz)
-    assert records is not None
-    stored = (tmp_path / "k.txt.records").read_bytes()[:cli._DIGEST_BYTES]
-    assert stored == cli._binding(cli._file_digest(path), cli.hashlib.sha256(records))
+    assert cli._sidecar_csr(path, P.K, P.nnz) is not None
+    side = (tmp_path / "k.txt.records").read_bytes()
+    payload = P.indptr.astype("<i8").tobytes() + P.indices.astype("<i4").tobytes() + P.data.astype("<f8").tobytes()
+    assert len(side) == 32 + 8 * (P.K + 1) + 12 * P.nnz and side[32:] == payload
+    sha = cli.hashlib.sha256
+    assert side[:32] == sha(cli._SIDECAR_TAG + sha(path.read_bytes()).digest() + sha(payload).digest()).digest()
 
 
 def test_no_table_is_built_at_import():
