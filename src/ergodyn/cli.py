@@ -59,6 +59,8 @@ from .kernel import (
     ulam_discretize,
 )
 from .measures import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_SOLVE_TOL,
     closed_classes,
     ergodic_decomposition,
     is_ergodic,
@@ -69,7 +71,11 @@ from .measures import (
 from .mc import estimate_Lj_phi_steps, sample_trajectories
 from .space import Measure, Observable, Partition, make_uniform_partition
 from .theorems import (
+    DEFAULT_N_CAP,
+    DEFAULT_N_MAX,
+    DEFAULT_TOL,
     _limit_group,
+    _nonconvergence_group,
     _windowed_limit,
     birkhoff_trials,
     check_levelset_invariance,
@@ -80,7 +86,6 @@ from .theorems import (
     lemma2_trials,
     localization_trials,
     maximal_trials,
-    nonconvergence_tol,
     nonconvergence_trials,
     partial_sum_extremes,
     periodic_trials,
@@ -349,8 +354,11 @@ def load_measure(path, partition: Partition) -> Measure:
 # Configuration
 # ---------------------------------------------------------------------------
 
-#: section -> key -> (kind, default). A key whose default is None has none;
-#: ``load_config`` fills every other default into each section a config has.
+#: section -> key -> (kind, default[, bound]). A key whose default is None has
+#: none; ``load_config`` fills every other default into each section a config
+#: has. ``_check_bounds`` holds each value to its key's bound: "positive" for a
+#: finite positive float (an infinite tolerance would pass every check and
+#: accept any iterate), else an int's least, then the key it may not pass.
 _SCHEMA = {
     "system": {
         "map": (str, None),
@@ -366,19 +374,20 @@ _SCHEMA = {
     },
     "kernel": {"path": (str, None)},
     "partition": {"domain": (str, None), "cells": (int, None)},
-    "solver": {"tol": (float, 1e-12), "max_iter": (int, 100000)},
+    "solver": {"tol": (float, DEFAULT_SOLVE_TOL, "positive"), "max_iter": (int, DEFAULT_MAX_ITER, 1)},
     "checks": {
         "names": (str, "all"),
-        "n_max": (int, 64),
+        "n_max": (int, DEFAULT_N_MAX, 1, "n_cap"),  # so that n_cap bounds every horizon a check runs
         "p": (int, 2),
-        "n_cap": (int, 2**20),
-        "trials": (int, 100),
-        "tol": (float, 1e-10),
+        # a converged limit needs windows at horizons 2L and 4L (L >= 1): none fits under n_cap < 4
+        "n_cap": (int, DEFAULT_N_CAP, 4),
+        "trials": (int, 100, 1),
+        "tol": (float, DEFAULT_TOL, "positive"),
     },
     "mc": {
         "start": (int, 0),
         "steps": (int, 5),
-        "trajectories": (int, 1),
+        "trajectories": (int, 1, 1),
         "n_samples": (int, 10000),
         "master_seed": (int, 0),
         "observable": (str, "coordinate"),
@@ -412,7 +421,7 @@ def load_config(path) -> dict:
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            kind, _ = _SCHEMA[section][key]
+            kind = _SCHEMA[section][key][0]
             try:
                 if kind == "floats":
                     value = tuple(float(t) for t in raw.split())
@@ -430,27 +439,27 @@ def load_config(path) -> dict:
     if "system" in cfg and "kernel" in cfg:
         raise ConfigError("config must name exactly one of [system] or [kernel]")
     for section, values in cfg.items():
-        for key, (_, default) in _SCHEMA[section].items():
+        for key, (_, default, *_) in _SCHEMA[section].items():
             if default is not None:
                 values.setdefault(key, default)
-    for section, key in (("solver", "tol"), ("checks", "tol")):
-        if section in cfg:
-            _positive(cfg[section][key], f"{key} in [{section}]")
-    # a converged limit needs windows at horizons 2L and 4L (L >= 1): none fits under n_cap < 4
-    for section, key, least in (("solver", "max_iter", 1), ("checks", "n_max", 1), ("checks", "n_cap", 4)):
-        if section in cfg:
-            _at_least(cfg[section][key], least, f"{key} in [{section}]")
-    if "checks" in cfg:
-        _within_cap(cfg["checks"]["n_max"], cfg["checks"]["n_cap"], "n_max in [checks]")
+    _check_bounds(cfg, {(s, k): f"{k} in [{s}]" for s in cfg for k in cfg[s]})
     return cfg
 
 
-def _positive(tol: float, what: str) -> float:
-    """A tolerance from the config or the command line; it must be finite and
-    positive (an infinite one would pass every check and accept any iterate)."""
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ConfigError(f"{what} must be finite and positive, got {tol!r}")
-    return tol
+def _check_bounds(cfg, names: dict) -> None:
+    """Hold the cfg value of each (section, key) of names to its ``_SCHEMA``
+    bound; an error calls the value by its name in names. Every least is
+    checked before any cap, so a cap below its own least is named as such."""
+    for (section, key), what in names.items():
+        value, (kind, _, *bound) = cfg[section][key], _SCHEMA[section][key]
+        if bound and kind is float and not (value > 0.0 and math.isfinite(value)):
+            raise ConfigError(f"{what} must be finite and positive, got {value!r}")
+        if bound and kind is int and value < bound[0]:
+            raise ConfigError(f"{what} must be at least {bound[0]}, got {value}")
+    for (section, key), what in names.items():
+        value, cap = cfg[section][key], _SCHEMA[section][key][3:]
+        if cap and value > (most := _cfg_get(cfg, section, cap[0])):
+            raise ConfigError(f"{what} must be at most {cap[0]} ({most}), got {value}")
 
 
 def _cfg_get(cfg, section, key):
@@ -458,32 +467,27 @@ def _cfg_get(cfg, section, key):
     return cfg.get(section, {}).get(key, _SCHEMA[section][key][1])
 
 
-def _master_seed(cfg, args) -> int:
-    """The run's master seed: --seed, else [mc] master_seed; it must fit in u64."""
+def _settings(args) -> tuple[dict, int]:
+    """The run's config and master seed, checked before any command runs:
+    the file's values as the file gives them, so no flag rescues a bad one,
+    then each given flag's key (``_COMMANDS``) under the flag's name, then
+    the seed."""
+    cfg = load_config(args.config) if args.config else {}
+    given = {}
+    for flag, key in _COMMANDS[args.command][2].items():
+        if key and (value := getattr(args, flag[2:].replace("-", "_"))) is not None:
+            cfg.setdefault(key[0], {})[key[1]] = value
+            given[key] = flag
+    _check_bounds(cfg, given)
     seed = args.seed if args.seed is not None else _cfg_get(cfg, "mc", "master_seed")
     if not 0 <= seed <= _backend._MASK64:
         raise ConfigError(f"seed {seed} is outside the u64 range [0, 2^64)")
-    return seed
-
-
-def _at_least(n: int, least: int, what: str) -> int:
-    """A count from the command line or the config; it must be at least ``least``."""
-    if n < least:
-        raise ConfigError(f"{what} must be at least {least}, got {n}")
-    return n
-
-
-def _within_cap(n_max: int, n_cap: int, what: str) -> int:
-    """The partial-sum horizon n_max; it may not pass the horizon cap n_cap,
-    so that one key bounds every horizon a check runs."""
-    if n_max > n_cap:
-        raise ConfigError(f"{what} must be at most n_cap ({n_cap}), got {n_max}")
-    return n_max
+    return cfg, seed
 
 
 def _observable(cfg, P: TransitionKernel) -> Observable:
     """The [mc] observable: ``coordinate`` or ``indicator:k`` with k in [0, K)."""
-    spec = str(_cfg_get(cfg, "mc", "observable"))
+    spec = _cfg_get(cfg, "mc", "observable")
     if spec == "coordinate":
         return Observable(P.partition.midpoints(), P.partition)
     kind, _, cell = spec.partition(":")
@@ -533,13 +537,14 @@ def _system_from_config(cfg) -> tuple[NoisySystem, Partition, int]:
     return system, partition, sys_cfg["quadrature"]
 
 
-def _obtain_kernel(cfg, args, config_dir: Path) -> TransitionKernel:
+def _obtain_kernel(cfg, args) -> TransitionKernel:
+    """The kernel of --kernel, [kernel] path (relative to the config) or [system]."""
     if args.kernel:
         return load_kernel(args.kernel)
     if "kernel" in cfg:
         if "path" not in cfg["kernel"]:
             raise ConfigError("section [kernel] needs a 'path' key")
-        return load_kernel((config_dir / cfg["kernel"]["path"]))
+        return load_kernel(Path(args.config).parent / cfg["kernel"]["path"])
     if "system" in cfg:
         system, partition, quad = _system_from_config(cfg)
         return ulam_discretize(system, partition, quad)
@@ -660,6 +665,9 @@ class _CheckRun:
 _SUM_READERS = {"maximal": lambda r: r.trials, **dict.fromkeys(
     ("corollary_c", "corollary_b"), lambda r: max(1, r.trials // max(1, len(r.classes))))}
 
+#: (alpha, beta) of nonconvergence_empty: no state may oscillate above alpha and below beta.
+NONCONVERGENCE_LEVELS = (0.05, -0.05)
+
 #: check -> its group in the limit pass, from its run and its observables.
 #: periodic's columns are its observables, each once per measure that
 #: P^p fixes, and their horizons count steps of P^p.
@@ -667,8 +675,7 @@ _LIMIT_READERS = {
     "birkhoff": lambda r, v: _limit_group(r.P, 1, v, [r.mix], r.opt("tol")),
     "ergodic_limit": lambda r, v: _limit_group(r.P, 1, v, r.stationaries[:1], r.opt("tol")),
     "periodic": lambda r, v: _limit_group(r.shared.power, r.opt("p"), v, r.shared.fixed, r.opt("tol")),
-    "nonconvergence_empty": lambda r, v: (
-        r.P, 1, v, [np.arange(r.P.K)] * v.shape[1], [nonconvergence_tol(0.05, -0.05)] * v.shape[1]),
+    "nonconvergence_empty": lambda r, v: _nonconvergence_group(r.P, v, *NONCONVERGENCE_LEVELS),
 }
 
 
@@ -696,17 +703,17 @@ class _Verify:
 
     def check(self, name) -> _CheckRun:
         """Check name's run: SeedSequence([master_seed, i]) for its index i in
-        ``CHECKS``, and its trial count, capped at 20 for an expensive check."""
+        ``CHECKS``, and its trial count, at most 20 for a limit-pass reader."""
         seed = np.random.SeedSequence(
             [int(self.master_seed) & _backend._MASK64, CHECK_NAMES.index(name)])
         trials = _cfg_get(self.cfg, "checks", "trials")
-        trials = min(trials, 20) if CHECKS[name][0] else trials
+        trials = min(trials, 20) if name in _LIMIT_READERS else trials
         rng = np.random.default_rng(seed)
         return _CheckRun(name, self.P, self.stationaries, self.cfg, rng, trials, self)
 
     def trial_reports(self, name) -> list:
         """Run check name; then drop each pass that no later named check reads."""
-        reports = CHECKS[name][1](self.check(name))
+        reports = CHECKS[name](self.check(name))
         later = self.names[self.names.index(name) + 1:]
         for key, readers in (("sums", _SUM_READERS), ("limits", _LIMIT_READERS),
                              ("fixed", ("periodic",)), ("power", ("periodic",))):
@@ -788,9 +795,9 @@ def _run_ergodic_limit(r: _CheckRun) -> list:
 
 
 def _run_nonconvergence(r: _CheckRun) -> list:
-    """No state may oscillate above 0.05 and below -0.05."""
+    """No state may oscillate across the ``NONCONVERGENCE_LEVELS``."""
     values, share = r.shared.limits["nonconvergence_empty"]
-    return nonconvergence_trials(r.P, values, 0.05, -0.05, r.opt("n_cap"), share)
+    return nonconvergence_trials(r.P, values, *NONCONVERGENCE_LEVELS, r.opt("n_cap"), share)
 
 
 def _run_levelsets(r: _CheckRun) -> list:
@@ -809,26 +816,25 @@ def _run_periodic(r: _CheckRun) -> list:
                            share, r.shared.power)
 
 
-#: check name -> (expensive, runner). An expensive check reads the limit
-#: pass, which squares dense matrices, and runs at most 20 trials. A runner takes a ``_CheckRun`` and
-#: returns the check's trial reports. Check i draws from
+#: check name -> runner. A runner takes a ``_CheckRun`` and returns the
+#: check's trial reports; a check that reads a shared pass also has a row in
+#: ``_SUM_READERS`` or ``_LIMIT_READERS``. Check i draws from
 #: SeedSequence([seed, i]), except that maximal and both corollaries read one
 #: block drawn from maximal's stream, so the order is part of every report: a
 #: new check goes last.
 CHECKS = {
-    "duality": (False, _run_duality),
-    "lemma1": (False, lambda r: lemma1_trials(r.P, r.observables())),
-    "lemma2": (False, lambda r: lemma2_trials(r.P, r.mix, r.observables(), r.opt("tol"))),
-    "maximal": (False, _run_maximal),
-    "corollary_c": (False, _run_corollary),
-    "corollary_b": (False, _run_corollary),
-    "birkhoff": (True, _run_birkhoff),
-    "ergodic_limit": (True, _run_ergodic_limit),
-    "periodic": (True, _run_periodic),
-    "localization": (False, lambda r: localization_trials(
-        r.P, r.mix, r.classes, r.observables(), r.opt("tol"))),
-    "levelsets": (False, _run_levelsets),
-    "nonconvergence_empty": (True, _run_nonconvergence),
+    "duality": _run_duality,
+    "lemma1": lambda r: lemma1_trials(r.P, r.observables()),
+    "lemma2": lambda r: lemma2_trials(r.P, r.mix, r.observables(), r.opt("tol")),
+    "maximal": _run_maximal,
+    "corollary_c": _run_corollary,
+    "corollary_b": _run_corollary,
+    "birkhoff": _run_birkhoff,
+    "ergodic_limit": _run_ergodic_limit,
+    "periodic": _run_periodic,
+    "localization": lambda r: localization_trials(r.P, r.mix, r.classes, r.observables(), r.opt("tol")),
+    "levelsets": _run_levelsets,
+    "nonconvergence_empty": _run_nonconvergence,
 }
 CHECK_NAMES = tuple(CHECKS)
 
@@ -907,11 +913,9 @@ def _out_dir(cfg, args) -> Path:
     return out
 
 
-def cmd_kernel_build(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
+def cmd_kernel_build(args, cfg, seed) -> int:
     if "system" not in cfg:
         raise ConfigError("kernel-build needs a config with a [system] section")
-    _master_seed(cfg, args)  # kernel-build draws nothing, but rejects what the others reject
     system, partition, quad = _system_from_config(cfg)
     P = ulam_discretize(system, partition, quad)
     out = _out_dir(cfg, args)
@@ -924,16 +928,11 @@ def cmd_kernel_build(args) -> int:
     return 0
 
 
-def cmd_measure(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    config_dir = Path(args.config).parent if args.config else Path.cwd()
-    P = _obtain_kernel(cfg, args, config_dir)
-    seed = _master_seed(cfg, args)
-    if args.tol is not None:
-        cfg.setdefault("solver", {})["tol"] = _positive(args.tol, "--tol")
+def cmd_measure(args, cfg, seed) -> int:
+    P = _obtain_kernel(cfg, args)
     tol = _cfg_get(cfg, "solver", "tol")
-    max_iter = int(_cfg_get(cfg, "solver", "max_iter"))
-    p = int(_cfg_get(cfg, "checks", "p"))
+    max_iter = _cfg_get(cfg, "solver", "max_iter")
+    p = _cfg_get(cfg, "checks", "p")
     ms = stationary_measures(P, tol, max_iter)
     writer = ReportWriter("measure", seed, config_hash(cfg, seed))
     writer.kv("kernel_K", P.K)
@@ -967,20 +966,8 @@ def cmd_measure(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    config_dir = Path(args.config).parent if args.config else Path.cwd()
-    P = _obtain_kernel(cfg, args, config_dir)
-    seed = _master_seed(cfg, args)
-    if args.trials is not None:
-        cfg.setdefault("checks", {})["trials"] = args.trials
-    _at_least(_cfg_get(cfg, "checks", "trials"), 1, "trials")
-    if args.tol is not None:
-        cfg.setdefault("checks", {})["tol"] = _positive(args.tol, "--tol")
-    if args.n_max is not None:
-        n_max = _at_least(args.n_max, 1, "--n-max")
-        cfg.setdefault("checks", {})["n_max"] = _within_cap(
-            n_max, _cfg_get(cfg, "checks", "n_cap"), "--n-max")
+def cmd_verify(args, cfg, seed) -> int:
+    P = _obtain_kernel(cfg, args)
     names = args.checks or _cfg_get(cfg, "checks", "names")
     requested = [t.strip() for t in names.split(",") if t.strip()]
     if requested == ["all"]:
@@ -993,12 +980,12 @@ def cmd_verify(args) -> int:
     repeated = [t for i, t in enumerate(requested) if t in requested[:i]]
     if repeated:
         raise ConfigError(f"checks named more than once: {', '.join(dict.fromkeys(repeated))}")
-    solver_tol = float(_cfg_get(cfg, "solver", "tol"))
-    max_iter = int(_cfg_get(cfg, "solver", "max_iter"))
+    solver_tol = _cfg_get(cfg, "solver", "tol")
+    max_iter = _cfg_get(cfg, "solver", "max_iter")
     stationaries = stationary_measures(P, solver_tol, max_iter)
     if args.measure:
         mu = load_measure(args.measure, P.partition)
-        require_stationary(P, mu, float(_cfg_get(cfg, "checks", "tol")))
+        require_stationary(P, mu, _cfg_get(cfg, "checks", "tol"))
         stationaries = [mu] + stationaries
     writer = ReportWriter("verify", seed, config_hash(cfg, seed))
     writer.kv("kernel_K", P.K)
@@ -1008,6 +995,9 @@ def cmd_verify(args) -> int:
     run = _Verify(P, stationaries, cfg, seed, requested)
     results = []
     for name in requested:
+        for key, readers in (("sums", _SUM_READERS), ("limits", _LIMIT_READERS)):
+            if name in readers:
+                getattr(run, key)  # a shared pass runs apart from the check that first reads it
         rep = run_check(name, P, stationaries, cfg, seed, run)
         results.append(rep)
         writer.check(name, rep)
@@ -1023,17 +1013,12 @@ def cmd_verify(args) -> int:
     return 0 if n_pass == len(results) else 1
 
 
-def cmd_simulate(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    config_dir = Path(args.config).parent if args.config else Path.cwd()
-    P = _obtain_kernel(cfg, args, config_dir)
-    seed = _master_seed(cfg, args)
-    start = int(_cfg_get(cfg, "mc", "start"))
-    steps = int(_cfg_get(cfg, "mc", "steps"))
-    if args.trials is not None:
-        cfg.setdefault("mc", {})["trajectories"] = _at_least(args.trials, 1, "--trials")
-    n_traj = _at_least(int(_cfg_get(cfg, "mc", "trajectories")), 1, "trajectories in [mc]")
-    n_samples = int(_cfg_get(cfg, "mc", "n_samples"))
+def cmd_simulate(args, cfg, seed) -> int:
+    P = _obtain_kernel(cfg, args)
+    start = _cfg_get(cfg, "mc", "start")
+    steps = _cfg_get(cfg, "mc", "steps")
+    n_traj = _cfg_get(cfg, "mc", "trajectories")
+    n_samples = _cfg_get(cfg, "mc", "n_samples")
     phi = _observable(cfg, P)
 
     paths = sample_trajectories(P, start, steps, seed, n_traj)  # path t: seed xor t
@@ -1077,15 +1062,18 @@ _FLAGS = {
     "--checks": {"help": "comma list of check names or 'all'"},
 }
 
-#: command -> (runner, help, the flags it reads). A flag that sets a config
-#: key writes it into the config before the config is hashed.
+#: command -> (runner, help, flag -> the (section, key) it sets, or None), the
+#: flags in help order; ``_settings`` writes and checks each given flag's key.
+_COMMON = dict.fromkeys(("--config", "--out", "--seed"))
 _COMMANDS = {
-    "kernel-build": (cmd_kernel_build, "discretize a configured system", ("--config", "--out", "--seed")),
+    "kernel-build": (cmd_kernel_build, "discretize a configured system", _COMMON),
     "measure": (cmd_measure, "solve stationary/periodic measures",
-                ("--config", "--out", "--seed", "--kernel", "--tol", "--measure")),
-    "verify": (cmd_verify, "run theorem checks", tuple(_FLAGS)),
+                {**_COMMON, "--kernel": None, "--tol": ("solver", "tol"), "--measure": None}),
+    "verify": (cmd_verify, "run theorem checks",
+               {**_COMMON, "--kernel": None, "--tol": ("checks", "tol"), "--measure": None,
+                "--n-max": ("checks", "n_max"), "--trials": ("checks", "trials"), "--checks": None}),
     "simulate": (cmd_simulate, "sample trajectories and estimates",
-                 ("--config", "--out", "--seed", "--kernel", "--trials")),
+                 {**_COMMON, "--kernel": None, "--trials": ("mc", "trajectories")}),
 }
 
 
@@ -1113,7 +1101,7 @@ def main(argv=None) -> int:
         except SystemExit as e:  # argparse exits 0 after --help/--version, 2 on bad usage
             code = e.code
         else:
-            code = _COMMANDS[args.command][0](args)
+            code = _COMMANDS[args.command][0](args, *_settings(args))
         _say("", end="")  # flush what argparse printed
         return code
     except KeyboardInterrupt:

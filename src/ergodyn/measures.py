@@ -33,6 +33,10 @@ from .errors import ConvergenceError, InvalidArgumentError, NotStationaryError
 from .kernel import TransitionKernel
 from .space import Measure
 
+#: A class solve's default residual tolerance and window cap.
+DEFAULT_SOLVE_TOL = 1e-12
+DEFAULT_MAX_ITER = 100000
+
 
 @dataclass(frozen=True, eq=False)
 class InvariantSetReport:
@@ -200,7 +204,7 @@ def _class_solves(P: TransitionKernel, tol: float, max_iter: int) -> list:
 
 
 def stationary_measures(
-    P: TransitionKernel, tol: float = 1e-12, max_iter: int = 100000
+    P: TransitionKernel, tol: float = DEFAULT_SOLVE_TOL, max_iter: int = DEFAULT_MAX_ITER
 ) -> list:
     """All ergodic measures fixed by the dual operator, one per closed class."""
     out = []
@@ -271,7 +275,7 @@ def ergodic_decomposition(
 
 
 def periodic_measures(
-    P: TransitionKernel, p: int, tol: float = 1e-12, max_iter: int = 100000
+    P: TransitionKernel, p: int, tol: float = DEFAULT_SOLVE_TOL, max_iter: int = DEFAULT_MAX_ITER
 ) -> list:
     """Ergodic fixed points of the p-th dual power, with minimal periods.
 

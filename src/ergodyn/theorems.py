@@ -698,6 +698,13 @@ def nonconvergence_tol(alpha: float, beta: float) -> float:
     return min(1e-10, (alpha - beta) / 8.0)
 
 
+def _nonconvergence_group(P: TransitionKernel, values: np.ndarray, alpha: float, beta: float):
+    """The ``_windowed_limit`` group of nonconvergence_trials: each column of
+    values watched on every state, at ``nonconvergence_tol(alpha, beta)``."""
+    T = values.shape[1]
+    return P, 1, values, [np.arange(P.K)] * T, [nonconvergence_tol(alpha, beta)] * T
+
+
 def nonconvergence_trials(
     P: TransitionKernel,
     values: np.ndarray,
@@ -709,15 +716,13 @@ def nonconvergence_trials(
     """check_nonconvergence_set_empty for each column of a K x T block.
 
     limit_pass is the columns' result of a ``_windowed_limit`` pass run
-    already (their group (P, 1, values, every state, ``nonconvergence_tol``)),
-    or None to run one.
+    already (on their ``_nonconvergence_group``), or None to run one.
     """
-    tols = [nonconvergence_tol(alpha, beta)] * values.shape[1]
+    group = _nonconvergence_group(P, values, alpha, beta)
     if limit_pass is None:
-        group = (P, 1, values, [np.arange(P.K)] * values.shape[1], tols)
         limit_pass = _windowed_limit(P, [group], n_cap)[0]
     windows, prevs, residuals, horizons = limit_pass
-    _require_settled(residuals, horizons, tols)
+    _require_settled(residuals, horizons, group[4])
     upper = np.maximum(windows, prevs)
     lower = np.minimum(windows, prevs)
     reports = []

@@ -947,6 +947,8 @@ class TestInvalidConfiguration:
         ("", "100000000000", "--n-max must be at most n_cap (1048576), got 100000000000"),
         ("n_cap = 8\nn_max = 9\n", None, "n_max in [checks] must be at most n_cap (8), got 9"),
         ("n_cap = 8\nn_max = 8\n", "9", "--n-max must be at most n_cap (8), got 9"),
+        # a flag within the cap does not rescue a config value past it
+        ("n_cap = 64\nn_max = 100\n", "10", "n_max in [checks] must be at most n_cap (64), got 100"),
         ("n_cap = 8\nn_max = 8\n", None, None),
     ])
     def test_n_max_above_n_cap_exits_2_at_once(self, tmp_path, capsys, line, flag, message):
@@ -1124,7 +1126,7 @@ SYSTEM_VALUES = {"alpha": "0.37", "r": "3.9", "breakpoints": "0.5", "slopes": "2
 
 def schema_keys(*kinds, sections=None):
     """(section, key) of every ``_SCHEMA`` key of the given kinds."""
-    return [(section, key) for section, keys in cli._SCHEMA.items() for key, (kind, _) in keys.items()
+    return [(section, key) for section, keys in cli._SCHEMA.items() for key, (kind, *_) in keys.items()
             if kind in kinds and (sections is None or section in sections)]
 
 
@@ -1295,6 +1297,69 @@ class TestCommandFlags:
                             "--out", str(tmp_path / "b")]) == 0
         name = f"{command}_report.txt"
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+#: (command, flag, section, key) of every flag that sets a config key.
+KEY_FLAGS = [(command, flag, *key) for command, (_, _, flags) in cli._COMMANDS.items()
+             for flag, key in flags.items() if key]
+KEY_FLAG_IDS = [f"{command}{flag}" for command, flag, _, _ in KEY_FLAGS]
+
+
+def below_bound(section, key) -> str:
+    """A value just outside a key's ``_SCHEMA`` bound."""
+    least = cli._SCHEMA[section][key][2]
+    return "0" if least == "positive" else str(least - 1)
+
+
+def within_bound(section, key) -> str:
+    """A value inside a key's ``_SCHEMA`` bound, and under the default n_cap."""
+    return "1e-9" if cli._SCHEMA[section][key][2] == "positive" else "5"
+
+
+class TestKeyFlags:
+    """A flag that sets a config key is held to the key's ``_SCHEMA`` bound,
+    under the flag's name, in the one check that every command runs before
+    it reads a kernel. The config's own value is held to the bound as the
+    file gives it, so no flag rescues a bad one."""
+
+    @pytest.mark.parametrize("command, flag, section, key", KEY_FLAGS, ids=KEY_FLAG_IDS)
+    def test_flag_below_its_bound_exits_2_naming_the_flag(self, tmp_path, capsys, command, flag, section, key):
+        bundled("swap.kernel", tmp_path)
+        argv = [command, "--kernel", str(tmp_path / "swap.kernel"), flag, below_bound(section, key)]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid configuration: {flag} must be ") and err.count("\n") == 1, err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, flag, section, key", KEY_FLAGS, ids=KEY_FLAG_IDS)
+    def test_config_value_below_its_bound_exits_2_in_every_command(self, tmp_path, capsys, command, flag,
+                                                                    section, key):
+        cfg = write_config(tmp_path / "c.cfg", f"[{section}]\n{key} = {below_bound(section, key)}\n")
+        for each in COMMANDS:
+            assert main([each, "--config", cfg, "--out", str(tmp_path / "o")]) == 2, each
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: invalid configuration: {key} in [{section}] must be "), (each, err)
+            assert err.count("\n") == 1, err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, flag, section, key", KEY_FLAGS, ids=KEY_FLAG_IDS)
+    def test_flag_does_not_rescue_a_bad_config_value(self, tmp_path, capsys, command, flag, section, key):
+        bundled("swap.kernel", tmp_path)
+        cfg = write_config(tmp_path / "c.cfg", f"[kernel]\npath = swap.kernel\n"
+                                               f"[{section}]\n{key} = {below_bound(section, key)}\n")
+        argv = [command, "--config", cfg, flag, within_bound(section, key), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid configuration: {key} in [{section}] must be ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["measure", "--seed", str(2**64)], ["verify", "--tol", "0"], ["simulate", "--trials", "0"],
+    ])
+    def test_bad_setting_wins_over_a_bad_kernel(self, tmp_path, capsys, argv):
+        # settings are resolved before the kernel is read: exit 2, not 3
+        kernel = ["--kernel", str(tmp_path / "missing.kernel")]
+        assert main(argv + kernel + ["--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid configuration: ")
 
 
 class TestKernelBuild:

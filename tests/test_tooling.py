@@ -6,8 +6,10 @@ A rename inside ``src/`` would otherwise leave a traced run without the span,
 silently. ``perfbench/run.py`` keeps its own copy of the check order. Both
 are read from the files, so these tests need no import of the benchmark. The
 tracer times each check by wrapping ``cli.run_check``, so ``verify`` runs
-every check through it. The README's configuration table lists the keys of
-``cli._SCHEMA``.
+every check through it, and each pass that checks share runs outside every
+check's span. The README's configuration table lists the keys of
+``cli._SCHEMA`` and states each bound it holds; its flags table names the
+key that each flag sets, as ``cli._COMMANDS`` does.
 """
 
 import ast
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from ergodyn import cli
+from ergodyn import cli, theorems
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 README = PERFBENCH.parent / "README.md"
@@ -68,26 +70,83 @@ def test_verify_runs_each_check_through_run_check(checks, tmp_path, monkeypatch)
     assert calls == (list(cli.CHECK_NAMES) if checks == "all" else checks.split(","))
 
 
-def _readme_config_keys() -> dict:
-    """Section -> keys of the README's configuration table, in table order.
+def test_verify_runs_each_shared_pass_outside_run_check(tmp_path, monkeypatch):
+    # the benchmark times a check by its run_check span: a pass that several checks share,
+    # run inside the span of the first check that reads it, would be counted as that check's
+    depth, passes = [0], []
+    run_check = cli.run_check
+
+    def spanned(*args):
+        depth[0] += 1
+        try:
+            return run_check(*args)
+        finally:
+            depth[0] -= 1
+
+    def watched(name, fn):
+        def call(*args, **kwargs):
+            passes.append((name, depth[0]))
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(cli, "run_check", spanned)
+    for module in (cli, theorems):
+        for name in ("_windowed_limit", "partial_sum_extremes"):
+            monkeypatch.setattr(module, name, watched(name, getattr(module, name)))
+    swap = Path(cli.__file__).parent / "data" / "swap.cfg"
+    assert cli.main(["verify", "--config", str(swap), "--out", str(tmp_path)]) == 0
+    assert sorted(passes) == [("_windowed_limit", 0), ("partial_sum_extremes", 0)]
+
+
+def _table_rows(header: str) -> list:
+    """The cells of each row of the README table under header."""
+    lines = README.read_text().splitlines()
+    start = lines.index(header) + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+def _readme_config_types() -> dict:
+    """(section, key) -> Type cell of the README's configuration table, in
+    table order.
 
     A row with an empty Section cell continues the section above it. Each
     comma-separated item of the Key cell names its first backticked word;
     text in parentheses, such as `wrap`, is no key.
     """
-    lines = README.read_text().splitlines()
-    start = lines.index("| Section | Key | Type | Default |") + 2
-    keys, section = {}, None
-    for line in lines[start:]:
-        if not line.startswith("|"):
-            break
-        cells = [cell.strip() for cell in line.strip("|").split("|")]
+    types, section = {}, None
+    for cells in _table_rows("| Section | Key | Type | Default |"):
         section = cells[0].strip("`[]") or section
         for item in re.sub(r"\([^)]*\)", "", cells[1]).split(","):
-            keys.setdefault(section, []).append(re.search(r"`([^`]+)`", item).group(1))
-    return keys
+            types[section, re.search(r"`([^`]+)`", item).group(1)] = cells[2]
+    return types
 
 
 def test_readme_config_table_lists_the_schema():
-    want = {section: list(keys) for section, keys in cli._SCHEMA.items()}
-    assert _readme_config_keys() == want
+    keys = {}
+    for section, key in _readme_config_types():
+        keys.setdefault(section, []).append(key)
+    assert keys == {section: list(keys) for section, keys in cli._SCHEMA.items()}
+
+
+BOUNDED = [(section, key) for section, keys in cli._SCHEMA.items() for key, row in keys.items() if row[2:]]
+
+
+@pytest.mark.parametrize("section, key", BOUNDED, ids=[f"{s}.{k}" for s, k in BOUNDED])
+def test_readme_config_table_states_each_bound(section, key):
+    least, *cap = cli._SCHEMA[section][key][2:]
+    stated = ("finite positive float" if least == "positive" else
+              f"int, from {least} to `{cap[0]}`" if cap else f"int, at least {least}")
+    assert _readme_config_types()[section, key] == stated
+
+
+def test_readme_flags_table_names_the_key_each_flag_sets():
+    table = {}
+    for command, flags in _table_rows("| Command | Flags |"):
+        items = re.findall(r"`(--[a-z-]+)`(?: \(sets `\[(\w+)\] (\w+)`\))?", flags)
+        table[command.strip("`")] = [(flag, (section, key) if key else None) for flag, section, key in items]
+    assert table == {command: list(flags.items()) for command, (_, _, flags) in cli._COMMANDS.items()}
