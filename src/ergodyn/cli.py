@@ -55,7 +55,6 @@ from .kernel import (
     NoisySystem,
     TransitionKernel,
     _csr_to_kernel,
-    kernel_power,
     ulam_discretize,
 )
 from .measures import (
@@ -370,15 +369,15 @@ _SCHEMA = {
         "half_width": (float, None),
         "sigma": (float, None),
         "boundary": (str, "wrap"),
-        "quadrature": (int, 16),
+        "quadrature": (int, 16, 1),
     },
     "kernel": {"path": (str, None)},
-    "partition": {"domain": (str, None), "cells": (int, None)},
+    "partition": {"domain": (str, None), "cells": (int, None, 1)},
     "solver": {"tol": (float, DEFAULT_SOLVE_TOL, "positive"), "max_iter": (int, DEFAULT_MAX_ITER, 1)},
     "checks": {
         "names": (str, "all"),
         "n_max": (int, DEFAULT_N_MAX, 1, "n_cap"),  # so that n_cap bounds every horizon a check runs
-        "p": (int, 2),
+        "p": (int, 2, 1),
         # a converged limit needs windows at horizons 2L and 4L (L >= 1): none fits under n_cap < 4
         "n_cap": (int, DEFAULT_N_CAP, 4),
         "trials": (int, 100, 1),
@@ -386,9 +385,9 @@ _SCHEMA = {
     },
     "mc": {
         "start": (int, 0),
-        "steps": (int, 5),
+        "steps": (int, 5, 0),
         "trajectories": (int, 1, 1),
-        "n_samples": (int, 10000),
+        "n_samples": (int, 10000, 1),
         "master_seed": (int, 0),
         "observable": (str, "coordinate"),
     },
@@ -613,9 +612,9 @@ def _worst(reports):
 
 @dataclass
 class _CheckRun:
-    """One check's part of a verify run: its name, random stream and trial
-    count, and the run whose shared passes, mixture measure and closed
-    classes it reads."""
+    """One check's part of a verify run: its name, random stream, trial count
+    and mixture measure, and the run whose shared passes it reads. The closed
+    classes and the measures that P^p fixes come from the kernel's cache."""
 
     name: str
     P: TransitionKernel
@@ -624,6 +623,7 @@ class _CheckRun:
     rng: np.random.Generator
     trials: int
     shared: "_Verify"
+    mix: Measure
 
     def opt(self, key):
         """A [checks] setting."""
@@ -644,12 +644,14 @@ class _CheckRun:
         return np.ascontiguousarray((2.0 * values - 1.0).T)
 
     @property
-    def mix(self) -> Measure:
-        return self.shared.mix
+    def classes(self) -> list:
+        return closed_classes(self.P)
 
     @property
-    def classes(self) -> list:
-        return self.shared.classes
+    def fixed(self) -> list:
+        """The measures that P^p fixes, from P's class solves."""
+        solver = (_cfg_get(self.cfg, "solver", key) for key in ("tol", "max_iter"))
+        return [nu for nu, _ in periodic_measures(self.P, self.opt("p"), *solver)]
 
     def sums(self):
         """This check's first columns of the run's partial-sum block and of
@@ -670,12 +672,12 @@ NONCONVERGENCE_LEVELS = (0.05, -0.05)
 
 #: check -> its group in the limit pass, from its run and its observables.
 #: periodic's columns are its observables, each once per measure that
-#: P^p fixes, and their horizons count steps of P^p.
+#: P^p fixes, and their horizons count steps of P^p: its group has stride p.
 _LIMIT_READERS = {
-    "birkhoff": lambda r, v: _limit_group(r.P, 1, v, [r.mix], r.opt("tol")),
-    "ergodic_limit": lambda r, v: _limit_group(r.P, 1, v, r.stationaries[:1], r.opt("tol")),
-    "periodic": lambda r, v: _limit_group(r.shared.power, r.opt("p"), v, r.shared.fixed, r.opt("tol")),
-    "nonconvergence_empty": lambda r, v: _nonconvergence_group(r.P, v, *NONCONVERGENCE_LEVELS),
+    "birkhoff": lambda r, v: _limit_group(1, v, [r.mix], r.opt("tol")),
+    "ergodic_limit": lambda r, v: _limit_group(1, v, r.stationaries[:1], r.opt("tol")),
+    "periodic": lambda r, v: _limit_group(r.opt("p"), v, r.fixed, r.opt("tol")),
+    "nonconvergence_empty": lambda r, v: _nonconvergence_group(v, *NONCONVERGENCE_LEVELS),
 }
 
 
@@ -690,16 +692,15 @@ class _Verify:
     ``nonconvergence_empty``. periodic's group has stride p and, for p a
     power of two up to 2^10, reads P's own squares, so the four checks share
     one squaring sequence. After each check, a pass that no later named check
-    reads is dropped, so it holds no memory past its readers, and so are
-    periodic's measures and P^p after periodic. A shared pass raises for no
-    column: each check raises for its own columns, in its turn, as it would
-    on its own. The mixture measure and the closed classes are found once
-    per run.
+    reads is dropped, so it holds no memory past its readers. A shared pass
+    raises for no column: each check raises for its own columns, in its
+    turn, as it would on its own. The mixture measure is formed once per
+    run; P^p, the closed classes and the class solves are kept on the kernel.
     """
 
     def __init__(self, P, stationaries, cfg, master_seed, names):
         self.P, self.stationaries, self.cfg, self.master_seed = P, stationaries, cfg, master_seed
-        self.names = list(names)
+        self.names, self.mix = list(names), _mixture_measure(stationaries)
 
     def check(self, name) -> _CheckRun:
         """Check name's run: SeedSequence([master_seed, i]) for its index i in
@@ -709,25 +710,16 @@ class _Verify:
         trials = _cfg_get(self.cfg, "checks", "trials")
         trials = min(trials, 20) if name in _LIMIT_READERS else trials
         rng = np.random.default_rng(seed)
-        return _CheckRun(name, self.P, self.stationaries, self.cfg, rng, trials, self)
+        return _CheckRun(name, self.P, self.stationaries, self.cfg, rng, trials, self, self.mix)
 
     def trial_reports(self, name) -> list:
         """Run check name; then drop each pass that no later named check reads."""
         reports = CHECKS[name](self.check(name))
         later = self.names[self.names.index(name) + 1:]
-        for key, readers in (("sums", _SUM_READERS), ("limits", _LIMIT_READERS),
-                             ("fixed", ("periodic",)), ("power", ("periodic",))):
+        for key, readers in (("sums", _SUM_READERS), ("limits", _LIMIT_READERS)):
             if not any(n in readers for n in later):
                 self.__dict__.pop(key, None)
         return reports
-
-    @cached_property
-    def mix(self) -> Measure:
-        return _mixture_measure(self.stationaries)
-
-    @cached_property
-    def classes(self) -> list:
-        return closed_classes(self.P)
 
     @cached_property
     def sums(self):
@@ -737,18 +729,6 @@ class _Verify:
         r = self.check("maximal")
         values = r.observables(width)
         return values, partial_sum_extremes(self.P, values, r.opt("n_max"))
-
-    @cached_property
-    def fixed(self) -> list:
-        """The measures that P^p fixes, from P's class solves."""
-        return [nu for nu, _ in periodic_measures(
-            self.P, _cfg_get(self.cfg, "checks", "p"), _cfg_get(self.cfg, "solver", "tol"),
-            _cfg_get(self.cfg, "solver", "max_iter"))]
-
-    @cached_property
-    def power(self) -> TransitionKernel:
-        """The p-step kernel P^p, formed once."""
-        return kernel_power(self.P, _cfg_get(self.cfg, "checks", "p"))
 
     @cached_property
     def limits(self) -> dict:
@@ -810,10 +790,9 @@ def _run_levelsets(r: _CheckRun) -> list:
 
 def _run_periodic(r: _CheckRun) -> list:
     """The periodic theorem on the measures fixed by the p-step kernel P^p,
-    read from P's class solves; P^p is formed once per run."""
+    read from P's class solves; P^p is formed once per kernel."""
     values, share = r.shared.limits["periodic"]
-    return periodic_trials(r.P, r.opt("p"), r.shared.fixed, values, r.opt("tol"), r.opt("n_cap"),
-                           share, r.shared.power)
+    return periodic_trials(r.P, r.opt("p"), r.fixed, values, r.opt("tol"), r.opt("n_cap"), share)
 
 
 #: check name -> runner. A runner takes a ``_CheckRun`` and returns the
@@ -967,7 +946,6 @@ def cmd_measure(args, cfg, seed) -> int:
 
 
 def cmd_verify(args, cfg, seed) -> int:
-    P = _obtain_kernel(cfg, args)
     names = args.checks or _cfg_get(cfg, "checks", "names")
     requested = [t.strip() for t in names.split(",") if t.strip()]
     if requested == ["all"]:
@@ -980,6 +958,7 @@ def cmd_verify(args, cfg, seed) -> int:
     repeated = [t for i, t in enumerate(requested) if t in requested[:i]]
     if repeated:
         raise ConfigError(f"checks named more than once: {', '.join(dict.fromkeys(repeated))}")
+    P = _obtain_kernel(cfg, args)  # after the names, so a bad name exits 2 whatever the kernel
     solver_tol = _cfg_get(cfg, "solver", "tol")
     max_iter = _cfg_get(cfg, "solver", "max_iter")
     stationaries = stationary_measures(P, solver_tol, max_iter)

@@ -391,17 +391,21 @@ def ulam_discretize(
 
 
 def kernel_power(P: TransitionKernel, p: int) -> TransitionKernel:
-    """Matrix power P^p: binary powering with SciPy sparse products on the CSR form.
+    """Matrix power P^p, formed once per kernel and p and cached on P; P^1 is P.
 
-    Each product's rows that drift from 1 by more than ``SUM_EXACT_BAND``
-    are divided by their sums, so the drift cannot compound over the
-    log2(p) products of a huge ``p``. Other rows keep their bits, and
-    intermediate indices stay in product order.
+    Binary powering with SciPy sparse products on the CSR form. Each
+    product's rows that drift from 1 by more than ``SUM_EXACT_BAND`` are
+    divided by their sums, so the drift cannot compound over the log2(p)
+    products of a huge ``p``. Other rows keep their bits, and intermediate
+    indices stay in product order.
     """
     if p < 1:
         raise InvalidArgumentError("power must be a positive integer")
     if p == 1:
         return P
+    key = ("power", int(p))
+    if key in P._cache:
+        return P._cache[key]
 
     def product(a, b):
         m = a @ b
@@ -418,4 +422,6 @@ def kernel_power(P: TransitionKernel, p: int) -> TransitionKernel:
         if e:
             base = product(base, base)
     result.sort_indices()
-    return _csr_to_kernel(result.indptr, result.indices, result.data, P.partition, "kernel_power")
+    P._cache[key] = _csr_to_kernel(
+        result.indptr, result.indices, result.data, P.partition, "kernel_power")
+    return P._cache[key]

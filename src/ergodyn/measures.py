@@ -32,6 +32,7 @@ from . import _backend
 from .errors import ConvergenceError, InvalidArgumentError, NotStationaryError
 from .kernel import TransitionKernel
 from .space import Measure
+from .transfer import stationarity_residual
 
 #: A class solve's default residual tolerance and window cap.
 DEFAULT_SOLVE_TOL = 1e-12
@@ -216,8 +217,9 @@ def stationary_measures(
 
 
 def require_stationary(P: TransitionKernel, mu: Measure, tol: float) -> None:
-    """Raise NotStationaryError unless ||L* mu - mu||_1 <= tol."""
-    res = float(np.abs(P.rmatvec(mu.weights) - mu.weights).sum())
+    """Raise NotStationaryError unless ||L* mu - mu||_1 <= tol; DimensionError
+    for a measure on another partition (``stationarity_residual``)."""
+    res = stationarity_residual(P, mu)
     if res > tol:
         raise NotStationaryError(
             f"measure is not fixed by the dual operator: residual {res:.3e} > {tol:g}",

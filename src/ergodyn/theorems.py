@@ -34,10 +34,12 @@ extremes of one stream of partial sums (``partial_sum_extremes``): in a
 its first columns, so a corollary reports the same with or without the
 maximal check. The limit checks take a ``limit_pass`` argument: their
 group's result of one doubling-horizon pass (``_windowed_limit``) that the
-run made over the groups of several checks. A group of stride s counts its
-horizons in steps of P^s; the periodic check's group has stride p, and for
-p a power of two up to 2^10 it reads the squares of P that the other
-groups read, so one squaring sequence serves all four limit checks.
+run made over the groups of several checks. A group is (s, values,
+watches, tols) and holds no kernel: its horizons count steps of P^s, which
+``kernel_power`` forms once per kernel and s. The periodic check's group
+has stride p, and for p a power of two up to 2^10 it reads the squares of P
+that the other groups read, so one squaring sequence serves all four limit
+checks.
 """
 
 from __future__ import annotations
@@ -231,6 +233,18 @@ _COROLLARIES = {
 }
 
 
+def _invariant_sets(P: TransitionKernel, mu: Measure, sets, tol: float) -> list:
+    """The sets as index arrays, each required to be mu-a.e. invariant within
+    tol (``invariance_violation``), in order."""
+    sets = [np.asarray(A, dtype=np.int64) for A in sets]
+    for A in sets:
+        viol = invariance_violation(P, mu, A)
+        if viol > tol:
+            raise PreconditionError(f"A is not a.e. invariant: criterion violation {viol:.3e}",
+                                    name="invariant_set")
+    return sets
+
+
 def corollary_trials(name: str, P: TransitionKernel, mu: Measure, values: np.ndarray, sets,
                      level: float | None = None,
                      n_max: int = DEFAULT_N_MAX, tol: float = DEFAULT_TOL, extremes=None) -> list:
@@ -250,16 +264,10 @@ def corollary_trials(name: str, P: TransitionKernel, mu: Measure, values: np.nda
     require_stationary(P, mu, tol)
     _, hi, lo = partial_sum_extremes(P, values, n_max) if extremes is None else extremes
     running = hi if direction == "ge" else lo
-    sets = [np.asarray(A, dtype=np.int64) for A in sets]
-    violations = [invariance_violation(P, mu, A) for A in sets]
+    sets = _invariant_sets(P, mu, sets, tol)
     reports = []
     for t, v in enumerate(values.T):
-        for A, viol in zip(sets, violations):
-            if viol > tol:
-                raise PreconditionError(
-                    f"A is not a.e. invariant: criterion violation {viol:.3e}",
-                    name="invariant_set",
-                )
+        for A in sets:
             at = float(sharp(running[A, t])) if level is None else level
             if level is not None and not inside(running[A, t], at).all():
                 raise PreconditionError(f"A is not contained in the {what}", name=condition)
@@ -379,8 +387,8 @@ class _LimitGroup:
 def _windowed_limit(P: TransitionKernel, groups, n_cap: int) -> list:
     """Doubling-horizon limits of time averages, for groups of columns.
 
-    A group is (Q, s, values, watches, tols): Q = P^s is the kernel whose
-    steps count its horizons (Q is P for s = 1), values a K x T block with
+    A group is (s, values, watches, tols): its horizons count steps of
+    Q = ``kernel_power(P, s)`` (Q is P for s = 1), values is a K x T block with
     one observable per column, and column t is watched on the states
     watches[t] and settles once its residual is at most tols[t]. Returns one
     result per group: the limits and the previous windows as K x T blocks,
@@ -407,7 +415,8 @@ def _windowed_limit(P: TransitionKernel, groups, n_cap: int) -> list:
     each check raises for its own columns alone.
     """
     states, sequences = [], {}
-    for Q, s, values, watches, tols in groups:
+    for s, values, watches, tols in groups:
+        Q = kernel_power(P, s)
         on_p = s & (s - 1) == 0 and s <= _SQUARED_STRIDE_MAX
         base, lag = (P, s.bit_length() - 1) if on_p else (Q, 0)
         n = _odd_period_lcm(base)
@@ -440,36 +449,38 @@ def _require_settled(residuals, horizons, tols) -> None:
             )
 
 
-def _limit_group(Q: TransitionKernel, s: int, values: np.ndarray, measures, tol: float):
-    """The ``_windowed_limit`` group (Q, s, block, watches, tols) of a limit
-    check: each column of values once per measure, watched on that
-    measure's support, at tol."""
+def _limit_group(s: int, values: np.ndarray, measures, tol: float):
+    """The ``_windowed_limit`` group (s, block, watches, tols) of a limit
+    check with stride s: each column of values once per measure, watched on
+    that measure's support, at tol."""
     watches = [np.flatnonzero(mu.weights > 0.0) for mu in measures] * values.shape[1]
-    return Q, s, np.repeat(values, len(measures), axis=1), watches, [tol] * len(watches)
+    return s, np.repeat(values, len(measures), axis=1), watches, [tol] * len(watches)
 
 
-def _limit_reports(P: TransitionKernel, group, measures, ergodic, tol: float, n_cap: int,
-                   limit_pass=None):
-    """Limit reports, one per column of a ``_limit_group`` (Q, s, block, ...):
-    birkhoff_limit's, or check_ergodic_limit's where ergodic[t], for the
-    s-step kernel Q = P^s, with measures[t] the measure of column t.
-    limit_pass is the group's result of a ``_windowed_limit`` pass that the
-    caller ran already, or None to run one. Returns the limits as a K x T
-    block and the reports."""
-    Q, _, values, watches, tols = group
+def _limit_reports(P: TransitionKernel, s: int, measures, ergodic, values: np.ndarray, tol: float,
+                   n_cap: int, limit_pass=None):
+    """Limit reports for the s-step kernel Q = P^s, one per column of values
+    and measure, measures in order: birkhoff_limit's, or
+    check_ergodic_limit's where the measure's entry of ergodic is true.
+    limit_pass is the result of a ``_windowed_limit`` pass that the caller
+    ran already for ``_limit_group(s, values, measures, tol)``, or None to
+    run one. Returns the limits as a K x (T measures) block and the reports."""
+    trials = values.shape[1]
+    group = _limit_group(s, values, measures, tol)
+    _, block, watches, tols = group
     if limit_pass is None:
         limit_pass = _windowed_limit(P, [group], n_cap)[0]
     limits, _, residuals, horizons = limit_pass
     _require_settled(residuals, horizons, tols)
-    lifted = Q.matvec(limits)
+    lifted = kernel_power(P, s).matvec(limits)
     reports = []
-    for t, (mu, watch) in enumerate(zip(measures, watches)):
+    for t, (mu, ergodic_t, watch) in enumerate(zip(measures * trials, ergodic * trials, watches)):
         limit, res = limits[:, t], residuals[t]
         inv_err = float(np.abs(lifted[watch, t] - limit[watch]).max()) if watch.size else 0.0
         report = _report("birkhoff", "le", res, 0.0, tol, _as_index_tuple(watch), horizons[t],
                          also=inv_err <= 10.0 * tol)
-        if ergodic[t]:
-            target = float(np.ascontiguousarray(values[:, t]) @ mu.weights)
+        if ergodic_t:
+            target = float(np.ascontiguousarray(block[:, t]) @ mu.weights)
             lhs = float(np.abs(limit[watch] - target).max()) if watch.size else 0.0
             report = _report("ergodic_limit", "le", lhs, 0.0, tol, report.witnesses,
                              report.iterations_used, also=report.passed)
@@ -482,11 +493,10 @@ def birkhoff_trials(P: TransitionKernel, mu: Measure, values: np.ndarray,
     """birkhoff_limit for each column of a K x T block: (limits block, reports).
 
     limit_pass is the result of a ``_windowed_limit`` pass run already for
-    ``_limit_group(P, 1, values, [mu], tol)``, or None to run one.
+    ``_limit_group(1, values, [mu], tol)``, or None to run one.
     """
     require_stationary(P, mu, tol)
-    return _limit_reports(P, _limit_group(P, 1, values, [mu], tol), [mu] * values.shape[1],
-                          [False] * values.shape[1], tol, n_cap, limit_pass)
+    return _limit_reports(P, 1, [mu], [False], values, tol, n_cap, limit_pass)
 
 
 def birkhoff_limit(
@@ -513,8 +523,7 @@ def ergodic_limit_trials(P: TransitionKernel, mu: Measure, values: np.ndarray,
     in ``birkhoff_trials``."""
     if not is_ergodic(P, mu, tol):
         raise PreconditionError("measure is not ergodic", name="ergodic")
-    return _limit_reports(P, _limit_group(P, 1, values, [mu], tol), [mu] * values.shape[1],
-                          [True] * values.shape[1], tol, n_cap, limit_pass)[1]
+    return _limit_reports(P, 1, [mu], [True], values, tol, n_cap, limit_pass)[1]
 
 
 def check_ergodic_limit(
@@ -529,20 +538,16 @@ def check_ergodic_limit(
 
 
 def periodic_trials(P: TransitionKernel, p: int, measures, values: np.ndarray,
-                    tol: float = DEFAULT_TOL, n_cap: int = DEFAULT_N_CAP,
-                    limit_pass=None, Q: TransitionKernel | None = None) -> list:
+                    tol: float = DEFAULT_TOL, n_cap: int = DEFAULT_N_CAP, limit_pass=None) -> list:
     """check_periodic_pointwise for each column of a K x T block and each measure.
 
-    Q is the p-step kernel P^p when the caller has formed it, else None to
-    form it. limit_pass is the result of a ``_windowed_limit`` pass run
-    already for ``_limit_group(Q, p, values, measures, tol)``, or None to
-    run one. Reports come column by column, measures in order.
+    limit_pass is the result of a ``_windowed_limit`` pass run already for
+    ``_limit_group(p, values, measures, tol)``, or None to run one. Reports
+    come column by column, measures in order.
     """
-    Q = kernel_power(P, p) if Q is None else Q
+    Q, measures = kernel_power(P, p), list(measures)
     ergodic = [is_ergodic(Q, mu, tol) for mu in measures]  # also requires stationarity
-    trials = values.shape[1]
-    return _limit_reports(P, _limit_group(Q, p, values, measures, tol), list(measures) * trials,
-                          ergodic * trials, tol, n_cap, limit_pass)[1]
+    return _limit_reports(P, p, measures, ergodic, values, tol, n_cap, limit_pass)[1]
 
 
 def check_periodic_pointwise(
@@ -625,14 +630,7 @@ def localization_trials(P: TransitionKernel, mu: Measure, sets, values: np.ndarr
     supp = np.flatnonzero(mu.weights > 0.0)
     lifted = P.matvec(values)
     gaps, witnesses = [], []
-    for A in sets:
-        A = np.asarray(A, dtype=np.int64)
-        viol = invariance_violation(P, mu, A)
-        if viol > tol:
-            raise PreconditionError(
-                f"A is not a.e. invariant: criterion violation {viol:.3e}",
-                name="invariant_set",
-            )
+    for A in _invariant_sets(P, mu, sets, tol):
         mask = np.zeros((P.K, 1))
         mask[A] = 1.0
         left = P.matvec(mask * values)
@@ -698,11 +696,11 @@ def nonconvergence_tol(alpha: float, beta: float) -> float:
     return min(1e-10, (alpha - beta) / 8.0)
 
 
-def _nonconvergence_group(P: TransitionKernel, values: np.ndarray, alpha: float, beta: float):
+def _nonconvergence_group(values: np.ndarray, alpha: float, beta: float):
     """The ``_windowed_limit`` group of nonconvergence_trials: each column of
     values watched on every state, at ``nonconvergence_tol(alpha, beta)``."""
-    T = values.shape[1]
-    return P, 1, values, [np.arange(P.K)] * T, [nonconvergence_tol(alpha, beta)] * T
+    K, T = values.shape
+    return 1, values, [np.arange(K)] * T, [nonconvergence_tol(alpha, beta)] * T
 
 
 def nonconvergence_trials(
@@ -718,11 +716,11 @@ def nonconvergence_trials(
     limit_pass is the columns' result of a ``_windowed_limit`` pass run
     already (on their ``_nonconvergence_group``), or None to run one.
     """
-    group = _nonconvergence_group(P, values, alpha, beta)
+    group = _nonconvergence_group(values, alpha, beta)
     if limit_pass is None:
         limit_pass = _windowed_limit(P, [group], n_cap)[0]
     windows, prevs, residuals, horizons = limit_pass
-    _require_settled(residuals, horizons, group[4])
+    _require_settled(residuals, horizons, group[3])
     upper = np.maximum(windows, prevs)
     lower = np.minimum(windows, prevs)
     reports = []

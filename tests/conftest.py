@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ergodyn import Measure, Observable, kernel_from_rows, make_uniform_partition
+from ergodyn import Measure, Observable, TransitionKernel, kernel, kernel_from_rows, make_uniform_partition
 
 
 def random_kernel(rng, k, density=1.0):
@@ -81,3 +81,24 @@ def two_state_chain():
 def three_state_transient():
     """Two absorbing states plus one transient state feeding both."""
     return kernel_from_rows([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]])
+
+
+def fresh(P):
+    """A kernel with P's arrays and an empty cache: nothing formed from it yet."""
+    return TransitionKernel(P.indptr, P.indices, P.data, P.partition)
+
+
+def power_formations(monkeypatch) -> list:
+    """The powers that ``kernel_power`` forms from now on, one entry per
+    formation: each one ends in the kernel validator, named for it."""
+    formed = []
+    csr_to_kernel = kernel._csr_to_kernel
+
+    def counted(indptr, indices, data, partition, what):
+        Q = csr_to_kernel(indptr, indices, data, partition, what)
+        if what == "kernel_power":
+            formed.append(Q)
+        return Q
+
+    monkeypatch.setattr(kernel, "_csr_to_kernel", counted)
+    return formed

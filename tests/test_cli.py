@@ -1299,6 +1299,9 @@ class TestCommandFlags:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+#: (section, key) of every key that ``_SCHEMA`` bounds.
+BOUNDED = [(section, key) for section, keys in cli._SCHEMA.items() for key, row in keys.items() if row[2:]]
+
 #: (command, flag, section, key) of every flag that sets a config key.
 KEY_FLAGS = [(command, flag, *key) for command, (_, _, flags) in cli._COMMANDS.items()
              for flag, key in flags.items() if key]
@@ -1360,6 +1363,39 @@ class TestKeyFlags:
         kernel = ["--kernel", str(tmp_path / "missing.kernel")]
         assert main(argv + kernel + ["--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: invalid configuration: ")
+
+    @pytest.mark.parametrize("section, key", BOUNDED, ids=[f"{s}.{k}" for s, k in BOUNDED])
+    def test_config_value_below_its_bound_wins_over_a_bad_kernel(self, tmp_path, capsys, section, key):
+        # every bounded key, flag or none, such as [checks] p, which only some commands read
+        cfg = write_config(tmp_path / "c.cfg", f"[{section}]\n{key} = {below_bound(section, key)}\n")
+        for command in COMMANDS:
+            kernel = [] if command == "kernel-build" else ["--kernel", str(tmp_path / "missing.kernel")]
+            assert main([command, "--config", cfg, *kernel, "--out", str(tmp_path / "o")]) == 2, command
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: invalid configuration: {key} in [{section}] must be "), err
+            assert err.count("\n") == 1, err
+        assert not (tmp_path / "o").exists()
+
+    def test_period_below_one_exits_2_where_no_check_reads_it(self, tmp_path, capsys):
+        bundled("swap.kernel", tmp_path)
+        cfg = write_config(tmp_path / "c.cfg", "[kernel]\npath = swap.kernel\n[checks]\np = 0\n")
+        assert main(["verify", "--config", cfg, "--checks", "lemma1", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: invalid configuration: p in [checks] must be at least 1, got 0\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("config, flag, message", [
+        ("", "bogus", "unknown checks: bogus"),
+        ("", ",", "no check named in ','"),
+        ("", "lemma1,maximal,lemma1", "checks named more than once: lemma1"),
+        ("names = lemma1,bogus\n", None, "unknown checks: bogus"),
+    ])
+    def test_bad_check_name_wins_over_a_bad_kernel(self, tmp_path, capsys, config, flag, message):
+        cfg = write_config(tmp_path / "c.cfg", f"[checks]\n{config}")
+        argv = ["verify", "--config", cfg, "--kernel", str(tmp_path / "missing.kernel")]
+        argv += ["--checks", flag] if flag else []
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: invalid configuration: {message}\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestKernelBuild:

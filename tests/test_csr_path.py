@@ -21,7 +21,7 @@ from ergodyn import (
     make_uniform_partition,
     ulam_discretize,
 )
-from ergodyn import cli, kernel, measures
+from ergodyn import cli, kernel, measures, theorems
 from ergodyn.cli import load_kernel, save_kernel
 from ergodyn.errors import InvalidKernelError
 from ergodyn.measures import (
@@ -34,7 +34,7 @@ from ergodyn.measures import (
 )
 from ergodyn.space import SUM_EXACT_BAND, SUM_RENORM_BAND
 
-from conftest import cyclic_kernel, random_kernel, reducible_kernel, swap_kernel
+from conftest import cyclic_kernel, power_formations, random_kernel, reducible_kernel, swap_kernel
 
 
 def dense_ingest(rows):
@@ -345,13 +345,15 @@ def test_measure_command_never_forms_a_power(monkeypatch, tmp_path):
     def refuse(P, p):
         raise AssertionError(f"kernel_power({P}, {p}) called")
 
+    formed = power_formations(monkeypatch)
     monkeypatch.setattr(kernel, "kernel_power", refuse)
-    monkeypatch.setattr(cli, "kernel_power", refuse)
+    monkeypatch.setattr(theorems, "kernel_power", refuse)
     data = Path(__file__).parent / "data"
     assert cli.main([
         "measure", "--config", str(data / "pipeline_logistic_k64.cfg"),
         "--kernel", str(data / "pipeline_logistic_k64.kernel"), "--out", str(tmp_path / "o"),
     ]) == 0
+    assert formed == []
 
 
 def test_ulam_build_peak_below_one_dense_matrix():

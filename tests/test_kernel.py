@@ -13,7 +13,7 @@ from ergodyn import (
     ulam_discretize,
 )
 
-from conftest import random_kernel, swap_kernel
+from conftest import fresh, power_formations, random_kernel, swap_kernel
 
 
 class TestKernelFromRows:
@@ -227,6 +227,26 @@ class TestKernelPower:
     def test_power_one_returns_same_kernel(self):
         P = swap_kernel()
         assert kernel_power(P, 1) is P
+
+    def test_each_power_is_formed_once_per_kernel(self, rng, monkeypatch):
+        P = random_kernel(rng, 12, density=0.3)
+        formed = power_formations(monkeypatch)
+        assert kernel_power(P, 1) is P and formed == []  # P^1 is P: nothing to form
+        Q2, Q3 = kernel_power(P, 2), kernel_power(P, 3)
+        assert kernel_power(P, 2) is Q2 and kernel_power(P, 3) is Q3
+        assert formed == [Q2, Q3]  # p = 2 and p = 3 are separate entries
+        # the power is kept on its kernel: a kernel with the same arrays forms its own
+        assert kernel_power(fresh(P), 2) is not Q2 and len(formed) == 3
+
+    @pytest.mark.parametrize("p", [2, 3, 6, 10**23])
+    def test_a_cached_power_has_the_bits_of_a_fresh_one(self, rng, p):
+        P = random_kernel(rng, 15, density=0.3)
+        cached = kernel_power(P, p)
+        cached.csr(), cached.matvec(np.ones(15))  # readers of the cached power leave it as formed
+        again = kernel_power(fresh(P), p)
+        assert kernel_power(P, p) is cached
+        for name in ("indptr", "indices", "data"):
+            assert getattr(cached, name).tobytes() == getattr(again, name).tobytes(), name
 
 
 class TestRowCumsums:

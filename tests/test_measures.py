@@ -6,6 +6,7 @@ import pytest
 
 from ergodyn import (
     ConvergenceError,
+    DimensionError,
     Measure,
     NotStationaryError,
     closed_classes,
@@ -14,6 +15,7 @@ from ergodyn import (
     is_ergodic,
     kernel_from_rows,
     kernel_power,
+    make_uniform_partition,
     periodic_measures,
     stationary_measures,
     support,
@@ -250,6 +252,13 @@ class TestInvariantSets:
         P = swap_kernel()
         with pytest.raises(NotStationaryError):
             invariant_sets(P, Measure([0.9, 0.1], P.partition), 1e-10)
+
+    def test_measure_on_another_partition_rejected(self):
+        # the stationarity test takes its residual from stationarity_residual, which checks
+        # the partition: the swap's stationary weights on the circle are not its measure
+        P = swap_kernel()
+        with pytest.raises(DimensionError):
+            invariant_sets(P, Measure([0.5, 0.5], make_uniform_partition("circle", 2)), 1e-10)
 
     def test_generators_partition_support(self, rng):
         for _ in range(20):

@@ -32,7 +32,7 @@ from ergodyn import NoisySystem, cli, kernel, make_uniform_partition, theorems, 
 from ergodyn.cli import CHECK_NAMES, _cfg_get
 from ergodyn.theorems import _report, birkhoff_average, corollary_trials, running_average_extremes
 
-from conftest import random_kernel, reducible_kernel
+from conftest import fresh, power_formations, random_kernel, reducible_kernel
 
 DATA = Path(__file__).parent / "data"
 
@@ -172,7 +172,7 @@ def test_each_shared_pass_runs_once(case, tmp_path, monkeypatch):
         return _partial_sums(Q, values, n)
 
     def windowed_limit(Q, groups, *args):
-        passes.append((Q, [(g[0] is Q, g[1], g[2].shape[1]) for g in groups]))
+        passes.append((Q, [(g[0], g[1].shape[1]) for g in groups]))
         return _windowed_limit(Q, groups, *args)
 
     _partial_sums, _windowed_limit = theorems._partial_sums, theorems._windowed_limit
@@ -181,14 +181,14 @@ def test_each_shared_pass_runs_once(case, tmp_path, monkeypatch):
         monkeypatch.setattr(module, "_windowed_limit", windowed_limit)
     verify_all(P, cfg, tmp_path, monkeypatch)
     checks = cli.load_config(tmp_path / "c.cfg")["checks"]
-    # one limit pass on P (p = 2): a group of min(trials, 20) columns on P for each of three
-    # checks, and periodic's group of stride 2 on Q = P^2, where each trial has a column per
-    # measure that Q fixes
+    # one limit pass on P (p = 2): a group of min(trials, 20) columns of stride 1 for each of
+    # three checks, and periodic's group of stride 2, where each trial has a column per
+    # measure that Q = P^2 fixes
     assert checks["p"] == 2
     trials, measures = min(checks["trials"], 20), len(periodic_measures(P, 2))
-    on_p = (True, 1, trials)
+    on_p = (1, trials)
     assert [(Q is P, groups) for Q, groups in passes] == [
-        (True, [on_p, on_p, (False, 2, trials * measures), on_p])]
+        (True, [on_p, on_p, (2, trials * measures), on_p])]
     # one stream of n_max partial sums; each group starts from one term (L = 1 here)
     assert sorted((Q is P, n) for Q, n in sums) == [(False, 1)] + [(True, 1)] * 3 + [
         (True, checks["n_max"])]
@@ -216,18 +216,20 @@ def test_a_run_is_freed_without_the_cycle_collector():
     (["maximal", "birkhoff", "lemma1"], [[], [], []]),
     (["maximal", "corollary_c", "birkhoff", "nonconvergence_empty", "lemma1"],
      [["sums"], [], ["limits"], [], []]),
-    # periodic's measures and P^p go with periodic; the pass stays for birkhoff
+    # the pass stays for birkhoff; periodic's measures and P^p are the kernel's, not the run's
     (["periodic", "birkhoff", "lemma1"], [["limits"], [], []]),
-    (["birkhoff", "periodic", "lemma1"], [["limits", "fixed", "power"], [], []]),
+    (["birkhoff", "periodic", "lemma1"], [["limits"], [], []]),
 ])
 def test_a_run_drops_each_pass_after_its_last_reader(names, held):
+    # a run holds nothing past its settings and mixture measure but its two passes
     P, cfg = CASES["dense23"]
     stationaries = stationary_measures(P)
     run = cli._Verify(P, stationaries, cfg, 1807, names)
+    own = set(vars(run))
     after = []
     for name in names:
         cli.run_check(name, P, stationaries, cfg, 1807, run)
-        after.append([key for key in ("sums", "limits", "fixed", "power") if key in vars(run)])
+        after.append(sorted(set(vars(run)) - own))
     assert after == held
 
 
@@ -244,18 +246,36 @@ def test_block_products_equal_column_products(case):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_periodic_check_forms_the_power_once(case, monkeypatch):
-    P, cfg = CASES[case]
-    powers = []
+    # the limit pass, the ergodicity test and the invariance product each read P^2, and
+    # a second run of the check reads it again
+    P, cfg = fresh(CASES[case][0]), CASES[case][1]
+    formed = power_formations(monkeypatch)
+    for _ in range(2):
+        cli.run_check("periodic", P, stationary_measures(P), cfg, 1807)
+    assert formed == [kernel.kernel_power(P, 2)]
 
-    def counted(Q, p):
-        powers.append(p)
-        return kernel_power(Q, p)
 
-    kernel_power = kernel.kernel_power
-    for module in (kernel, theorems, cli):
-        monkeypatch.setattr(module, "kernel_power", counted)
-    cli.run_check("periodic", P, stationary_measures(P), cfg, 1807)
-    assert powers == [2]
+@pytest.mark.parametrize("p", [2, 3])
+def test_verify_forms_the_power_once(p, tmp_path, monkeypatch):
+    # p = 2 reads P's squares in the pass; p = 3 squares P^3 in a sequence of its own
+    P, cfg = fresh(CASES["dense23"][0]), {"checks": {**CASES["dense23"][1]["checks"], "p": p}}
+    formed = power_formations(monkeypatch)
+    verify_all(P, cfg, tmp_path, monkeypatch)
+    assert formed == [kernel.kernel_power(P, p)]
+
+
+def test_repeated_periodic_checks_form_the_power_once(monkeypatch):
+    P = fresh(CASES["two_classes"][0])
+    formed = power_formations(monkeypatch)
+    phi = Observable(np.linspace(-1.0, 1.0, P.K), P.partition)
+    for _ in range(3):
+        for nu, _d in periodic_measures(P, 2):
+            check_periodic_pointwise(P, 2, phi, nu)
+    assert formed == [kernel.kernel_power(P, 2)]
+    # its readers left the cached power as it was formed, bit for bit
+    again = kernel.kernel_power(fresh(P), 2)
+    for name in ("indptr", "indices", "data"):
+        assert getattr(formed[0], name).tobytes() == getattr(again, name).tobytes(), name
 
 
 def test_worst_ranks_each_report_by_its_direction():
@@ -323,7 +343,7 @@ def test_groups_equal_per_column_gemv(case):
     tols = list(rng.choice([1e-3, 1e-8, 1e-12, 0.0], 12))
     n_cap = 2**10
     on_p, on_q = theorems._windowed_limit(
-        P, [(P, 1, values, watches, tols), (Q, 2, values[:, ::-1], watches, tols)], n_cap)
+        P, [(1, values, watches, tols), (2, values[:, ::-1], watches, tols)], n_cap)
     first = P.to_dense() if L == 1 else np.linalg.matrix_power(P.to_dense(), L)
     for got, power, kern, block in ((on_p, first, P, values), (on_q, first @ first, Q, values[:, ::-1])):
         want = per_column_pass(power, kern, block, watches, tols, L, n_cap)
@@ -340,10 +360,11 @@ def test_a_limit_pass_holds_two_dense_powers():
     k = 256
     system = NoisySystem("rotation", {"alpha": 0.37}, "uniform", {"half_width": 0.1})
     P = ulam_discretize(system, make_uniform_partition("circle", k))
-    Q = kernel.kernel_power(P, 2)
     values = np.random.default_rng(3).uniform(-1.0, 1.0, (k, 3))
-    groups = [(P, 1, values, [np.arange(k)] * 3, [0.0] * 3), (Q, 2, values, [np.arange(k)] * 3, [0.0] * 3)]
-    theorems._odd_period_lcm(P)  # the kernel's cached class structure is not the pass's
+    groups = [(1, values, [np.arange(k)] * 3, [0.0] * 3), (2, values, [np.arange(k)] * 3, [0.0] * 3)]
+    # the kernel's cached class structure and P^2 are not the pass's
+    theorems._odd_period_lcm(P)
+    kernel.kernel_power(P, 2)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
