@@ -211,6 +211,8 @@ def _windowed_rows(boundaries, samples, noise_code, param, wrap):
     u, cdf, acc_all = np.empty((3, size))
     mask = np.empty(size, dtype=bool)
     cols = np.arange(int((c1 - c0).max()) + 1)
+    # adding w = 0 changes u = b - y only where it is -0.0, which needs an edge of -0.0
+    signed_zero = bool(np.signbit(boundaries[0]))
     for a, b, span in bounds:
         n = b - a
         y = samples[a:b, :, None]
@@ -226,7 +228,8 @@ def _windowed_rows(boundaries, samples, noise_code, param, wrap):
             uw = u[:m].reshape(n, q, -1)
             cw = cdf[:m].reshape(uw.shape)
             np.subtract(boundaries[idx][:, None, :], y, out=uw)
-            uw += w
+            if w or signed_zero:
+                uw += w
             _noise_cdf(uw, noise_code, param, cw, mask[:m].reshape(uw.shape))
             if not wrap:  # clamp: mass below 0 and above 1 lands on the end cells
                 cw[idx[:, 0] == 0, :, 0] = 0.0

@@ -17,7 +17,10 @@ and configuration are byte-identical. Floats are written with 17
 significant digits, which round-trips IEEE doubles exactly. Next to each
 kernel file, ``kernel-build`` writes the kernel's CSR arrays as a binary
 sidecar (``kernel.txt.records``), which loaders take only while its digest
-matches the text; the text stays the canonical file.
+matches the text; the text stays the canonical file. ``measure`` and
+``verify`` leave a sidecar-loaded kernel's class solves in their output
+directory (``kernel.txt.classes``), which a later run on the same kernel
+and [solver] setting reads instead of solving.
 """
 
 from __future__ import annotations
@@ -60,6 +63,8 @@ from .kernel import (
 from .measures import (
     DEFAULT_MAX_ITER,
     DEFAULT_SOLVE_TOL,
+    _class_solves,
+    _seed_class_solves,
     closed_classes,
     ergodic_decomposition,
     is_ergodic,
@@ -121,6 +126,10 @@ _SIDECAR_MAX_K = int(np.iinfo(_INDICES).max)
 #: The sidecar's layout, hashed into its digest: a file of any other layout,
 #: even one of the same size, never matches.
 _SIDECAR_TAG = b"ergodyn-kernel-csr 1: indptr <i8, indices <i4, data <f8\n"
+
+#: The class cache's layout, hashed into its digest (``_save_classes``).
+_CLASSES_TAG = b"ergodyn-classes 1: counts <i8, states <i8, level <i4, pi <f8\n"
+_COUNT, _LEVEL = np.dtype("<i8"), np.dtype("<i4")
 
 _DIGEST_BYTES = hashlib.sha256().digest_size
 _HASH_CHUNK = 1 << 20
@@ -220,7 +229,7 @@ def _binding(text, payload) -> bytes:
 
 def _sidecar_csr(path, k: int, nnz: int):
     """The CSR arrays (indptr, indices, data) of the kernel file at path,
-    read from its sidecar, or None.
+    read from its sidecar, and the sidecar's digest; or None.
 
     The sidecar is taken only if it is a regular file, its size is that of a
     digest and the payload of a K x K kernel with nnz entries, and its digest
@@ -245,7 +254,99 @@ def _sidecar_csr(path, k: int, nnz: int):
             return None
     except (OSError, ValueError):
         return None
-    return arrays
+    return arrays, digest
+
+
+def _class_cache(cfg, args, P: TransitionKernel, tol: float, max_iter: int):
+    """Seed P's class solves at (tol, max_iter) from its class cache, and
+    return the cache's path if the run is to write it, else None.
+
+    The class cache of a kernel loaded through its sidecar is
+    ``<kernel file name>.classes`` in the run's output directory, never next
+    to the kernel file. A kernel with no sidecar digest (parsed from text,
+    or built from [system]) has none. A cache that ``_load_classes`` takes
+    leaves nothing to write.
+    """
+    if "sidecar" not in P._cache:
+        return None
+    kernel = args.kernel or cfg["kernel"]["path"]
+    path = _out_path(cfg, args) / f"{Path(kernel).name}.classes"
+    return None if _load_classes(path, P, tol, max_iter) else path
+
+
+def _classes_hash(P: TransitionKernel, tol: float, max_iter: int):
+    """The hash of a class cache of P's class solves at (tol, max_iter),
+    before its payload: the layout tag, P's sidecar digest and the setting
+    as exact text."""
+    setting = f"{float.hex(tol)} {max_iter}\n".encode()
+    return hashlib.sha256(_CLASSES_TAG + P._cache["sidecar"] + setting)
+
+
+def _save_classes(path, P: TransitionKernel, tol: float, max_iter: int) -> None:
+    """Write P's class solves at (tol, max_iter) to the class cache at path
+    (none for a path of None).
+
+    The cache is a digest, then the payload: the class count n, each class's
+    size and then each class's period as ``_COUNT``; then every class's
+    states (``_COUNT``), levels (``_LEVEL``) and stationary vector
+    (``_DATA``), class after class. The digest (``_classes_hash``) goes in
+    last, over zeros written first, so a write that stops early leaves a
+    cache no run takes. A cache that cannot be written (a directory or a
+    FIFO in its place, a full disk) is skipped.
+    """
+    if path is None:
+        return
+    solves = _class_solves(P, tol, max_iter)
+    counts = [len(solves)] + [cls.states.size for cls in solves] + [cls.period for cls in solves]
+    payload = [np.array(counts, _COUNT)] + [
+        np.concatenate([getattr(cls, field) for cls in solves]).astype(dt, copy=False)
+        for field, dt in (("states", _COUNT), ("level", _LEVEL), ("pi", _DATA))]
+    digest = _classes_hash(P, tol, max_iter)
+    with suppress(OSError), _open_regular(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC) as fh:
+        fh.write(bytes(_DIGEST_BYTES))
+        for array in payload:
+            fh.write(array)
+            digest.update(array)
+        fh.seek(0)
+        fh.write(digest.digest())
+
+
+def _load_classes(path, P: TransitionKernel, tol: float, max_iter: int) -> bool:
+    """Seed P's class solves at (tol, max_iter) from the class cache at path,
+    and say whether it did.
+
+    The cache is taken only if it is a regular file no larger than a cache
+    of K one-state classes, its digest matches P's sidecar digest, the
+    setting and the payload, its counts frame the payload exactly, and
+    ``measures._seed_class_solves`` takes the classes it holds.
+    """
+    k = P.K
+    try:
+        with _open_regular(path, os.O_RDONLY) as fh:
+            if os.fstat(fh.fileno()).st_size > _DIGEST_BYTES + 8 * (1 + 2 * k) + 20 * k:
+                return False
+            data = fh.read()
+        payload = memoryview(data)[_DIGEST_BYTES:]
+        digest = _classes_hash(P, tol, max_iter)
+        digest.update(payload)
+        if digest.digest() != data[:_DIGEST_BYTES]:
+            return False
+        n = int(np.frombuffer(payload, _COUNT, 1)[0])
+        if not 1 <= n <= k:
+            return False
+        sizes, periods = np.frombuffer(payload, _COUNT, 2 * n, _COUNT.itemsize).reshape(2, n)
+        if sizes.min() < 1 or sizes.max() > k:
+            return False
+        total, cuts = int(sizes.sum()), np.cumsum(sizes)[:-1]
+        offset, columns = _COUNT.itemsize * (1 + 2 * n), []
+        for dt in (_COUNT, _LEVEL, _DATA):
+            columns.append(np.split(np.frombuffer(payload, dt, total, offset), cuts))
+            offset += dt.itemsize * total
+    except (OSError, ValueError):
+        return False
+    states, levels, pis = columns
+    return offset == payload.nbytes and _seed_class_solves(
+        P, tol, max_iter, zip(states, periods.tolist(), levels, pis))
 
 
 def _ascii_lines(fh):
@@ -274,7 +375,8 @@ def load_kernel(path) -> TransitionKernel:
     """Read a kernel file straight into CSR arrays; no K x K array is formed.
 
     The arrays come from the file's sidecar when ``_sidecar_csr`` takes it,
-    and go to the kernel's validator with no sort. Otherwise the records are
+    and go to the kernel's validator with no sort; the kernel keeps the
+    sidecar's digest in its cache. Otherwise the records are
     parsed from the text, in chunks from the open file, so the text is never
     held in memory as a whole; they are range-checked, stably sorted into
     row-major order and checked for duplicates. ``%.17g`` round-trips every
@@ -295,8 +397,8 @@ def load_kernel(path) -> TransitionKernel:
             (domain,) = _header_value(head[2], "domain")
             boundaries = np.array([float(t) for t in _header_value(head[3], "boundaries")])
             (nnz,) = map(int, _header_value(head[4], "nnz"))
-            csr = _sidecar_csr(path, k, nnz)
-            if csr is None:
+            sidecar = _sidecar_csr(path, k, nnz)
+            if sidecar is None:
                 with warnings.catch_warnings():  # no records: the count check below reports it
                     warnings.simplefilter("ignore", UserWarning)
                     records = np.loadtxt(_ascii_lines(fh), dtype=_RECORD, comments=None, ndmin=1)
@@ -311,8 +413,11 @@ def load_kernel(path) -> TransitionKernel:
         raise DimensionError(
             f"kernel file {path}: header K {k} disagrees with {boundaries.size} boundaries"
         )
-    if csr is not None:
-        return _csr_to_kernel(*csr, partition, f"kernel file {path}")
+    if sidecar is not None:
+        arrays, digest = sidecar
+        P = _csr_to_kernel(*arrays, partition, f"kernel file {path}")
+        P._cache["sidecar"] = digest  # binds the kernel for its class cache (``_class_cache``)
+        return P
     r, c = records["row"], records["col"]
     outside = (r < 0) | (r >= k) | (c < 0) | (c >= k)
     if outside.any():
@@ -885,8 +990,13 @@ def _complain(line: str) -> None:
             _emit(sys.stderr, line)
 
 
+def _out_path(cfg, args) -> Path:
+    """The run's output directory: --out, else [output] dir."""
+    return Path(args.out or _cfg_get(cfg, "output", "dir"))
+
+
 def _out_dir(cfg, args) -> Path:
-    out = Path(args.out or _cfg_get(cfg, "output", "dir"))
+    out = _out_path(cfg, args)
     with _writing(out):
         out.mkdir(parents=True, exist_ok=True)
     return out
@@ -912,6 +1022,7 @@ def cmd_measure(args, cfg, seed) -> int:
     tol = _cfg_get(cfg, "solver", "tol")
     max_iter = _cfg_get(cfg, "solver", "max_iter")
     p = _cfg_get(cfg, "checks", "p")
+    cache = _class_cache(cfg, args, P, tol, max_iter)
     ms = stationary_measures(P, tol, max_iter)
     writer = ReportWriter("measure", seed, config_hash(cfg, seed))
     writer.kv("kernel_K", P.K)
@@ -941,6 +1052,7 @@ def cmd_measure(args, cfg, seed) -> int:
     path = out / "measure_report.txt"
     with _writing(path):
         writer.save(path)
+    _save_classes(cache, P, tol, max_iter)
     _say(f"measure: {len(ms)} stationary, {len(per)} periodic(p={p}) -> {path}")
     return 0
 
@@ -961,6 +1073,7 @@ def cmd_verify(args, cfg, seed) -> int:
     P = _obtain_kernel(cfg, args)  # after the names, so a bad name exits 2 whatever the kernel
     solver_tol = _cfg_get(cfg, "solver", "tol")
     max_iter = _cfg_get(cfg, "solver", "max_iter")
+    cache = _class_cache(cfg, args, P, solver_tol, max_iter)
     stationaries = stationary_measures(P, solver_tol, max_iter)
     if args.measure:
         mu = load_measure(args.measure, P.partition)
@@ -988,6 +1101,7 @@ def cmd_verify(args, cfg, seed) -> int:
     path = out / "verify_report.txt"
     with _writing(path):
         writer.save(path)
+    _save_classes(cache, P, solver_tol, max_iter)
     _say(f"verify: {n_pass}/{len(results)} checks passed -> {path}")
     return 0 if n_pass == len(results) else 1
 

@@ -391,7 +391,8 @@ def ulam_discretize(
 
 
 def kernel_power(P: TransitionKernel, p: int) -> TransitionKernel:
-    """Matrix power P^p, formed once per kernel and p and cached on P; P^1 is P.
+    """Matrix power P^p, cached on P until a power with another p replaces
+    it, so a kernel holds at most one power; P^1 is P.
 
     Binary powering with SciPy sparse products on the CSR form. Each
     product's rows that drift from 1 by more than ``SUM_EXACT_BAND`` are
@@ -403,9 +404,10 @@ def kernel_power(P: TransitionKernel, p: int) -> TransitionKernel:
         raise InvalidArgumentError("power must be a positive integer")
     if p == 1:
         return P
-    key = ("power", int(p))
-    if key in P._cache:
-        return P._cache[key]
+    cached = P._cache.get("power")
+    if cached is not None and cached[0] == p:
+        return cached[1]
+    P._cache.pop("power", None)  # the old power goes before the products form the new one
 
     def product(a, b):
         m = a @ b
@@ -422,6 +424,6 @@ def kernel_power(P: TransitionKernel, p: int) -> TransitionKernel:
         if e:
             base = product(base, base)
     result.sort_indices()
-    P._cache[key] = _csr_to_kernel(
-        result.indptr, result.indices, result.data, P.partition, "kernel_power")
-    return P._cache[key]
+    Q = _csr_to_kernel(result.indptr, result.indices, result.data, P.partition, "kernel_power")
+    P._cache["power"] = (int(p), Q)
+    return Q

@@ -161,6 +161,7 @@ def _solve_class(sub, d: int, tol: float, max_iter: int):
     if m == 1:
         return np.ones(1), 1
     step = sub.T.tocsr()  # x @ sub as a CSR product; each entry sums in state order
+    del sub  # the caller's block goes once its transpose is built, if the caller kept none
     x = np.full(m, 1.0 / m)
     best, best_it, it = math.inf, 0, 0
     for it in range(1, max_iter + 1):
@@ -202,6 +203,34 @@ def _class_solves(P: TransitionKernel, tol: float, max_iter: int) -> list:
             solves.append(cls._replace(pi=pi))
         cache[key] = solves
     return cache[key]
+
+
+def _seed_class_solves(P: TransitionKernel, tol: float, max_iter: int, classes) -> bool:
+    """Take classes, one (states, period, level, pi) per closed class as a
+    class cache holds them, as P's class structure and its class solves at
+    (tol, max_iter); the one way in for solves made by an earlier run.
+
+    Nothing is taken unless the structure holds: the classes sorted by
+    smallest state, each one's states strictly increasing, in [0, K) and
+    disjoint from the other classes', its period in [1, m] and its levels in
+    [0, m) for its m states, and its pi finite and positive at every state.
+    Returns whether it was taken.
+    """
+    taken, seen, first = [], np.zeros(P.K, dtype=bool), -1
+    for states, period, level, pi in classes:
+        m = states.size
+        if not (m and level.size == pi.size == m and first < states[0] and states[-1] < P.K
+                and np.all(states[1:] > states[:-1]) and not seen[states].any()
+                and 1 <= period <= m and 0 <= level.min() and level.max() < m
+                and np.all(np.isfinite(pi)) and pi.min() > 0.0):
+            return False
+        seen[states], first = True, states[0]
+        for arr in (states, level, pi):
+            arr.setflags(write=False)
+        taken.append(_ClosedClass(states, int(period), level, pi))
+    P._cache["classes"] = [cls._replace(pi=None) for cls in taken]
+    P._cache[("class_solves", tol, max_iter)] = taken
+    return True
 
 
 def stationary_measures(

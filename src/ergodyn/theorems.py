@@ -36,7 +36,7 @@ maximal check. The limit checks take a ``limit_pass`` argument: their
 group's result of one doubling-horizon pass (``_windowed_limit``) that the
 run made over the groups of several checks. A group is (s, values,
 watches, tols) and holds no kernel: its horizons count steps of P^s, which
-``kernel_power`` forms once per kernel and s. The periodic check's group
+``kernel_power`` forms once per run of one s. The periodic check's group
 has stride p, and for p a power of two up to 2^10 it reads the squares of P
 that the other groups read, so one squaring sequence serves all four limit
 checks.

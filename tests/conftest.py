@@ -1,4 +1,7 @@
-"""Shared builders for randomized kernels and measures."""
+"""Shared builders for randomized kernels and measures, and a guard that
+the suite leaves no file in the source tree's data directories."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +61,25 @@ def random_observable(rng, partition):
 def random_measure(rng, partition):
     w = rng.random(partition.cell_count) + 1e-3
     return Measure(w / w.sum(), partition)
+
+
+#: Directories of the source tree that hold inputs: a run may read them but
+#: write nothing there, no sidecar, class cache or output.
+GUARDED_DIRS = [Path(__file__).parent / "data",
+                Path(__file__).resolve().parents[1] / "src" / "ergodyn" / "data"]
+
+
+def _guarded_files() -> set:
+    return {path for folder in GUARDED_DIRS for path in folder.rglob("*")}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def data_dirs_stay_as_they_were():
+    """Fail the run if it leaves a new file under ``GUARDED_DIRS``."""
+    before = _guarded_files()
+    yield
+    new = sorted(str(path) for path in _guarded_files() - before)
+    assert not new, f"the test run left files in the source tree: {new}"
 
 
 @pytest.fixture

@@ -341,6 +341,17 @@ def test_ulam_rows_match_full_width_reference(rng, wrap, code, param):
     assert_same_csr(got, _sparsified(_reference_ulam_rows(boundaries, images, code, param, wrap)))
 
 
+@pytest.mark.parametrize("code,param", ROW_CASES)
+def test_a_signed_zero_first_edge_keeps_the_reference_bits(rng, code, param):
+    # u = b - y is -0.0 only where an edge of -0.0 meets an image of +0.0, so
+    # clamp mode adds its one wrap, w = 0, there and nowhere else
+    boundaries = np.linspace(0.0, 1.0, 65)
+    boundaries[0] = -0.0
+    images = _clustered_images(rng, 64, 16, False)  # holds the images 0.0 and 1.0
+    got = backend.ulam_rows(boundaries, images, code, param, False)
+    assert_same_csr(got, _sparsified(_reference_ulam_rows(boundaries, images, code, param, False)))
+
+
 SEAM_CASES = {
     # rows 0 and 1 wrap across 0, so their span is the whole circle; the rest are narrow
     "whole-circle-wrap-rows": (1, 0.05, True, 16),

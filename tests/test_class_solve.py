@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from ergodyn import _backend, closed_classes, measures
+from ergodyn import NoisySystem, _backend, closed_classes, make_uniform_partition, measures, ulam_discretize
 from ergodyn.cli import load_kernel
 from ergodyn.errors import ConvergenceError
 from ergodyn.measures import _class_solves, _class_structure, _graph_period, _solve_class
@@ -129,6 +130,31 @@ def test_pipeline_solve_takes_fewer_than_two_products_per_window(monkeypatch):
     assert cls.period == 1
     _, windows = _solve_class(P.restrict(cls.states), cls.period, 1e-12, 100000)
     assert len(calls) < 2 * windows
+
+
+def test_a_class_solve_holds_one_block_while_it_iterates(monkeypatch):
+    # the K=2048 pipeline system: one closed class of 1947 states and 101,024 entries
+    system = NoisySystem("logistic", {"r": 3.9}, "wrapped_gaussian", {"sigma": 0.002}, "clamp")
+    P = ulam_discretize(system, make_uniform_partition("unit_interval", 2048))
+    (cls,) = _class_structure(P)
+    want, _ = _solve_class(P.restrict(cls.states), cls.period, 1e-12, 100000)
+    held = []
+    matvec = _backend.matvec
+    monkeypatch.setattr(_backend, "matvec",
+                        lambda csr, x: held.append(tracemalloc.get_traced_memory()[0]) or matvec(csr, x))
+    tracemalloc.start()
+    try:
+        blocks = [P.restrict(cls.states)]
+        block = sum(a.nbytes for a in (blocks[0].indptr, blocks[0].indices, blocks[0].data))
+        tracemalloc.reset_peak()
+        pi, _ = _solve_class(blocks.pop(), cls.period, 1e-12, 100000)  # the solve holds the one reference
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    vectors = 16 * 8 * cls.states.size
+    assert peak <= 2 * block + vectors, f"peak {peak / block:.2f} blocks"  # the block and its transpose
+    assert max(held) <= block + vectors, f"held {max(held) / block:.2f} blocks"  # the transpose alone
+    assert pi.tobytes() == want.tobytes()
 
 
 class TestClosedClassesCache:

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import io
 import os
 import shutil
@@ -367,6 +368,153 @@ def test_loaders_write_nothing_next_to_their_input(tmp_path):
             out = tmp_path / kernel.stem / argv[0]
             assert main(argv + ["--kernel", str(kernel), "--out", str(out)]) == 0
     assert sorted(p.name for p in DATA.iterdir()) == listing
+
+
+def _other_setting(line):
+    """A class cache written by a measure run at another [solver] setting."""
+    def mutate(text, cache):
+        cfg = write_config(cache.parent.parent / "other.cfg", f"[solver]\n{line}\n")
+        assert main(["measure", "--config", cfg, "--kernel", str(text), "--out", str(cache.parent)]) == 0
+    return mutate
+
+
+def _other_kernels(text, cache):
+    """The class cache of another kernel file of the same name."""
+    other = cache.parent.parent / "other"
+    assert main(["kernel-build", "--config", str(DATA / "pipeline_logistic_k64.cfg"), "--out", str(other)]) == 0
+    assert main(["measure", "--kernel", str(other / "kernel.txt"), "--out", str(other)]) == 0
+    shutil.copy(other / "kernel.txt.classes", cache)
+
+
+def _out_is_a_file(text, cache):
+    shutil.rmtree(cache.parent)
+    cache.parent.write_bytes(b"")
+
+
+#: name -> mutation of (kernel text path, class cache path) after a measure
+#: run wrote the cache. Each leaves a cache that no run may take.
+CLASS_CACHE_FAULTS = {
+    "truncated": lambda text, cache: cache.write_bytes(cache.read_bytes()[:-5]),
+    "payload_byte": _flip(-1),
+    "zeroed_digest": lambda text, cache: cache.write_bytes(bytes(32) + cache.read_bytes()[32:]),
+    "other_tol": _other_setting("tol = 1e-11"),
+    "other_max_iter": _other_setting("max_iter = 99999"),
+    "other_kernel": _other_kernels,
+    "directory": _replace_with(Path.mkdir),
+    "fifo": _replace_with(os.mkfifo),
+    "out_is_a_file": _out_is_a_file,
+}
+
+
+def _workload_config(name, dst):
+    """The run configuration of a ``perfbench`` workload, written to dst."""
+    if "perfbench_workloads" not in sys.modules:  # its dataclass looks itself up there
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+        sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[spec.name])
+    workloads = sys.modules["perfbench_workloads"]
+    path = dst / f"{name}.cfg"
+    path.write_text(workloads.WORKLOADS[name].config_text(dst / "out"))
+    return path
+
+
+CLASS_CACHE_CONFIGS = ("rotation_uniform.cfg", "verify-rotation-k512", "pipeline-logistic-k4096")
+
+
+@pytest.fixture(scope="module")
+def built_kernel(tmp_path_factory):
+    """config name -> (its config path, the kernel file built from it, with
+    its sidecar); each is built once per module."""
+    built = {}
+
+    def build(name):
+        if name not in built:
+            dst = tmp_path_factory.mktemp(name.replace(".", "_"))
+            cfg = bundled(name, dst) if name.endswith(".cfg") else _workload_config(name, dst)
+            assert main(["kernel-build", "--config", str(cfg), "--out", str(dst / "built")]) == 0
+            built[name] = cfg, dst / "built" / "kernel.txt"
+        return built[name]
+    return build
+
+
+def count_class_work(monkeypatch) -> dict:
+    """measures function -> its calls from now on: class solves, period
+    searches, and the class search over the whole kernel that
+    ``_class_structure`` makes (not the searches on a measure's support)."""
+    calls = {"_solve_class": 0, "_graph_period": 0, "_closed_classes_on": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(measures, name), _name=name):
+            if _name != "_closed_classes_on" or sys._getframe(1).f_code.co_name == "_class_structure":
+                calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(measures, name, counted)
+    return calls
+
+
+class TestClassCache:
+    """``measure`` and ``verify`` leave the class solves of a kernel loaded
+    through its sidecar in ``<out>/kernel.txt.classes``, and a later run at
+    the same setting reads them there instead of solving."""
+
+    @staticmethod
+    def run(command, cfg, kernel, out):
+        assert main([command, "--config", str(cfg), "--kernel", str(kernel), "--seed", "1807",
+                     "--out", str(out)]) == 0
+        return (out / f"{command}_report.txt").read_bytes()
+
+    @pytest.mark.parametrize("name", CLASS_CACHE_CONFIGS)
+    def test_reports_are_byte_identical_with_and_without_the_cache(self, tmp_path, built_kernel, name):
+        cfg, kernel = built_kernel(name)
+        first = self.run("measure", cfg, kernel, tmp_path / "o")
+        assert (tmp_path / "o" / "kernel.txt.classes").is_file()
+        assert not (kernel.parent / "kernel.txt.classes").exists()  # never next to the input
+        assert self.run("measure", cfg, kernel, tmp_path / "o") == first
+        assert self.run("verify", cfg, kernel, tmp_path / "o") == self.run("verify", cfg, kernel, tmp_path / "fresh")
+
+    @pytest.mark.parametrize("name", CLASS_CACHE_CONFIGS)
+    def test_verify_after_measure_solves_nothing(self, tmp_path, monkeypatch, built_kernel, name):
+        cfg, kernel = built_kernel(name)
+        self.run("measure", cfg, kernel, tmp_path / "o")
+        calls = count_class_work(monkeypatch)
+        self.run("verify", cfg, kernel, tmp_path / "o")
+        assert calls == dict.fromkeys(calls, 0)
+        self.run("verify", cfg, kernel, tmp_path / "fresh")
+        assert all(calls.values())  # a fresh --out holds no cache: the run solves
+
+    @pytest.mark.parametrize("fault", list(CLASS_CACHE_FAULTS))
+    def test_faulty_class_cache_is_solved_again(self, tmp_path, monkeypatch, capsys, fault):
+        text, _ = TestRecordSidecar.build(tmp_path, "rotation_uniform.cfg")
+        clean = tmp_path / "clean"
+        clean.mkdir()
+        shutil.copy(text, clean / "kernel.txt")  # the text alone: no sidecar, so no cache
+
+        def runs(kernel):
+            """(exit code, stderr, report or None) of measure, then of verify, in o."""
+            results = []
+            for argv in (["measure"], ["verify", "--checks", "lemma1,maximal,periodic", "--trials", "3"]):
+                code = main(argv + ["--kernel", str(kernel), "--seed", "1807", "--out", str(tmp_path / "o")])
+                report = tmp_path / "o" / f"{argv[0]}_report.txt"
+                results.append((code, capsys.readouterr().err, report.read_bytes() if report.is_file() else None))
+            return results
+
+        runs(text)
+        cache = tmp_path / "o" / "kernel.txt.classes"
+        assert cache.is_file()
+        CLASS_CACHE_FAULTS[fault](text, cache)
+        calls = count_class_work(monkeypatch)
+        with deadline():
+            got = runs(text)
+            solves = calls["_solve_class"]
+            assert solves and got == runs(clean / "kernel.txt")
+
+    @pytest.mark.parametrize("argv", [["--kernel", str(DATA / "pipeline_logistic_k64.kernel")],
+                                      ["--config", str(DATA / "pipeline_logistic_k64.cfg")]],
+                             ids=["parsed_text", "system"])
+    def test_a_kernel_without_a_sidecar_gets_no_cache(self, tmp_path, argv):
+        for command in (["measure"], ["verify", "--checks", "lemma1"]):
+            assert main(command + argv + ["--out", str(tmp_path / "o")]) == 0
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["measure_report.txt", "verify_report.txt"]
 
 
 class TestExitCodes:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -232,11 +234,34 @@ class TestKernelPower:
         P = random_kernel(rng, 12, density=0.3)
         formed = power_formations(monkeypatch)
         assert kernel_power(P, 1) is P and formed == []  # P^1 is P: nothing to form
-        Q2, Q3 = kernel_power(P, 2), kernel_power(P, 3)
-        assert kernel_power(P, 2) is Q2 and kernel_power(P, 3) is Q3
-        assert formed == [Q2, Q3]  # p = 2 and p = 3 are separate entries
+        Q2 = kernel_power(P, 2)
+        assert kernel_power(P, 2) is Q2 and formed == [Q2]
+        Q3 = kernel_power(P, 3)
+        assert kernel_power(P, 3) is Q3 and formed == [Q2, Q3]
+        # the latest power replaces the one before: P^2 is formed again, with its bits
+        again = kernel_power(P, 2)
+        assert again is not Q2 and formed == [Q2, Q3, again]
+        assert again.data.tobytes() == Q2.data.tobytes()
         # the power is kept on its kernel: a kernel with the same arrays forms its own
-        assert kernel_power(fresh(P), 2) is not Q2 and len(formed) == 3
+        assert kernel_power(fresh(P), 2) is not again and len(formed) == 4
+
+    def test_a_kernel_holds_at_most_one_power(self):
+        # from p = 5 on, a power of this kernel is a full 512 x 512 CSR (262,144 entries)
+        system = NoisySystem("rotation", {"alpha": 0.37}, "uniform", {"half_width": 0.1})
+        P = ulam_discretize(system, make_uniform_partition("circle", 512))
+        P.csr(), kernel_power(swap_kernel(), 3)  # SciPy's sparse modules load untraced
+        tracemalloc.start()
+        try:
+            for p in range(2, 10):
+                Q = kernel_power(P, p)
+            del Q
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        last = kernel_power(P, 9)
+        one = last.indptr.nbytes + last.indices.nbytes + last.data.nbytes
+        assert last.nnz == 512 * 512
+        assert held <= 1.1 * one, f"held {held / 2**20:.1f} MiB, one power {one / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize("p", [2, 3, 6, 10**23])
     def test_a_cached_power_has_the_bits_of_a_fresh_one(self, rng, p):
