@@ -392,7 +392,8 @@ def _out_is_a_file(text, cache):
 
 
 #: name -> mutation of (kernel text path, class cache path) after a measure
-#: run wrote the cache. Each leaves a cache that no run may take.
+#: run wrote the cache. Each leaves nothing at the cache's path that a run at
+#: the default [solver] setting may take.
 CLASS_CACHE_FAULTS = {
     "truncated": lambda text, cache: cache.write_bytes(cache.read_bytes()[:-5]),
     "payload_byte": _flip(-1),
@@ -471,6 +472,7 @@ class TestClassCache:
         assert not (kernel.parent / "kernel.txt.classes").exists()  # never next to the input
         assert self.run("measure", cfg, kernel, tmp_path / "o") == first
         assert self.run("verify", cfg, kernel, tmp_path / "o") == self.run("verify", cfg, kernel, tmp_path / "fresh")
+        assert (tmp_path / "fresh" / "kernel.txt.classes").read_bytes() == (tmp_path / "o" / "kernel.txt.classes").read_bytes()
 
     @pytest.mark.parametrize("name", CLASS_CACHE_CONFIGS)
     def test_verify_after_measure_solves_nothing(self, tmp_path, monkeypatch, built_kernel, name):
